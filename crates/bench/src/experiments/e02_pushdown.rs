@@ -9,7 +9,7 @@
 //! network and the streaming-pipeline completion time from the flow
 //! simulator.
 
-use df_core::scheduler::flow_pipeline;
+use df_core::pipeline::{PipelineGraph, DEFAULT_QUEUE_CAPACITY};
 use df_core::session::Session;
 use df_fabric::flow::FlowSim;
 use df_fabric::topology::{DisaggregatedConfig, Topology};
@@ -93,7 +93,11 @@ pub fn run(scale: Scale) -> ExpReport {
 
             // Timing: flow-simulate both pipelines on a fresh fabric.
             let sim_time = |plan| {
-                let spec = flow_pipeline(plan, &profiles, cpu, "q").expect("verified graph");
+                let spec =
+                    PipelineGraph::compile(plan, Some(&profiles), None, DEFAULT_QUEUE_CAPACITY)
+                        .to_flow_specs(cpu, "q")
+                        .expect("verified graph")
+                        .remove(0);
                 let mut sim =
                     FlowSim::new(Topology::disaggregated(&DisaggregatedConfig::default()));
                 sim.add_pipeline(spec);

@@ -7,7 +7,7 @@
 //! pre-aggregation — executed for real (identical results) and replayed in
 //! the flow simulator for completion time.
 
-use df_core::scheduler::flow_pipeline;
+use df_core::pipeline::{PipelineGraph, DEFAULT_QUEUE_CAPACITY};
 use df_core::session::Session;
 use df_fabric::flow::FlowSim;
 use df_fabric::topology::{DisaggregatedConfig, Topology};
@@ -67,7 +67,10 @@ pub fn run(scale: Scale) -> ExpReport {
         };
         assert!(identical, "variant {} changed the answer", v.plan.variant);
 
-        let spec = flow_pipeline(&v.plan, &profiles, cpu, "q").expect("verified graph");
+        let spec = PipelineGraph::compile(&v.plan, Some(&profiles), None, DEFAULT_QUEUE_CAPACITY)
+            .to_flow_specs(cpu, "q")
+            .expect("verified graph")
+            .remove(0);
         let mut sim = FlowSim::new(Topology::disaggregated(&DisaggregatedConfig::default()));
         sim.add_pipeline(spec);
         let sim_time = sim.run().pipelines[0].duration();
@@ -140,7 +143,10 @@ pub fn trace_flow(scale: Scale) -> std::sync::Arc<df_sim::Tracer> {
     sim.set_tracer(tracer.clone());
     for v in &variants {
         sim.add_pipeline(
-            flow_pipeline(&v.plan, &profiles, cpu, v.plan.variant.clone()).expect("verified graph"),
+            PipelineGraph::compile(&v.plan, Some(&profiles), None, DEFAULT_QUEUE_CAPACITY)
+                .to_flow_specs(cpu, &v.plan.variant)
+                .expect("verified graph")
+                .remove(0),
         );
     }
     sim.run();

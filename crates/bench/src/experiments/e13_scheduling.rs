@@ -20,8 +20,7 @@ use df_core::logical::{AggCall, LogicalPlan};
 use df_core::ops::AggMode;
 use df_core::optimizer::{Optimizer, Profiles, TableProfile};
 use df_core::physical::{PhysNode, PhysicalPlan};
-use df_core::pipeline::PipelineGraph;
-use df_core::scheduler::flow_pipelines;
+use df_core::pipeline::{PipelineGraph, DEFAULT_QUEUE_CAPACITY};
 use df_data::{Column, DataType, Field, Schema};
 use df_fabric::flow::{FlowSim, PipelineSpec};
 use df_fabric::topology::{DisaggregatedConfig, Topology};
@@ -239,7 +238,8 @@ fn join_replay() -> (df_sim::SimDuration, df_sim::SimDuration) {
     )))
     .unwrap();
     let best = optimizer.best(&logical, &profiles).expect("join plans");
-    let specs = flow_pipelines(&best.plan, &profiles, optimizer.site().cpu, "join")
+    let specs = PipelineGraph::compile(&best.plan, Some(&profiles), None, DEFAULT_QUEUE_CAPACITY)
+        .to_flow_specs(optimizer.site().cpu, "join")
         .expect("verified graph");
     assert!(specs.len() >= 2, "join plan must yield a build spine");
     let mut sim = FlowSim::new(topo);

@@ -8,7 +8,8 @@
 //! - `--workspace`    run the invariant lints over the workspace sources
 //! - `--json PATH`    write the machine-readable report to PATH
 //! - `--root PATH`    workspace root (default: the df-check crate's ../..)
-//! - `--bless`        rewrite the lint allowlists from current findings
+//! - `--bless`        rewrite the lint allowlists from current findings,
+//!   dropping entries that suppress nothing
 //! - `--demo-broken`  verify a deliberately broken plan and show findings
 //! - `--demo-cluster` verify + deadlock-analyze generated 2/4/8/16-host
 //!   exchange graphs (hash-partitioned and broadcast)
@@ -315,48 +316,6 @@ fn demo_broken() {
     }
 }
 
-/// Rewrite the allowlists from the *unsuppressed* finding set (the
-/// complete current debt — blessing must never drop entries that were
-/// already suppressing a finding). Each file's leading comment header is
-/// preserved when present, so hand-written justifications survive.
-fn bless(root: &std::path::Path, findings: &[lint::Finding]) -> std::io::Result<()> {
-    let dir = root.join("crates/check/allowlists");
-    std::fs::create_dir_all(&dir)?;
-    for name in lint::lint_names() {
-        let path = dir.join(format!("{name}.txt"));
-        let header = match std::fs::read_to_string(&path) {
-            Ok(old) => old
-                .lines()
-                .take_while(|l| l.trim().is_empty() || l.trim_start().starts_with('#'))
-                .map(|l| format!("{l}\n"))
-                .collect::<String>(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
-        let mut body = if header.is_empty() {
-            format!(
-                "# Allowlist for the `{name}` lint. One entry per line:\n\
-                 #   <path-suffix>                 allow the whole file\n\
-                 #   <path-suffix> :: <substring>  allow only lines containing it\n\
-                 # Regenerate with: cargo run -p df-check -- --workspace --bless\n"
-            )
-        } else {
-            header
-        };
-        let mut entries: Vec<String> = findings
-            .iter()
-            .filter(|f| f.lint == name)
-            .map(|f| format!("{} :: {}\n", f.file, f.snippet))
-            .collect();
-        entries.dedup();
-        for e in entries {
-            body.push_str(&e);
-        }
-        std::fs::write(path, body)?;
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -427,28 +386,20 @@ fn main() -> ExitCode {
     // Pass 3: workspace invariant lints.
     if args.workspace {
         println!("df-check: workspace lints under {}", args.root.display());
+        if args.bless {
+            return match lint::bless(&args.root) {
+                Ok(entries) => {
+                    println!("  blessed {entries} entries into crates/check/allowlists/");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("df-check: --bless failed: {e}");
+                    ExitCode::from(2)
+                }
+            };
+        }
         match lint::run(&args.root) {
             Ok(findings) => {
-                if args.bless {
-                    let all = match lint::run_unsuppressed(&args.root) {
-                        Ok(all) => all,
-                        Err(e) => {
-                            eprintln!("df-check: --bless failed: {e}");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    if let Err(e) = bless(&args.root, &all) {
-                        eprintln!("df-check: --bless failed: {e}");
-                        return ExitCode::from(2);
-                    }
-                    println!(
-                        "  blessed {} finding(s) ({} newly suppressed) into \
-                         crates/check/allowlists/",
-                        all.len(),
-                        findings.len()
-                    );
-                    return ExitCode::SUCCESS;
-                }
                 for f in &findings {
                     println!("  {f}");
                 }

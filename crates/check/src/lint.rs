@@ -41,8 +41,11 @@
 //! Every lint consults an allowlist file under `crates/check/allowlists/`
 //! (one entry per line: `path-suffix` to allow a whole file, or
 //! `path-suffix :: substring` to allow only lines containing the
-//! substring). `crates/check` itself is excluded from the scan: lint
-//! pattern strings necessarily appear in its own source.
+//! substring). A finding is suppressed by the first entry that allows it;
+//! an entry that suppresses nothing is itself a finding
+//! (`stale-allowlist-entry`), reported at its allowlist file and line, so
+//! allowlists can only shrink. `crates/check` itself is excluded from the
+//! scan: lint pattern strings necessarily appear in its own source.
 
 use std::fs;
 use std::io;
@@ -157,6 +160,12 @@ const UNSAFE_LINT: &str = "unsafe-safety-comment";
 
 /// How many lines above an `unsafe` a `// SAFETY:` comment may sit.
 const SAFETY_WINDOW: usize = 3;
+
+/// The finding reported for an allowlist entry that suppresses nothing.
+const STALE_ENTRY: &str = "stale-allowlist-entry";
+
+/// Where the allowlists live, relative to the workspace root.
+const ALLOWLIST_DIR: &str = "crates/check/allowlists";
 
 /// Names of all lints, for allowlist discovery and reports.
 pub fn lint_names() -> Vec<&'static str> {
@@ -373,53 +382,70 @@ fn test_block_lines(code: &[String]) -> Vec<bool> {
 /// One allowlist entry: a path suffix, optionally restricted to lines
 /// containing a substring.
 struct AllowEntry {
+    /// The entry as written, trimmed.
+    text: String,
+    /// 1-indexed line in the allowlist file (0 for new entries).
+    line: usize,
     path_suffix: String,
     substring: Option<String>,
+    /// Whether the entry suppressed a finding in this run.
+    used: bool,
 }
 
 /// Allowlist for one lint, loaded from
 /// `crates/check/allowlists/<lint>.txt`.
-pub struct Allowlist {
+struct Allowlist {
     entries: Vec<AllowEntry>,
 }
 
 impl Allowlist {
-    /// Load the allowlist for `lint` under `root` (missing file = empty).
-    pub fn load(root: &Path, lint: &str) -> io::Result<Allowlist> {
-        let path = root
-            .join("crates/check/allowlists")
-            .join(format!("{lint}.txt"));
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
+    /// Parse an allowlist file's text.
+    fn parse(text: &str) -> Allowlist {
+        let mut list = Allowlist {
+            entries: Vec::new(),
         };
-        let mut entries = Vec::new();
-        for line in text.lines() {
+        for (i, line) in text.lines().enumerate() {
             let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+            if !line.is_empty() && !line.starts_with('#') {
+                list.push(line, i + 1);
             }
-            let (path_suffix, substring) = match line.split_once(" :: ") {
-                Some((p, s)) => (p.trim().to_string(), Some(s.trim().to_string())),
-                None => (line.to_string(), None),
-            };
-            entries.push(AllowEntry {
-                path_suffix,
-                substring,
-            });
         }
-        Ok(Allowlist { entries })
+        list
     }
 
-    /// Whether a finding at `file`/`line_text` is allowed.
-    fn allows(&self, file: &str, line_text: &str) -> bool {
-        self.entries.iter().any(|e| {
+    fn push(&mut self, text: &str, line: usize) {
+        let (path_suffix, substring) = match text.split_once(" :: ") {
+            Some((p, s)) => (p.trim().to_string(), Some(s.trim().to_string())),
+            None => (text.to_string(), None),
+        };
+        self.entries.push(AllowEntry {
+            text: text.to_string(),
+            line,
+            path_suffix,
+            substring,
+            used: false,
+        });
+    }
+
+    /// Whether a finding at `file`/`line_text` is allowed; the first
+    /// entry allowing it is marked used.
+    fn allows(&mut self, file: &str, line_text: &str) -> bool {
+        let hit = self.entries.iter_mut().find(|e| {
             file.ends_with(&e.path_suffix)
                 && e.substring
                     .as_ref()
                     .is_none_or(|s| line_text.contains(s.as_str()))
-        })
+        });
+        hit.map(|e| e.used = true).is_some()
+    }
+}
+
+/// The text of `lint`'s allowlist under `root` (empty when missing).
+fn read_allowlist(root: &Path, lint: &str) -> io::Result<String> {
+    match fs::read_to_string(root.join(ALLOWLIST_DIR).join(format!("{lint}.txt"))) {
+        Ok(t) => Ok(t),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(String::new()),
+        Err(e) => Err(e),
     }
 }
 
@@ -468,46 +494,32 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 // ---------------------------------------------------------------- runner
 
 /// Run every lint over the workspace at `root`, returning unsuppressed
-/// findings (sorted by file/line). Allowlists are loaded from
+/// findings plus one `stale-allowlist-entry` finding per allowlist entry
+/// that suppressed nothing (sorted by file/line). Allowlists are loaded from
 /// `<root>/crates/check/allowlists/`.
 pub fn run(root: &Path) -> io::Result<Vec<Finding>> {
-    run_inner(root, true)
+    let mut findings = run_unsuppressed(root)?;
+    for name in lint_names() {
+        let mut list = Allowlist::parse(&read_allowlist(root, name)?);
+        findings.retain(|f| f.lint != name || !list.allows(&f.file, &f.snippet));
+        let stale = list.entries.into_iter().filter(|e| !e.used);
+        findings.extend(stale.map(|e| Finding {
+            lint: STALE_ENTRY,
+            file: format!("{ALLOWLIST_DIR}/{name}.txt"),
+            line: e.line,
+            snippet: e.text,
+        }));
+    }
+    sort(&mut findings);
+    Ok(findings)
 }
 
 /// Run every lint with allowlists ignored: the complete current debt.
 /// This is what `--bless` writes back, so blessing never drops entries
 /// that were already suppressing a finding.
 pub fn run_unsuppressed(root: &Path) -> io::Result<Vec<Finding>> {
-    run_inner(root, false)
-}
-
-fn run_inner(root: &Path, suppress: bool) -> io::Result<Vec<Finding>> {
-    let files = workspace_sources(root)?;
-    let empty = || Allowlist {
-        entries: Vec::new(),
-    };
-    let allowlists: Vec<(usize, Allowlist)> = LINTS
-        .iter()
-        .enumerate()
-        .map(|(i, l)| {
-            Ok((
-                i,
-                if suppress {
-                    Allowlist::load(root, l.name)?
-                } else {
-                    empty()
-                },
-            ))
-        })
-        .collect::<io::Result<Vec<_>>>()?;
-    let unsafe_allow = if suppress {
-        Allowlist::load(root, UNSAFE_LINT)?
-    } else {
-        empty()
-    };
-
     let mut findings = Vec::new();
-    for path in &files {
+    for path in &workspace_sources(root)? {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(path)
@@ -518,13 +530,12 @@ fn run_inner(root: &Path, suppress: bool) -> io::Result<Vec<Finding>> {
         let code = code_lines(&source);
         let in_test = test_block_lines(&code);
 
-        for (li, lint) in LINTS.iter().enumerate() {
+        for lint in LINTS {
             if !lint.scopes.iter().any(|s| rel.starts_with(s)) {
                 continue;
             }
             // Test/bench/example trees are exercise code, not library
             // surface: scope lint paths all start with "crates/".
-            let allow = &allowlists[li].1;
             for (ln, code_line) in code.iter().enumerate() {
                 if lint.skip_test_blocks && in_test.get(ln).copied().unwrap_or(false) {
                     continue;
@@ -536,19 +547,14 @@ fn run_inner(root: &Path, suppress: bool) -> io::Result<Vec<Finding>> {
                         code_line.contains(p)
                     }
                 });
-                if !hit {
-                    continue;
+                if hit {
+                    findings.push(Finding {
+                        lint: lint.name,
+                        file: rel.clone(),
+                        line: ln + 1,
+                        snippet: raw.get(ln).copied().unwrap_or("").trim().to_string(),
+                    });
                 }
-                let raw_line = raw.get(ln).copied().unwrap_or("");
-                if allow.allows(&rel, raw_line) {
-                    continue;
-                }
-                findings.push(Finding {
-                    lint: lint.name,
-                    file: rel.clone(),
-                    line: ln + 1,
-                    snippet: raw_line.trim().to_string(),
-                });
             }
         }
 
@@ -567,20 +573,23 @@ fn run_inner(root: &Path, suppress: bool) -> io::Result<Vec<Finding>> {
                     satisfied = raw.get(ln - back).is_some_and(|l| l.contains("SAFETY:"));
                 }
             }
-            if satisfied || unsafe_allow.allows(&rel, raw_line) {
-                continue;
+            if !satisfied {
+                findings.push(Finding {
+                    lint: UNSAFE_LINT,
+                    file: rel.clone(),
+                    line: ln + 1,
+                    snippet: raw_line.trim().to_string(),
+                });
             }
-            findings.push(Finding {
-                lint: UNSAFE_LINT,
-                file: rel.clone(),
-                line: ln + 1,
-                snippet: raw_line.trim().to_string(),
-            });
         }
     }
+    sort(&mut findings);
+    Ok(findings)
+}
+
+fn sort(findings: &mut [Finding]) {
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.lint).cmp(&(b.file.as_str(), b.line, b.lint)));
-    Ok(findings)
 }
 
 /// Word-boundary containment: `unsafe` matches, `unsafe_code` does not.
@@ -604,13 +613,68 @@ fn is_word_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Render findings into the allowlist entry format (`path :: snippet`),
-/// grouped per lint — the `--bless` output.
-pub fn to_allowlist_entries(findings: &[Finding]) -> Vec<(&'static str, String)> {
-    findings
-        .iter()
-        .map(|f| (f.lint, format!("{} :: {}", f.file, f.snippet)))
-        .collect()
+/// Rewrite every allowlist to the current debt: entries that suppress
+/// nothing go, and each finding no entry covers gets one new entry at the
+/// end (no entry appears twice in a file). A comment block stays with the
+/// entries that follow it and goes when none of them survives; the file's
+/// leading header always stays. Blessing twice changes no byte the second
+/// time. Returns the number of entries written.
+pub fn bless(root: &Path) -> io::Result<usize> {
+    let findings = run_unsuppressed(root)?;
+    let dir = root.join(ALLOWLIST_DIR);
+    fs::create_dir_all(&dir)?;
+    let mut written = 0;
+    for name in lint_names() {
+        let mut old = read_allowlist(root, name)?;
+        if old.is_empty() {
+            old = format!(
+                "# Allowlist for the `{name}` lint. One entry per line:\n\
+                 #   <path-suffix>                 allow the whole file\n\
+                 #   <path-suffix> :: <substring>  allow only lines containing it\n\
+                 # Regenerate with: cargo run -p df-check -- --workspace --bless\n"
+            );
+        }
+        let mut list = Allowlist::parse(&old);
+        for f in findings.iter().filter(|f| f.lint == name) {
+            if !list.allows(&f.file, &f.snippet) {
+                list.push(&format!("{} :: {}", f.file, f.snippet), 0);
+                list.allows(&f.file, &f.snippet);
+            }
+        }
+        written += list.entries.iter().filter(|e| e.used).count();
+        fs::write(dir.join(format!("{name}.txt")), render_blessed(&old, &list))?;
+    }
+    Ok(written)
+}
+
+/// `old` with its unused entries dropped (and any comment block left
+/// without entries), then `list`'s new entries appended.
+fn render_blessed(old: &str, list: &Allowlist) -> String {
+    let mut out = Vec::new();
+    // A block's comment lines wait here until one of its entries is kept.
+    let mut pending = Vec::new();
+    let (mut in_header, mut after_entry) = (true, false);
+    let mut entries = list.entries.iter();
+    for line in old.lines() {
+        let t = line.trim();
+        if !t.is_empty() && !t.starts_with('#') {
+            (in_header, after_entry) = (false, true);
+            if entries.next().is_some_and(|e| e.used) {
+                out.append(&mut pending);
+                out.push(t);
+            }
+        } else if in_header {
+            out.push(line);
+        } else {
+            if after_entry {
+                pending.clear();
+            }
+            pending.push(line);
+            after_entry = false;
+        }
+    }
+    out.extend(entries.map(|e| e.text.as_str()));
+    out.iter().map(|l| format!("{l}\n")).collect()
 }
 
 #[cfg(test)]
@@ -707,87 +771,88 @@ mod tests {
         assert!(!has_word("my_unsafe_fn()", "unsafe"));
     }
 
-    /// Mutation test for the ledger single-charge-site invariant: copy
-    /// the real executor into a sandbox workspace (with the real
-    /// allowlists), verify it lints clean, then splice in a second
-    /// `.charge(` call and assert the lint rejects it. This proves the
-    /// allowlist's substring entries pin the *exact* blessed sites rather
-    /// than waving through the whole file.
-    #[test]
-    fn second_ledger_charge_site_is_rejected() {
+    /// A sandbox workspace in the temp dir holding copies of the real
+    /// allowlists and of the real sources at `rels`; returns its root.
+    fn sandbox(tag: &str, rels: &[&str]) -> PathBuf {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let real =
-            fs::read_to_string(root.join("crates/core/src/exec/push.rs")).expect("read push.rs");
-        let tmp =
-            std::env::temp_dir().join(format!("df-check-charge-mutation-{}", std::process::id()));
-        let src_dir = tmp.join("crates/core/src/exec");
-        fs::create_dir_all(&src_dir).expect("mkdir sandbox src");
-        let allow_dst = tmp.join("crates/check/allowlists");
+        let tmp = std::env::temp_dir().join(format!("df-check-{tag}-{}", std::process::id()));
+        for rel in rels {
+            let dst = tmp.join(rel);
+            fs::create_dir_all(dst.parent().expect("source dir")).expect("mkdir sandbox src");
+            fs::copy(root.join(rel), dst).expect("copy source");
+        }
+        let allow_dst = tmp.join(ALLOWLIST_DIR);
         fs::create_dir_all(&allow_dst).expect("mkdir sandbox allowlists");
-        for entry in fs::read_dir(root.join("crates/check/allowlists")).expect("read allowlists") {
+        for entry in fs::read_dir(root.join(ALLOWLIST_DIR)).expect("read allowlists") {
             let entry = entry.expect("allowlist entry");
             fs::copy(entry.path(), allow_dst.join(entry.file_name())).expect("copy allowlist");
         }
+        tmp
+    }
 
-        // The unmutated executor lints clean in the sandbox.
-        fs::write(src_dir.join("push.rs"), &real).expect("write clean copy");
-        let clean = run(&tmp).expect("lint clean copy");
+    /// Source findings in a sandbox. Its allowlists keep the entries for
+    /// files the sandbox lacks, so stale-entry findings are left out.
+    fn code_findings(root: &Path) -> Vec<Finding> {
+        run(root)
+            .expect("lint run")
+            .into_iter()
+            .filter(|f| f.lint != STALE_ENTRY)
+            .collect()
+    }
+
+    /// Source findings in a sandbox copy of the real file at `rel` after
+    /// `mutate` rewrites it; the unmutated copy must lint clean first.
+    fn mutated_findings(tag: &str, rel: &str, mutate: impl FnOnce(&str) -> String) -> Vec<Finding> {
+        let tmp = sandbox(tag, &[rel]);
+        let clean = code_findings(&tmp);
         assert!(clean.is_empty(), "clean copy has findings: {clean:?}");
+        let real = fs::read_to_string(tmp.join(rel)).expect("read source");
+        let mutated = mutate(&real);
+        assert_ne!(mutated, real, "mutation changed nothing");
+        fs::write(tmp.join(rel), mutated).expect("write mutated copy");
+        let findings = code_findings(&tmp);
+        fs::remove_dir_all(&tmp).ok();
+        findings
+    }
 
-        // Splice a second charge site next to the blessed one. The line
-        // matches the `.charge(` pattern but none of the allowlist
-        // substrings, so it must surface as a finding.
-        let blessed = "self.charge(pid, from, to, batch);";
-        let mutated = real.replacen(
-            blessed,
-            "self.charge(pid, from, to, batch);\n        \
-             self.shadow_ledger.charge(from, to, 1, 1);",
-            1,
-        );
-        assert_ne!(mutated, real, "blessed charge site not found to mutate");
-        fs::write(src_dir.join("push.rs"), mutated).expect("write mutated copy");
-        let findings = run(&tmp).expect("lint mutated copy");
+    /// Mutation test for the ledger single-charge-site invariant: a second
+    /// `.charge(` call spliced next to the blessed one in the real executor
+    /// matches the pattern but none of the allowlist substrings, so it is
+    /// rejected. The allowlist's substring entries pin the *exact* blessed
+    /// sites rather than waving through the whole file.
+    #[test]
+    fn second_ledger_charge_site_is_rejected() {
+        let findings = mutated_findings("charge", "crates/core/src/exec/push.rs", |real| {
+            real.replacen(
+                "self.charge(pid, from, to, batch);",
+                "self.charge(pid, from, to, batch);\n        \
+                 self.shadow_ledger.charge(from, to, 1, 1);",
+                1,
+            )
+        });
         assert!(
             findings.iter().any(|f| f.lint == "ledger-charge-site"
                 && f.file.ends_with("push.rs")
                 && f.snippet.contains("shadow_ledger")),
             "second charge site not rejected: {findings:?}"
         );
-        fs::remove_dir_all(&tmp).ok();
     }
 
-    /// Mutation test for `determinism-hash-iteration`: the real volcano
+    /// Mutation test for `determinism-hash-iteration`: in the real volcano
     /// executor (whose blessed `HashMap` sites are pinned by substring
-    /// allowlist entries) lints clean, a spliced-in new `HashMap`
-    /// iteration is rejected, and the in-tree `FxHashMap` alternative is
-    /// not flagged (word-boundary match).
+    /// allowlist entries) a spliced-in new `HashMap` iteration is rejected,
+    /// and the in-tree `FxHashMap` alternative is not flagged
+    /// (word-boundary match).
     #[test]
     fn spliced_hash_iteration_is_rejected_and_fxhash_is_not() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let real = fs::read_to_string(root.join("crates/core/src/exec/volcano.rs"))
-            .expect("read volcano.rs");
-        let tmp =
-            std::env::temp_dir().join(format!("df-check-hash-mutation-{}", std::process::id()));
-        let src_dir = tmp.join("crates/core/src/exec");
-        fs::create_dir_all(&src_dir).expect("mkdir sandbox src");
-        let allow_dst = tmp.join("crates/check/allowlists");
-        fs::create_dir_all(&allow_dst).expect("mkdir sandbox allowlists");
-        for entry in fs::read_dir(root.join("crates/check/allowlists")).expect("read allowlists") {
-            let entry = entry.expect("allowlist entry");
-            fs::copy(entry.path(), allow_dst.join(entry.file_name())).expect("copy allowlist");
-        }
-
-        fs::write(src_dir.join("volcano.rs"), &real).expect("write clean copy");
-        let clean = run(&tmp).expect("lint clean copy");
-        assert!(clean.is_empty(), "clean copy has findings: {clean:?}");
-
-        // A fresh HashMap iteration with no allowlist justification.
-        let probe = "\nfn lint_mutation_probe() -> usize {\n    \
-                     let m: std::collections::HashMap<u32, u32> = Default::default();\n    \
-                     m.iter().map(|(k, v)| (k + v) as usize).sum()\n}\n";
-        fs::write(src_dir.join("volcano.rs"), format!("{real}{probe}"))
-            .expect("write mutated copy");
-        let findings = run(&tmp).expect("lint mutated copy");
+        let volcano = "crates/core/src/exec/volcano.rs";
+        let findings = mutated_findings("hash", volcano, |real| {
+            format!(
+                "{real}\nfn lint_mutation_probe() -> usize {{\n    \
+                 let m: std::collections::HashMap<u32, u32> = Default::default();\n    \
+                 m.iter().map(|(k, v)| (k + v) as usize).sum()\n}}\n"
+            )
+        });
         assert!(
             findings
                 .iter()
@@ -797,44 +862,32 @@ mod tests {
             "unjustified HashMap not rejected: {findings:?}"
         );
 
-        // The seed-stable in-tree FxHashMap must NOT fire the lint.
-        let fx_probe = "\nfn lint_fx_probe() -> usize {\n    \
-                        let m: FxHashMap<u32, u32> = FxHashMap::default();\n    \
-                        m.len()\n}\n";
-        fs::write(src_dir.join("volcano.rs"), format!("{real}{fx_probe}")).expect("write fx copy");
-        let findings = run(&tmp).expect("lint fx copy");
+        let findings = mutated_findings("fxhash", volcano, |real| {
+            format!(
+                "{real}\nfn lint_fx_probe() -> usize {{\n    \
+                 let m: FxHashMap<u32, u32> = FxHashMap::default();\n    \
+                 m.len()\n}}\n"
+            )
+        });
         assert!(
             !findings
                 .iter()
                 .any(|f| f.lint == "determinism-hash-iteration"),
             "FxHashMap wrongly flagged: {findings:?}"
         );
-        fs::remove_dir_all(&tmp).ok();
     }
 
     /// Mutation test for `no-thread-id-in-decisions`: splicing a
     /// `thread::current().id()` call into decision-making code is caught.
     #[test]
     fn spliced_thread_id_is_rejected() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let real = fs::read_to_string(root.join("crates/core/src/exec/volcano.rs"))
-            .expect("read volcano.rs");
-        let tmp =
-            std::env::temp_dir().join(format!("df-check-tid-mutation-{}", std::process::id()));
-        let src_dir = tmp.join("crates/core/src/exec");
-        fs::create_dir_all(&src_dir).expect("mkdir sandbox src");
-        let allow_dst = tmp.join("crates/check/allowlists");
-        fs::create_dir_all(&allow_dst).expect("mkdir sandbox allowlists");
-        for entry in fs::read_dir(root.join("crates/check/allowlists")).expect("read allowlists") {
-            let entry = entry.expect("allowlist entry");
-            fs::copy(entry.path(), allow_dst.join(entry.file_name())).expect("copy allowlist");
-        }
-        let probe = "\nfn lint_tid_probe() -> u64 {\n    \
-                     let id = std::thread::current().id();\n    \
-                     format!(\"{id:?}\").len() as u64\n}\n";
-        fs::write(src_dir.join("volcano.rs"), format!("{real}{probe}"))
-            .expect("write mutated copy");
-        let findings = run(&tmp).expect("lint mutated copy");
+        let findings = mutated_findings("tid", "crates/core/src/exec/volcano.rs", |real| {
+            format!(
+                "{real}\nfn lint_tid_probe() -> u64 {{\n    \
+                 let id = std::thread::current().id();\n    \
+                 format!(\"{{id:?}}\").len() as u64\n}}\n"
+            )
+        });
         assert!(
             findings
                 .iter()
@@ -843,6 +896,55 @@ mod tests {
                     && f.snippet.contains("thread::current")),
             "thread-id use not rejected: {findings:?}"
         );
+    }
+
+    /// An allowlist entry that suppresses nothing is reported at its file
+    /// and line, and so is a duplicate, which the first copy shadows.
+    /// `bless` drops both, drops the comment blocks left without entries,
+    /// keeps every other justification, and a second bless changes no byte.
+    #[test]
+    fn stale_entries_are_reported_and_blessed_away() {
+        let exec = [
+            "crates/core/src/exec/push.rs",
+            "crates/core/src/exec/volcano.rs",
+        ];
+        let tmp = sandbox("stale", &exec);
+        let file = format!("{ALLOWLIST_DIR}/determinism-hash-iteration.txt");
+        let mut text = fs::read_to_string(tmp.join(&file)).expect("read allowlist");
+        let lines = text.lines().count();
+        text.push_str("crates/core/src/exec/volcano.rs :: no line holds this\n");
+        text.push_str("crates/core/src/exec/volcano.rs :: use std::collections::HashMap;\n");
+        fs::write(tmp.join(&file), text).expect("write allowlist");
+        let stale: Vec<(String, usize)> = run(&tmp)
+            .expect("lint run")
+            .into_iter()
+            .filter(|f| f.lint == STALE_ENTRY && f.snippet.contains("exec/volcano.rs"))
+            .map(|f| (f.file, f.line))
+            .collect();
+        assert_eq!(
+            stale,
+            [(file.clone(), lines + 1), (file.clone(), lines + 2)]
+        );
+
+        let read_all = || -> Vec<String> {
+            let read = |name: &&str| read_allowlist(&tmp, name).expect("read allowlist");
+            lint_names().iter().map(read).collect()
+        };
+        bless(&tmp).expect("first bless");
+        let once = read_all();
+        let findings = run(&tmp).expect("lint run");
+        assert!(
+            findings.is_empty(),
+            "blessed tree has findings: {findings:?}"
+        );
+        let hash = fs::read_to_string(tmp.join(&file)).expect("read allowlist");
+        assert!(
+            hash.contains("# core/exec/volcano.rs: agg groups"),
+            "{hash}"
+        );
+        assert!(!hash.contains("# mem/bufferpool.rs"), "{hash}");
+        bless(&tmp).expect("second bless");
+        assert_eq!(read_all(), once, "second bless changed the allowlists");
         fs::remove_dir_all(&tmp).ok();
     }
 

@@ -221,7 +221,7 @@ pub fn decode_tagged(tag: u8, buf: &[u8]) -> Result<Vec<i64>> {
         0 => {
             let mut pos = 0;
             let n = varint::read_u64(buf, &mut pos)? as usize;
-            if buf.len() - pos != n * 8 {
+            if n.checked_mul(8) != Some(buf.len() - pos) {
                 return Err(CodecError::Corrupt("plain int payload size".into()));
             }
             Ok(buf[pos..]
@@ -356,6 +356,18 @@ mod tests {
             "width-0 header only, got {}",
             constant.len()
         );
+    }
+
+    #[test]
+    fn plain_count_overflow_is_corrupt() {
+        // 2^61 + 1 declared values: an unchecked `n * 8` wraps to 8 bytes.
+        let mut buf = Vec::new();
+        varint::write_u64(&mut buf, (1 << 61) + 1);
+        buf.extend_from_slice(&7i64.to_le_bytes());
+        assert!(matches!(
+            decode_tagged(0, &buf),
+            Err(CodecError::Corrupt(_))
+        ));
     }
 
     #[test]

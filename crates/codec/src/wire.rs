@@ -204,8 +204,9 @@ pub fn decode_column(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<Col
         }
         DataType::Float64 => {
             let n = varint::read_u64(buf, pos)? as usize;
-            let end = pos
-                .checked_add(n * 8)
+            let end = n
+                .checked_mul(8)
+                .and_then(|len| pos.checked_add(len))
                 .ok_or_else(|| CodecError::Corrupt("float overflow".into()))?;
             let raw = buf
                 .get(*pos..end)
@@ -587,13 +588,23 @@ mod tests {
     #[test]
     fn bit_flip_detected_by_crc() {
         let b = sample();
-        let mut frame = encode_batch(&b, &WireOptions::plain());
-        let mid = frame.len() / 2;
-        frame[mid] ^= 0x10;
-        assert!(matches!(
-            decode_batch(&frame, None),
-            Err(CodecError::ChecksumMismatch { .. })
-        ));
+        for opts in [WireOptions::plain(), WireOptions::compressed()] {
+            let mut frame = encode_batch(&b, &opts);
+            let mid = frame.len() / 2;
+            frame[mid] ^= 0x10;
+            let decoded = decode_batch(&frame, None);
+            assert!(matches!(decoded, Err(CodecError::ChecksumMismatch { .. })));
+        }
+    }
+
+    #[test]
+    fn float_count_overflow_is_corrupt() {
+        // 2^61 declared values: an unchecked `n * 8` wraps to 0 bytes.
+        let mut buf = Vec::new();
+        varint::write_u64(&mut buf, 1 << 61);
+        write_validity(&mut buf, None);
+        let decoded = decode_column(&buf, &mut 0, DataType::Float64);
+        assert!(matches!(decoded, Err(CodecError::Corrupt(_))));
     }
 
     #[test]

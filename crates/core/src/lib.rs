@@ -34,11 +34,13 @@
 //!   windows, and frontier-gated windowed aggregation (§7.4–7.5); the
 //!   pipeline graph carries punctuation on its edges and the verifier
 //!   enforces the streaming legality rules
-//! - [`scheduler`] — interference-aware admission: plan-variant selection
-//!   and DMA rate limiting (§7.3)
 //! - [`sql`] — a SQL frontend for the examples
 //! - [`session`] — the top-level API tying tables, topology, optimizer and
 //!   executor together
+//!
+//! Admission and §7.3's runtime choice among plan variants live in the
+//! serving layer (`df-serve::admission`), which prices each variant's flow
+//! specs against link capacity.
 
 pub mod error;
 pub mod exec;
@@ -50,7 +52,6 @@ pub mod optimizer;
 pub mod physical;
 pub mod pipeline;
 pub mod scaleout;
-pub mod scheduler;
 pub mod session;
 pub mod sql;
 pub mod streaming;

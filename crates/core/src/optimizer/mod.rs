@@ -5,7 +5,7 @@
 //! accelerator on the data path and a plan entirely executed on a compute
 //! node". [`Optimizer::variants`] produces exactly that spectrum — every
 //! *applicable* offload combination, costed by the movement-aware model and
-//! ranked — for the scheduler to choose among at runtime.
+//! ranked — for the serving layer's admission to choose among at runtime.
 
 pub mod cost;
 pub mod rewrite;

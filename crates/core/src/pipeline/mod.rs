@@ -13,9 +13,9 @@
 //! §7.1) and the flow simulator replays the same stage chain in simulated
 //! time via [`PipelineGraph::to_flow_specs`].
 //!
-//! The push executor, the morsel-parallel driver, `scheduler::flow_pipeline`
-//! and the bench experiments all consume this graph instead of re-walking
-//! `PhysNode` trees.
+//! The push executor, the morsel-parallel driver, the serving layer's
+//! admission control and the bench experiments all consume this graph
+//! instead of re-walking `PhysNode` trees.
 
 pub mod verify;
 
@@ -1173,8 +1173,8 @@ impl PipelineGraph {
     /// inconsistent graph — a broken one returns
     /// [`EngineError::Verify`].
     ///
-    /// For linear plans this reproduces the legacy `flow_pipeline` mapping
-    /// stage-for-stage.
+    /// For linear plans the root spine reproduces the retired plan-tree
+    /// chain walk stage-for-stage.
     pub fn to_flow_specs(&self, default_device: DeviceId, name: &str) -> Result<Vec<PipelineSpec>> {
         self.verify_or_err(None)?;
         let mut out = vec![self.spine_spec(self.root, default_device, name.to_string(), None)];
@@ -1351,8 +1351,11 @@ impl PipelineGraph {
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
+    use crate::logical::LogicalPlan;
+    use crate::optimizer::{Optimizer, TableProfile};
     use df_data::batch::batch_of;
-    use df_data::Column;
+    use df_data::{Column, DataType, Field, Schema};
+    use df_fabric::flow::FlowSim;
     use df_fabric::topology::DisaggregatedConfig;
 
     fn sample(n: usize) -> Batch {
@@ -1554,5 +1557,179 @@ mod tests {
             .find(|s| s.name.contains(".x0.p0c1"))
             .expect("pair spec");
         assert_eq!(pair.stages.first().unwrap().op, OpClass::Partition);
+    }
+
+    // Flow-spec derivation from optimizer-placed plans.
+
+    fn table_schema() -> SchemaRef {
+        Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("v", DataType::Float64),
+        ])
+        .into_ref()
+    }
+
+    fn profiles() -> Profiles {
+        let mut p = Profiles::new();
+        p.insert(
+            "t".to_string(),
+            TableProfile {
+                rows: 1_000_000,
+                stored_bytes: 16_000_000,
+                zones: vec![
+                    Some(df_storage::zonemap::ZoneMap::of(&Column::from_i64(vec![
+                        0, 999_999,
+                    ]))),
+                    None,
+                ],
+                schema: table_schema().as_ref().clone(),
+            },
+        );
+        p
+    }
+
+    fn query() -> LogicalPlan {
+        LogicalPlan::scan("t", table_schema())
+            .filter(col("id").lt(lit(100_000)))
+            .unwrap()
+    }
+
+    fn optimizer() -> Optimizer {
+        Optimizer::new(std::sync::Arc::new(Topology::disaggregated(
+            &DisaggregatedConfig::default(),
+        )))
+        .unwrap()
+    }
+
+    /// All flow specs of `plan`, compiled with the cost model's estimates.
+    fn specs(opt: &Optimizer, plan: &PhysicalPlan, p: &Profiles, name: &str) -> Vec<PipelineSpec> {
+        PipelineGraph::compile(plan, Some(p), None, DEFAULT_QUEUE_CAPACITY)
+            .to_flow_specs(opt.site().cpu, name)
+            .unwrap()
+    }
+
+    #[test]
+    fn flow_mapping_runs_in_simulator() {
+        let optimizer = optimizer();
+        let best = optimizer.best(&query(), &profiles()).unwrap();
+        let spec = specs(&optimizer, &best.plan, &profiles(), "q1").remove(0);
+        assert!(spec.source_bytes > 1_000_000);
+        let mut sim = FlowSim::new(Topology::disaggregated(&DisaggregatedConfig::default()));
+        sim.add_pipeline(spec);
+        let report = sim.run();
+        assert!(report.pipelines[0].duration().nanos() > 0);
+        // The pushdown variant delivers only the filtered fraction.
+        let delivered = report.pipelines[0].bytes_delivered as f64;
+        assert!(delivered < 0.2 * report.pipelines[0].stages[0].bytes_in as f64);
+    }
+
+    #[test]
+    fn join_plans_admitted_by_flow_mapping() {
+        // Regression: before the pipeline-graph IR, flow mapping rejected
+        // any plan with a hash join. Now the join's build side becomes its
+        // own spine and the whole graph replays in the flow simulator.
+        let build_schema = Schema::new(vec![Field::new("bk", DataType::Int64)]).into_ref();
+        let logical = LogicalPlan::scan("s", build_schema.clone())
+            .join(LogicalPlan::scan("t", table_schema()), vec![("bk", "id")])
+            .unwrap();
+        let mut profiles = profiles();
+        profiles.insert(
+            "s".to_string(),
+            TableProfile {
+                rows: 10_000,
+                stored_bytes: 80_000,
+                zones: vec![None],
+                schema: build_schema.as_ref().clone(),
+            },
+        );
+        let optimizer = optimizer();
+        let best = optimizer.best(&logical, &profiles).unwrap();
+        let specs = specs(&optimizer, &best.plan, &profiles, "j");
+        assert_eq!(specs.len(), 2, "probe spine + one build spine");
+        assert_eq!(specs[1].name, "j.build0");
+        let mut sim = FlowSim::new(Topology::disaggregated(&DisaggregatedConfig::default()));
+        for spec in specs {
+            sim.add_pipeline(spec);
+        }
+        let report = sim.run();
+        assert_eq!(report.pipelines.len(), 2);
+        for p in &report.pipelines {
+            assert!(p.duration().nanos() > 0, "{} must make progress", p.name);
+            assert!(p.stages[0].bytes_in > 0, "{} must ingest bytes", p.name);
+        }
+        // The probe spine delivers join output; the build spine terminates
+        // at the hash table (its JoinBuild stage absorbs every byte).
+        assert!(report.pipelines[0].bytes_delivered > 0);
+        assert_eq!(report.pipelines[1].bytes_delivered, 0);
+    }
+
+    #[test]
+    fn flow_specs_match_legacy_chain_walk_on_linear_plans() {
+        // The graph-derived derivation must be field-identical to the
+        // retired hand-rolled chain walk for every linear plan variant.
+        fn legacy(
+            plan: &PhysicalPlan,
+            profiles: &Profiles,
+            default_device: DeviceId,
+        ) -> PipelineSpec {
+            let mut chain: Vec<&PhysNode> = Vec::new();
+            let mut node = &plan.root;
+            loop {
+                chain.push(node);
+                node = match node {
+                    PhysNode::StorageScan { .. }
+                    | PhysNode::Values { .. }
+                    | PhysNode::StreamScan { .. } => break,
+                    PhysNode::Filter { input, .. }
+                    | PhysNode::Project { input, .. }
+                    | PhysNode::Aggregate { input, .. }
+                    | PhysNode::WindowAggregate { input, .. }
+                    | PhysNode::Sort { input, .. }
+                    | PhysNode::TopK { input, .. }
+                    | PhysNode::Limit { input, .. } => input,
+                    PhysNode::HashJoin { .. } | PhysNode::Exchange { .. } => {
+                        unreachable!("linear plans only")
+                    }
+                };
+            }
+            chain.reverse();
+            let leaf = chain[0];
+            let source_bytes = node_input_bytes(leaf, profiles).max(1.0) as u64;
+            let mut stages = Vec::with_capacity(chain.len());
+            for n in &chain {
+                let device = n.device().unwrap_or(default_device);
+                let op = op_class_of(n);
+                let selectivity = if std::ptr::eq(*n, leaf) {
+                    let (_, out_bytes) = estimate_node(n, profiles);
+                    (out_bytes / source_bytes as f64).clamp(0.0, 1.0)
+                } else {
+                    reduction_of(n, profiles)
+                };
+                stages.push(StageSpec::new(device, op, selectivity));
+            }
+            PipelineSpec::new("q", stages, source_bytes)
+        }
+
+        let optimizer = optimizer();
+        let profiles = profiles();
+        let variants = optimizer.variants(&query(), &profiles).unwrap();
+        assert!(!variants.is_empty());
+        for (i, v) in variants.iter().enumerate() {
+            let expect = legacy(&v.plan, &profiles, optimizer.site().cpu);
+            let got = specs(&optimizer, &v.plan, &profiles, "q").remove(0);
+            assert_eq!(got.source_bytes, expect.source_bytes, "variant {i}");
+            assert_eq!(got.stages.len(), expect.stages.len(), "variant {i}");
+            for (g, e) in got.stages.iter().zip(&expect.stages) {
+                assert_eq!(g.device, e.device, "variant {i}");
+                assert_eq!(g.op, e.op, "variant {i}");
+                assert!(
+                    (g.selectivity - e.selectivity).abs() < 1e-12,
+                    "variant {i}: {} vs {}",
+                    g.selectivity,
+                    e.selectivity
+                );
+                assert_eq!(g.queue_capacity, e.queue_capacity, "variant {i}");
+            }
+        }
     }
 }

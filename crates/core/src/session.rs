@@ -1,5 +1,5 @@
 //! The session: the user-facing API tying tables, topology, optimizer,
-//! scheduler, and executors together.
+//! and executors together.
 //!
 //! ```
 //! use df_core::session::Session;
@@ -64,9 +64,6 @@ pub struct Session {
     profiles: RwLock<Profiles>,
     /// Worker threads for the morsel-parallel executor (1 = sequential).
     pub parallelism: usize,
-    /// Wire options applied to cross-device edges in the movement ledger
-    /// (None = charge in-memory batch sizes).
-    pub wire: Option<df_codec::wire::WireOptions>,
     /// Opt-in execution tracer; see [`Session::enable_tracing`].
     pub tracer: Option<Arc<df_sim::Tracer>>,
 }
@@ -84,7 +81,6 @@ impl Session {
             optimizer,
             profiles: RwLock::new(Profiles::new()),
             parallelism: 1,
-            wire: None,
             tracer: None,
         })
     }
@@ -182,7 +178,7 @@ impl Session {
         let env = ExecEnv {
             storage: Some(&self.storage),
             topology: Some(&self.topology),
-            wire: self.wire,
+            wire: None,
             tracer: self.tracer.clone(),
             gate,
             codec: CodecPolicy::AsCompiled,
@@ -441,14 +437,23 @@ mod tests {
 
     #[test]
     fn wire_options_shrink_ledger_charges() {
-        let mut s = session();
-        let query = "SELECT id FROM orders WHERE id < 1500";
-        let plain = s.sql(query).unwrap();
-        s.wire = Some(df_codec::wire::WireOptions::compressed());
-        let compressed = s.sql(query).unwrap();
+        let s = session();
+        let logical = s.logical_plan("SELECT id FROM orders WHERE id < 1500");
+        let plan = s.variants(&logical.unwrap()).unwrap().remove(0).plan;
+        let run = |wire| {
+            let env = ExecEnv {
+                storage: Some(s.storage()),
+                topology: Some(s.topology()),
+                wire,
+                ..ExecEnv::in_memory()
+            };
+            execute(&plan, &env).unwrap()
+        };
+        let plain = run(None);
+        let compressed = run(Some(df_codec::wire::WireOptions::compressed()));
         assert_eq!(
-            plain.batch.canonical_rows(),
-            compressed.batch.canonical_rows()
+            plain.collect().unwrap().canonical_rows(),
+            compressed.collect().unwrap().canonical_rows()
         );
         // Sorted int runs compress well on the wire: the ledger reflects
         // the encoded frames, not the in-memory batches.

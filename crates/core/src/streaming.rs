@@ -288,7 +288,7 @@ pub fn window_final_schema(
 /// `agg_device` may legally be a SmartNIC — the paper's Rx-side
 /// windowing. `None` devices leave placement to the default.
 ///
-/// [`OpClass::AggregatePartial`]: crate::optimizer::cost::OpClass::AggregatePartial
+/// [`OpClass::AggregatePartial`]: df_fabric::OpClass::AggregatePartial
 #[allow(clippy::too_many_arguments)]
 pub fn windowed_stream_plan(
     spec: &StreamSourceSpec,

@@ -1,66 +1,40 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
-//! # df-net — smart NICs, transport, and in-network processing
+//! # df-net — smart NICs and in-network processing
 //!
 //! §4 of the paper asks whether the network can do more than move data.
-//! This crate answers with four pieces:
+//! [`nic`] answers with the smart NIC: an installable pipeline of kernels
+//! (filter, project, hash, partition, pre-aggregate, count) applied to
+//! batches as they pass the Tx or Rx path, *without host CPU involvement*.
 //!
-//! - [`nic`] — the smart NIC: an installable pipeline of kernels (filter,
-//!   project, hash, partition, pre-aggregate, count) applied to batches as
-//!   they pass the Tx or Rx path, *without host CPU involvement*
-//! - [`transport`] — a message-passing network between nodes carrying
-//!   wire-encoded frames, with per-pair byte accounting
-//! - [`switch`] — the programmable switch: multicast and in-network
-//!   merging of partial aggregates on the way through
-//! - [`collective`] — NIC-orchestrated collectives (§4.4): scatter by hash
-//!   partition, broadcast, gather, and all-to-all shuffle, with a
-//!   CPU-involvement metric showing the host never touched the data
-//!
-//! The NIC operates on decoded [`df_data::Batch`]es; the transport moves
-//! encoded frames. This split mirrors a DPU: the embedded cores see typed
-//! data, the wire sees bytes.
+//! The NIC operates on decoded [`df_data::Batch`]es, as a DPU's embedded
+//! cores see typed data. Rows move between hosts through the
+//! pipeline-graph IR's `Exchange` operator in `df-core`, not through this
+//! crate.
 
-pub mod collective;
 pub mod nic;
-pub mod switch;
-pub mod transport;
 
 use std::fmt;
 
 /// Errors from the network layer.
 #[derive(Debug)]
 pub enum NetError {
-    /// Destination node does not exist.
-    UnknownNode(usize),
-    /// A frame failed to decode.
-    Codec(df_codec::CodecError),
     /// Data-model failure in a NIC kernel.
     Data(df_data::DataError),
     /// Storage-predicate failure in a NIC kernel.
     Storage(df_storage::StorageError),
-    /// The channel to a node is closed.
-    Disconnected(usize),
 }
 
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetError::UnknownNode(n) => write!(f, "unknown node {n}"),
-            NetError::Codec(e) => write!(f, "codec: {e}"),
             NetError::Data(e) => write!(f, "data: {e}"),
             NetError::Storage(e) => write!(f, "storage: {e}"),
-            NetError::Disconnected(n) => write!(f, "node {n} disconnected"),
         }
     }
 }
 
 impl std::error::Error for NetError {}
-
-impl From<df_codec::CodecError> for NetError {
-    fn from(e: df_codec::CodecError) -> Self {
-        NetError::Codec(e)
-    }
-}
 
 impl From<df_data::DataError> for NetError {
     fn from(e: df_data::DataError) -> Self {

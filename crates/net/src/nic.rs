@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use df_data::partition::hash_row;
 use df_data::{Batch, Column, DataType, Field, Schema};
 use df_sim::trace::{LaneId, LaneKind, Tracer};
 use df_storage::predicate::StoragePredicate;
@@ -73,14 +74,6 @@ impl NicStats {
             self.bytes_in as f64 / self.bytes_out as f64
         }
     }
-}
-
-/// FNV-1a hash of the canonical bytes of the key scalars of one row.
-/// Deterministic across devices, so every NIC partitions identically.
-/// Delegates to the canonical [`df_data::partition`] function (seed 0) —
-/// the same routing the Exchange operator and partitioned storage use.
-pub fn hash_row(columns: &[&Column], row: usize) -> u64 {
-    df_data::partition::hash_row(columns, row)
 }
 
 enum KernelState {

@@ -13,6 +13,10 @@
 //!   is **queued** (FIFO) and admitted when capacity releases;
 //! - otherwise it is **admitted** and its demand stays committed until
 //!   [`AdmissionController::release`].
+//!
+//! [`AdmissionController::offer_ranked`] adds §7.3's runtime choice among
+//! plan variants: when a query's best variant does not fit now, the first
+//! alternative that does is admitted instead.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -137,6 +141,34 @@ impl AdmissionController {
         }
     }
 
+    /// Offer a query's plan variants as `(index, flow specs)`, best first;
+    /// returns the admitted variant's index and its verdict. Variants are
+    /// priced lazily, the next only when none before it fits now, so an
+    /// uncontended query prices (and its caller compiles) just the best.
+    /// The first that fits now is admitted; if none does, the best gets
+    /// [`offer`]'s verdict (queued FIFO or rejected). No variant overtakes a
+    /// waiting ticket; an alternative that cannot be priced is skipped.
+    /// Errs only when the best cannot be priced.
+    ///
+    /// [`offer`]: AdmissionController::offer
+    pub fn offer_ranked(
+        &mut self,
+        ranked: impl IntoIterator<Item = (usize, Vec<PipelineSpec>)>,
+    ) -> Result<(usize, Verdict), String> {
+        let mut ranked = ranked.into_iter();
+        let (best, specs) = ranked.next().ok_or("no plan variant to admit")?;
+        let best_demand = self.demand_of(&specs)?;
+        if self.queue.is_empty() && !self.fits(&best_demand) {
+            for (variant, specs) in ranked {
+                match self.demand_of(&specs) {
+                    Ok(demand) if self.fits(&demand) => return Ok((variant, self.offer(demand))),
+                    _ => {}
+                }
+            }
+        }
+        Ok((best, self.offer(best_demand)))
+    }
+
     /// Release an admitted query's reservation (or drop it from the queue),
     /// then admit as many queued queries as now fit, in FIFO order.
     /// Returns the tickets admitted by this release.
@@ -194,10 +226,10 @@ impl AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_fabric::device::OpClass;
+    use df_fabric::device::{DeviceId, OpClass};
     use df_fabric::flow::StageSpec;
 
-    fn controller() -> (AdmissionController, Vec<df_fabric::device::DeviceId>) {
+    fn controller() -> (AdmissionController, Vec<DeviceId>) {
         let topo = Topology::conventional_server();
         let devices: Vec<_> = topo.devices().iter().map(|d| d.id).collect();
         (
@@ -206,7 +238,7 @@ mod tests {
         )
     }
 
-    fn spec(devices: &[df_fabric::device::DeviceId], bytes: u64) -> PipelineSpec {
+    fn spec(devices: &[DeviceId], bytes: u64) -> PipelineSpec {
         // A cross-device hop (ssd → cpu) so the demand lands on a real link.
         PipelineSpec::new(
             "q",
@@ -325,5 +357,65 @@ mod tests {
         assert_eq!(ac.release(third), vec![]);
         assert_eq!(ac.admitted_count(), 0);
         assert_eq!(ac.queued_count(), 0);
+    }
+
+    /// A query's variants as `(rank, specs)`, one spec each of the given
+    /// sizes, best first.
+    fn ranked(devices: &[DeviceId], sizes: &[u64]) -> Vec<(usize, Vec<PipelineSpec>)> {
+        let specs = sizes.iter().map(|&bytes| vec![spec(devices, bytes)]);
+        specs.enumerate().collect()
+    }
+
+    #[test]
+    fn ranked_offer_admits_the_first_alternative_that_fits() {
+        let (mut ac, devices) = controller();
+        let cap = ac.link_capacity(LinkId(0));
+        // Best takes 3/4 of the window, so it fits once; the first
+        // alternative is as large, the second small.
+        let variants = ranked(&devices, &[cap * 3 / 4, cap * 3 / 4, cap / 8]);
+
+        let mut priced = 0;
+        let first = ac
+            .offer_ranked(variants.clone().into_iter().inspect(|_| priced += 1))
+            .unwrap();
+        assert!(matches!(first, (0, Verdict::Admitted(_))), "{first:?}");
+        assert_eq!(priced, 1, "an uncontended query prices only its best");
+
+        let second = ac.offer_ranked(variants).unwrap();
+        assert!(matches!(second, (2, Verdict::Admitted(_))), "{second:?}");
+        assert_eq!(ac.admitted_count(), 2);
+
+        // A best variant that can never fit still falls back to one that
+        // fits now; with no such alternative it is rejected as by `offer`.
+        let (mut ac, _) = controller();
+        let fallback = ac.offer_ranked(ranked(&devices, &[cap * 2, cap / 8]));
+        assert!(matches!(fallback, Ok((1, Verdict::Admitted(_)))));
+        let hopeless = ac.offer_ranked(ranked(&devices, &[cap * 2, cap * 2]));
+        assert!(matches!(hopeless, Ok((0, Verdict::Rejected(_)))));
+    }
+
+    #[test]
+    fn ranked_offer_queues_the_best_and_never_overtakes_the_queue() {
+        let (mut ac, devices) = controller();
+        let cap = ac.link_capacity(LinkId(0));
+        let first = match ac.offer_ranked(ranked(&devices, &[cap * 3 / 4])) {
+            Ok((0, Verdict::Admitted(t))) => t,
+            v => panic!("expected admit, got {v:?}"),
+        };
+        // Nothing fits alongside the first: the best variant is queued.
+        let second = match ac.offer_ranked(ranked(&devices, &[cap * 3 / 4, cap * 3 / 4])) {
+            Ok((0, Verdict::Queued(t))) => t,
+            v => panic!("expected the best variant queued, got {v:?}"),
+        };
+        // An alternative would fit now, but a ticket is waiting: no
+        // overtaking, the best variant queues behind it.
+        let third = match ac.offer_ranked(ranked(&devices, &[cap * 3 / 4, cap / 8])) {
+            Ok((0, Verdict::Queued(t))) => t,
+            v => panic!("expected the best variant queued, got {v:?}"),
+        };
+        assert_eq!(ac.release(first), vec![second]);
+        assert_eq!(ac.release(second), vec![third]);
+        assert_eq!(ac.release(third), vec![]);
+        assert_eq!(ac.admitted_count(), 0);
     }
 }

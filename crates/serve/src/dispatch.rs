@@ -11,8 +11,10 @@
 //!    and `df_check::deadlock::analyze` (credit-flow deadlock freedom); a
 //!    failing graph never executes;
 //! 3. **Admit** — the graph's per-link byte demand is offered to the
-//!    [`crate::admission::AdmissionController`]; oversized queries are
-//!    rejected, contended ones wait in FIFO order;
+//!    [`crate::admission::AdmissionController`]; when the best plan variant
+//!    does not fit now, the first alternative that does (and passes gate 2)
+//!    runs instead; otherwise oversized queries are rejected and contended
+//!    ones wait in FIFO order;
 //! 4. **Execute** — the plan runs under a [`QueryGate`], the
 //!    [`df_core::exec::push::ExecGate`] that charges one fair-share credit
 //!    per batch and yields to higher-priority queries at batch boundaries.
@@ -27,9 +29,12 @@ use std::time::Duration;
 
 use df_core::error::EngineError;
 use df_core::exec::push::ExecGate;
+use df_core::optimizer::RankedPlan;
+use df_core::physical::PhysicalPlan;
 use df_core::pipeline::{PipelineGraph, DEFAULT_QUEUE_CAPACITY};
 use df_core::session::{QueryResult, Session};
 use df_fabric::device::{DeviceId, DeviceKind};
+use df_fabric::flow::PipelineSpec;
 use df_fabric::topology::Topology;
 
 use crate::admission::{AdmissionController, Ticket, Verdict};
@@ -247,26 +252,51 @@ impl QueryService {
         cancel: CancelToken,
     ) -> Result<QueryOutcome> {
         let logical = self.session.logical_plan(sql)?;
-        let mut variants = self.session.variants(&logical)?;
-        if variants.is_empty() {
+        let variants = self.session.variants(&logical)?;
+        let Some(best) = variants.first() else {
             return Err(ServeError::Engine(EngineError::Plan(
                 "no executable variant".into(),
             )));
-        }
-        let best = variants.remove(0);
-        let plan = best.plan;
+        };
+        let tenant_name = self.sched.with(|s| s.registry().spec(tenant).name.clone());
 
         // Gate 2: static verification + credit-flow deadlock analysis.
+        let best_specs = self.checked_specs(&best.plan, &tenant_name)?;
+        // Gate 3: admission against the flow-model link capacity.
+        let (chosen, ticket) = self.admit(&tenant_name, best_specs, &variants, &cancel)?;
+        let chosen = &variants[chosen];
+
+        // Gate 4: gated execution, with unconditional cleanup.
+        let query = self.sched.with(|s| s.begin_query(tenant));
+        let gate: Arc<dyn ExecGate> = Arc::new(QueryGate::new(self.sched.clone(), query, cancel));
+        let executed = self.session.execute_plan_gated(&chosen.plan, Some(gate));
+        let credits = self.sched.with(|s| {
+            s.finish_query(query);
+            s.query_credits(query)
+        });
+        self.release(ticket);
+        let mut result = executed.map_err(ServeError::Engine)?;
+        result.cost = chosen.cost;
+        Ok(QueryOutcome {
+            result,
+            credits,
+            query,
+        })
+    }
+
+    /// Compile `plan`, run static verification and credit-flow deadlock
+    /// analysis on its graph, and derive the tenant's flow specs.
+    fn checked_specs(&self, plan: &PhysicalPlan, tenant: &str) -> Result<Vec<PipelineSpec>> {
         let profiles = self.session.profiles();
-        let topology = self.session.topology().clone();
+        let topology = self.session.topology();
         let graph = PipelineGraph::compile(
-            &plan,
+            plan,
             Some(&profiles),
-            Some(&topology),
+            Some(topology),
             DEFAULT_QUEUE_CAPACITY,
         );
         graph
-            .verify_or_err(Some(&topology))
+            .verify_or_err(Some(topology))
             .map_err(|e| ServeError::PlanRejected(e.to_string()))?;
         let deadlock = df_check::deadlock::analyze(&graph);
         if !deadlock.is_deadlock_free() {
@@ -276,48 +306,38 @@ impl QueryService {
                 msgs.join("; ")
             )));
         }
-
-        // Gate 3: admission against the flow-model link capacity.
-        let tenant_name = self.sched.with(|s| s.registry().spec(tenant).name.clone());
-        let specs = graph
-            .to_flow_specs(self.default_device, &format!("t.{tenant_name}"))?
+        Ok(graph
+            .to_flow_specs(self.default_device, &format!("t.{tenant}"))?
             .into_iter()
-            .map(|s| s.for_tenant(tenant_name.clone()))
-            .collect::<Vec<_>>();
-        let ticket = self.admit(&tenant_name, &specs, &cancel)?;
-
-        // Gate 4: gated execution, with unconditional cleanup.
-        let query = self.sched.with(|s| s.begin_query(tenant));
-        let gate: Arc<dyn ExecGate> = Arc::new(QueryGate::new(self.sched.clone(), query, cancel));
-        let executed = self.session.execute_plan_gated(&plan, Some(gate));
-        let credits = self.sched.with(|s| {
-            s.finish_query(query);
-            s.query_credits(query)
-        });
-        self.release(ticket);
-        let mut result = executed.map_err(ServeError::Engine)?;
-        result.cost = best.cost;
-        Ok(QueryOutcome {
-            result,
-            credits,
-            query,
-        })
+            .map(|s| s.for_tenant(tenant))
+            .collect())
     }
 
-    /// Offer the query to admission control; blocks while queued.
+    /// Offer the query's variants to admission control, best first: an
+    /// alternative is compiled and checked only when every variant before
+    /// it does not fit now, and one that fails its checks never runs.
+    /// Blocks while queued. Returns the index of the admitted variant.
     fn admit(
         &self,
         tenant: &str,
-        specs: &[df_fabric::flow::PipelineSpec],
+        best_specs: Vec<PipelineSpec>,
+        variants: &[RankedPlan],
         cancel: &CancelToken,
-    ) -> Result<Ticket> {
+    ) -> Result<(usize, Ticket)> {
+        let alternatives = variants.iter().enumerate().skip(1).filter_map(|(i, v)| {
+            let specs = self.checked_specs(&v.plan, tenant).ok()?;
+            Some((i, specs))
+        });
         let mut ac = self.admission.lock().expect("admission lock poisoned");
-        let demand = ac.demand_of(specs).map_err(ServeError::PlanRejected)?;
-        match ac.offer(demand) {
+        let (chosen, verdict) = ac
+            .offer_ranked(std::iter::once((0, best_specs)).chain(alternatives))
+            .map_err(ServeError::PlanRejected)?;
+        match verdict {
             Verdict::Admitted(t) => {
-                self.sched
-                    .with(|s| s.note(format!("admit tenant={tenant} ticket={}", t.0)));
-                Ok(t)
+                let variant = &variants[chosen].plan.variant;
+                let note = format!("admit tenant={tenant} ticket={} variant={variant}", t.0);
+                self.sched.with(|s| s.note(note));
+                Ok((chosen, t))
             }
             Verdict::Rejected(why) => {
                 self.sched
@@ -333,7 +353,7 @@ impl QueryService {
                         return Err(ServeError::Disconnected);
                     }
                     if ac.is_admitted(t) {
-                        return Ok(t);
+                        return Ok((chosen, t));
                     }
                     let (g, timeout) = self
                         .admission_cv
@@ -377,6 +397,10 @@ mod tests {
     use df_data::{Column, Scalar};
 
     fn service() -> QueryService {
+        service_with(ServiceConfig::default())
+    }
+
+    fn service_with(config: ServiceConfig) -> QueryService {
         let session = Session::in_memory().unwrap();
         session
             .create_table(
@@ -390,7 +414,7 @@ mod tests {
                 ])],
             )
             .unwrap();
-        QueryService::new(session, ServiceConfig::default())
+        QueryService::new(session, config)
     }
 
     #[test]
@@ -450,5 +474,46 @@ mod tests {
             .run_sql(t, "SELECT COUNT(*) AS n FROM orders", CancelToken::new())
             .unwrap();
         assert_eq!(out.result.batch.row(0)[0], Scalar::Int(500));
+    }
+
+    #[test]
+    fn contended_best_variant_falls_back_to_an_alternative() {
+        let sql = "SELECT COUNT(*) AS n FROM orders WHERE amount > 10.0";
+        // What each variant needs: the share of a 100 ms window that its
+        // busiest link carries.
+        let probe = service();
+        let session = probe.session();
+        let ac = AdmissionController::new(session.topology().clone());
+        let share = |v: &RankedPlan| -> f64 {
+            let specs = probe.checked_specs(&v.plan, "probe").unwrap();
+            let demand = ac.demand_of(&specs).unwrap();
+            demand
+                .iter()
+                .map(|(&link, &bytes)| bytes as f64 / ac.link_capacity(link) as f64)
+                .fold(0.0, f64::max)
+        };
+        let logical = session.logical_plan(sql).unwrap();
+        let variants = session.variants(&logical).unwrap();
+        let best = share(&variants[0]);
+        let alternative = variants[1..].iter().map(share).reduce(f64::min).unwrap();
+        assert!(alternative < best, "{alternative} vs {best}");
+
+        // A window in between: the best variant alone exceeds a link, which
+        // `offer` rejects, but an alternative fits.
+        let svc = service_with(ServiceConfig {
+            window: df_sim::SimDuration::from_secs_f64(0.1 * (alternative + best) / 2.0),
+            ..ServiceConfig::default()
+        });
+        let t = svc.register_tenant(TenantSpec::new("erin", 1));
+        let out = svc.run_sql(t, sql, CancelToken::new()).unwrap();
+        assert_ne!(out.result.variant, variants[0].plan.variant);
+        assert_eq!(
+            out.result.batch.canonical_rows(),
+            svc.session().sql(sql).unwrap().batch.canonical_rows()
+        );
+        svc.scheduler().with(|s| {
+            assert!(s.ledger().check_balanced().is_ok());
+            assert_eq!(s.ledger().granted("erin"), out.credits);
+        });
     }
 }

@@ -13,10 +13,9 @@
 //!   priority;
 //! - [`sched`] — the cross-query scheduler: per-tenant **weighted fair
 //!   share** over credit grants (stride scheduling), priority preemption at
-//!   batch boundaries, and a conservation-checked
-//!   [`df_core::scheduler::CreditLedger`];
-//! - [`admission`] — admission control that rejects or queues queries whose
-//!   placed graphs exceed the flow-model link capacity;
+//!   batch boundaries, and a conservation-checked [`sched::CreditLedger`];
+//! - [`admission`] — priced admission against the flow-model link capacity
+//!   that picks the first plan variant fitting now, or queues or rejects;
 //! - [`dispatch`] — the query execution pipeline (plan → compile → verify +
 //!   deadlock-check → admit → gated execute → merge/stream), in the
 //!   dispatcher/merger shape;

@@ -18,16 +18,13 @@
 //! returns its unused credits ([`FairScheduler::yield_credits`]) — that is
 //! the preemption point; batches are never interrupted mid-flight.
 //!
-//! Every grant and return moves through a
-//! [`df_core::scheduler::CreditLedger`], whose conservation invariant
-//! (`granted == returned` once the system drains) the fault-injection
-//! suite checks after disconnects, verify failures and admission
-//! rejections. Every decision is appended to a log so harness runs can be
-//! compared byte-for-byte.
+//! Every grant and return moves through a [`CreditLedger`], whose
+//! conservation invariant (`granted == returned` once the system drains)
+//! the fault-injection suite checks after disconnects, verify failures and
+//! admission rejections. Every decision is appended to a log so harness
+//! runs can be compared byte-for-byte.
 
 use std::collections::BTreeMap;
-
-use df_core::scheduler::CreditLedger;
 
 use crate::tenant::{TenantId, TenantRegistry, TenantSpec};
 
@@ -273,8 +270,9 @@ impl FairScheduler {
     /// Credits ever granted, per tenant name.
     pub fn granted_by_tenant(&self) -> BTreeMap<String, u64> {
         self.ledger
-            .accounts()
-            .map(|(t, a)| (t.to_string(), a.granted))
+            .accounts
+            .iter()
+            .map(|(t, a)| (t.clone(), a.granted))
             .collect()
     }
 
@@ -338,9 +336,124 @@ impl FairScheduler {
     }
 }
 
+/// Per-tenant credit accounting for the [`FairScheduler`].
+///
+/// Every credit a tenant receives is recorded here at grant time and again
+/// when it comes back — consumed at a batch boundary, yielded on
+/// preemption, or released when the query finishes or aborts. The two
+/// counters are the conservation invariant the serving layer's
+/// fault-injection suite checks: once no query is running,
+/// `granted == returned` for every tenant.
+#[derive(Debug, Default, Clone)]
+pub struct CreditLedger {
+    accounts: BTreeMap<String, CreditAccount>,
+}
+
+/// One tenant's row in the [`CreditLedger`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CreditAccount {
+    /// Credits ever granted to the tenant.
+    pub granted: u64,
+    /// Credits returned (consumed, yielded, or released).
+    pub returned: u64,
+}
+
+impl CreditAccount {
+    /// Credits currently held by the tenant's in-flight queries.
+    pub fn outstanding(&self) -> u64 {
+        self.granted - self.returned
+    }
+}
+
+impl CreditLedger {
+    /// An empty ledger.
+    pub fn new() -> CreditLedger {
+        CreditLedger::default()
+    }
+
+    /// Record `n` credits granted to `tenant`.
+    pub fn grant(&mut self, tenant: &str, n: u64) {
+        self.accounts.entry(tenant.to_string()).or_default().granted += n;
+    }
+
+    /// Record `n` credits coming back from `tenant` (consumed at a batch
+    /// boundary, yielded on preemption, or released at query end).
+    ///
+    /// # Panics
+    /// Returning more credits than were granted is a scheduler bug and
+    /// panics — conservation must never go negative.
+    pub fn repay(&mut self, tenant: &str, n: u64) {
+        let account = self.accounts.entry(tenant.to_string()).or_default();
+        account.returned += n;
+        assert!(
+            account.returned <= account.granted,
+            "credit ledger for tenant `{tenant}`: returned {} > granted {}",
+            account.returned,
+            account.granted
+        );
+    }
+
+    /// Credits ever granted to `tenant` (0 for unknown tenants).
+    pub fn granted(&self, tenant: &str) -> u64 {
+        self.accounts.get(tenant).map_or(0, |a| a.granted)
+    }
+
+    /// Credits currently held by `tenant`'s queries.
+    pub fn outstanding(&self, tenant: &str) -> u64 {
+        self.accounts.get(tenant).map_or(0, |a| a.outstanding())
+    }
+
+    /// Credits held across all tenants.
+    pub fn total_outstanding(&self) -> u64 {
+        self.accounts.values().map(|a| a.outstanding()).sum()
+    }
+
+    /// Check conservation: with no query in flight every tenant must have
+    /// gotten back exactly what it was granted. Returns the offending
+    /// tenants (name, outstanding) otherwise.
+    pub fn check_balanced(&self) -> std::result::Result<(), Vec<(String, u64)>> {
+        let leaks: Vec<(String, u64)> = self
+            .accounts
+            .iter()
+            .filter(|(_, a)| a.outstanding() != 0)
+            .map(|(t, a)| (t.clone(), a.outstanding()))
+            .collect();
+        if leaks.is_empty() {
+            Ok(())
+        } else {
+            Err(leaks)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn credit_ledger_balances_and_reports_leaks() {
+        let mut ledger = CreditLedger::new();
+        ledger.grant("a", 5);
+        ledger.grant("b", 2);
+        ledger.repay("a", 3);
+        assert_eq!(ledger.outstanding("a"), 2);
+        assert_eq!(ledger.granted("a"), 5);
+        assert_eq!(ledger.total_outstanding(), 4);
+        let leaks = ledger.check_balanced().unwrap_err();
+        assert_eq!(leaks, vec![("a".to_string(), 2), ("b".to_string(), 2)]);
+        ledger.repay("a", 2);
+        ledger.repay("b", 2);
+        assert!(ledger.check_balanced().is_ok());
+        assert_eq!(ledger.outstanding("missing"), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "returned")]
+    fn credit_ledger_rejects_over_repay() {
+        let mut ledger = CreditLedger::new();
+        ledger.grant("a", 1);
+        ledger.repay("a", 2);
+    }
 
     fn saturated_run(weights: &[u32], rounds: usize) -> BTreeMap<String, u64> {
         // Every tenant has one query that immediately re-requests after

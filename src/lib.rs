@@ -14,15 +14,15 @@
 //! - [`sim`] — discrete-event simulation kernel
 //! - [`fabric`] — hardware topology, links, flow control, coherence
 //! - [`storage`] — columnar segments, zone maps, smart-storage pushdown
-//! - [`net`] — smart NICs, collectives, transport
+//! - [`net`] — smart NICs with installable kernel pipelines
 //! - [`mem`] — buffer pool, cache model, near-memory accelerator
-//! - [`core`] — expressions, plans, optimizer, dataflow executor, scheduler
+//! - [`core`] — expressions, plans, optimizer, dataflow executor
 //! - [`mod@bench`] — workload generators and the experiment harness
 //! - [`analysis`] — static analysis: graph verification, deadlock checks,
 //!   workspace lints (`cargo run -p df-check`)
-//! - [`serve`] — the multi-tenant query service: wire protocol, admission
-//!   control, weighted fair credit scheduling, deterministic concurrency
-//!   harness (`df-serve`)
+//! - [`serve`] — the multi-tenant query service: wire protocol, priced
+//!   admission with plan-variant choice, weighted fair credit scheduling,
+//!   deterministic concurrency harness (`df-serve`)
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 

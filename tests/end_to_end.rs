@@ -193,32 +193,36 @@ fn pushdown_reduces_measured_movement() {
 
 #[test]
 fn scheduler_and_optimizer_integrate() {
-    use rheo::core::scheduler::Scheduler;
-    use std::sync::Arc;
+    // Priced admission chooses among the optimizer's ranked variants, and
+    // the variant it admits is an executable plan.
+    use rheo::core::pipeline::{PipelineGraph, DEFAULT_QUEUE_CAPACITY};
+    use rheo::serve::admission::{AdmissionController, Verdict};
     let s = session(5_000);
-    let logical = s
-        .logical_plan("SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < 10")
-        .unwrap();
-    let variants = s.variants(&logical).unwrap();
-    let mut scheduler = Scheduler::new(Arc::clone(s.topology()), s.optimizer().site().cpu);
-    let first = scheduler.admit(&variants).unwrap();
-    let second = scheduler.admit(&variants).unwrap();
-    // Both admissions are executable plans.
-    for admission in [&first, &second] {
-        let plan = &variants[admission.variant_index].plan;
-        let result = s.execute_plan(plan).unwrap();
+    let logical = s.logical_plan("SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < 10");
+    let variants = s.variants(&logical.unwrap()).unwrap();
+    let mut admission = AdmissionController::new(s.topology().clone());
+    for _ in 0..2 {
+        let ranked = variants.iter().enumerate().map(|(i, v)| {
+            let graph =
+                PipelineGraph::compile(&v.plan, Some(&s.profiles()), None, DEFAULT_QUEUE_CAPACITY);
+            (
+                i,
+                graph.to_flow_specs(s.optimizer().site().cpu, "q").unwrap(),
+            )
+        });
+        let (index, verdict) = admission.offer_ranked(ranked).unwrap();
+        assert!(matches!(verdict, Verdict::Admitted(_)), "{verdict:?}");
+        let result = s.execute_plan(&variants[index].plan).unwrap();
         assert_eq!(result.batch.rows(), 1);
     }
-    scheduler.release(first.handle);
-    scheduler.release(second.handle);
+    assert_eq!(admission.admitted_count(), 2);
 }
 
 #[test]
 fn wire_format_survives_the_network_between_sessions() {
-    // Storage results encoded, shipped through the transport, and decoded
-    // elsewhere stay intact (cross-crate: storage -> codec -> net -> data).
-    use rheo::codec::wire::WireOptions;
-    use rheo::net::transport::Network;
+    // Storage results encoded as wire frames and decoded elsewhere stay
+    // intact (cross-crate: storage -> codec -> data).
+    use rheo::codec::wire::{decode_batch, encode_batch, WireOptions};
     use rheo::storage::smart::ScanRequest;
 
     let s = session(3_000);
@@ -229,12 +233,10 @@ fn wire_format_survives_the_network_between_sessions() {
             &ScanRequest::full().project(&["l_orderkey", "l_region"]),
         )
         .unwrap();
-    let net = Network::new(2);
-    for b in &batches {
-        net.send_batch(0, 1, b, &WireOptions::compressed()).unwrap();
-    }
-    net.send_eos(0, 1).unwrap();
-    let received = rheo::net::collective::gather(&net, 1, 1).unwrap();
+    let received: Vec<_> = batches
+        .iter()
+        .map(|b| decode_batch(&encode_batch(b, &WireOptions::compressed()), None).unwrap())
+        .collect();
     let sent = rheo::data::Batch::concat(&batches).unwrap();
     let got = rheo::data::Batch::concat(&received).unwrap();
     assert_eq!(sent.canonical_rows(), got.canonical_rows());

@@ -331,20 +331,6 @@ mod serving {
     }
 }
 
-#[test]
-fn wire_tamper_detected_between_nodes() {
-    use rheo::codec::wire::{encode_batch, WireOptions};
-    use rheo::net::transport::{FrameKind, Network};
-
-    let batch = batch_of(vec![("x", Column::from_i64((0..100).collect()))]);
-    let net = Network::new(2);
-    let mut frame = encode_batch(&batch, &WireOptions::compressed());
-    let mid = frame.len() / 2;
-    frame[mid] ^= 0x08;
-    net.send(0, 1, FrameKind::Data, frame).unwrap();
-    assert!(net.recv_batch(1).is_err(), "tampered frame decoded");
-}
-
 // -------------------------------------------------------------- streaming
 // Faults against continuous queries: a stalled source, a fabric-edge
 // consumer that disconnects mid-window, and a client cancel while windows
