@@ -1,58 +1,23 @@
 //! Benches for the engine core: E1 (Figure 1, pull vs push) and ablations
 //! A1 (execution model), A2 (batch size), A6 (kernel VM overhead).
 
+use df_bench::experiments::e01_conventional::plan;
 use df_bench::microbench::Bench;
 use df_bench::workload;
 use df_core::exec::push::{execute, ExecEnv};
-use df_core::exec::{parallel, volcano};
-use df_core::expr::{col, lit};
-use df_core::logical::{AggCall, AggFn, LogicalPlan};
-use df_core::ops::AggMode;
-use df_core::physical::{PhysNode, PhysicalPlan};
+use df_core::exec::volcano;
+use df_core::scaleout::fan_out;
 
 const ROWS: usize = 50_000;
 
-fn agg_plan(batch_rows: usize, use_kernel: bool) -> PhysicalPlan {
-    let fact = workload::lineitem(ROWS, 42);
-    let calls = vec![
-        AggCall::count_star("n"),
-        AggCall::new(AggFn::Sum, "l_price", "revenue"),
-    ];
-    let logical = LogicalPlan::values(vec![fact.clone()])
-        .unwrap()
-        .filter(col("l_quantity").lt(lit(10)))
-        .unwrap()
-        .aggregate(vec!["l_region".into()], calls.clone())
-        .unwrap();
-    PhysicalPlan::new(
-        PhysNode::Aggregate {
-            input: Box::new(PhysNode::Filter {
-                input: Box::new(PhysNode::Values {
-                    schema: fact.schema().clone(),
-                    batches: fact.split(batch_rows).unwrap(),
-                    device: None,
-                }),
-                predicate: col("l_quantity").lt(lit(10)),
-                device: None,
-                use_kernel,
-            }),
-            group_by: vec!["l_region".into()],
-            aggs: calls,
-            mode: AggMode::Final,
-            final_schema: logical.schema(),
-            device: None,
-        },
-        "bench",
-    )
-}
-
 fn main() {
     let mut bench = Bench::from_env();
+    let fact = workload::lineitem(ROWS, 42);
 
     // E1 / A1: tuple-at-a-time Volcano vs vectorized push vs morsel-parallel.
     {
         let mut group = bench.group("fig1_conventional");
-        let plan = agg_plan(8192, false);
+        let plan = plan(&fact, 8192, false);
         group.bench("volcano_tuple_at_a_time", || {
             volcano::execute(&plan, None).unwrap()
         });
@@ -60,7 +25,7 @@ fn main() {
             execute(&plan, &ExecEnv::in_memory()).unwrap()
         });
         group.bench("push_morsel_parallel_4t", || {
-            parallel::execute_parallel(&plan, &ExecEnv::in_memory(), 4).unwrap()
+            execute(&fan_out(&plan, 4).unwrap(), &ExecEnv::in_memory()).unwrap()
         });
     }
 
@@ -68,7 +33,7 @@ fn main() {
     {
         let mut group = bench.group("a2_batch_size");
         for batch_rows in [64usize, 512, 4096, 32768] {
-            let plan = agg_plan(batch_rows, false);
+            let plan = plan(&fact, batch_rows, false);
             group.bench(&batch_rows.to_string(), || {
                 execute(&plan, &ExecEnv::in_memory()).unwrap()
             });
@@ -78,8 +43,8 @@ fn main() {
     // A6: interpreted kernel VM vs native vectorized filter evaluation.
     {
         let mut group = bench.group("a6_kernel_vm");
-        let native = agg_plan(8192, false);
-        let kernel = agg_plan(8192, true);
+        let native = plan(&fact, 8192, false);
+        let kernel = plan(&fact, 8192, true);
         group.bench("native_filter", || {
             execute(&native, &ExecEnv::in_memory()).unwrap()
         });

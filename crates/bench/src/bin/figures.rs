@@ -13,24 +13,37 @@
 //! `--trace <path>` writes a Chrome `trace_event` JSON file (load it at
 //! `chrome://tracing` or <https://ui.perfetto.dev>) for the selected
 //! traceable experiment, and prints the per-lane utilization summary to
-//! stderr.
+//! stderr. `--trace`, `--write` and `--exp` need a value: one that is
+//! missing or starts with `--` exits 2.
 
 use std::time::Instant;
 
 use df_bench::experiments::{all, traceable, Scale};
 
+/// The value following flag `name`: `Ok(None)` when the flag is absent, an
+/// error naming the flag when the value is missing or is itself a flag.
+fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("{name} needs a value")),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let flag = |name: &str| {
+        flag_value(&args, name).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        })
     };
-    let write_path = flag_value("--write");
-    let trace_path = flag_value("--trace");
-    let exp_flag = flag_value("--exp");
+    let write_path = flag("--write");
+    let trace_path = flag("--trace");
+    let exp_flag = flag("--exp");
 
     // Positional ids, skipping flag values.
     let flag_values: Vec<&String> = [&write_path, &trace_path, &exp_flag]
@@ -122,5 +135,30 @@ fn main() {
         let body = sections.join("\n");
         std::fs::write(&path, header + &body).expect("write EXPERIMENTS.md");
         eprintln!("wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::flag_value;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn flags_need_a_value_that_is_not_a_flag() {
+        let argv = args("--exp e10 --trace t.json --quick");
+        assert_eq!(flag_value(&argv, "--trace"), Ok(Some("t.json".into())));
+        assert_eq!(flag_value(&argv, "--write"), Ok(None));
+        for (line, name) in [
+            ("--exp e10 --trace --quick", "--trace"),
+            ("--write --quick", "--write"),
+            ("--exp e10 --trace", "--trace"),
+            ("--exp --all", "--exp"),
+        ] {
+            let err = flag_value(&args(line), name).expect_err(line);
+            assert!(err.contains(name), "{line}: {err}");
+        }
     }
 }

@@ -5,24 +5,64 @@
 //! One query — scan, filter, group-aggregate over the fact table — executed
 //! three ways on the conventional-server platform: tuple-at-a-time Volcano
 //! (the 1990s model), the vectorized push engine single-threaded, and
-//! morsel-parallel. Everything flows disk → CPU first (no offloading
-//! exists on this platform); the ledger shows all bytes crossing to the CPU
-//! regardless of how few survive the filter.
+//! morsel-parallel (the same plan fanned out over a gather exchange).
+//! Everything flows disk → CPU first (no offloading exists on this
+//! platform); the ledger shows all bytes crossing to the CPU regardless of
+//! how few survive the filter.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use df_core::exec::push::{execute, ExecEnv};
-use df_core::exec::{parallel, volcano};
+use df_core::exec::volcano;
 use df_core::expr::{col, lit};
 use df_core::logical::{AggCall, AggFn, LogicalPlan};
 use df_core::ops::AggMode;
 use df_core::physical::{PhysNode, PhysicalPlan};
-use df_data::Scalar;
+use df_core::scaleout::fan_out;
+use df_data::{Batch, Scalar};
+use df_sim::Tracer;
 
 use crate::report::{fmt_util, ExpReport};
 use crate::workload;
 
 use super::Scale;
+
+/// E1's plan: `fact` in `batch_rows`-row batches, filtered on
+/// `l_quantity < 10` (natively or through the kernel VM), then grouped by
+/// `l_region` with a count and a revenue sum. Unplaced throughout.
+pub fn plan(fact: &Batch, batch_rows: usize, use_kernel: bool) -> PhysicalPlan {
+    let calls = vec![
+        AggCall::count_star("n"),
+        AggCall::new(AggFn::Sum, "l_price", "revenue"),
+    ];
+    let logical = LogicalPlan::values(vec![fact.clone()])
+        .expect("values plan")
+        .filter(col("l_quantity").lt(lit(10)))
+        .expect("filter plan")
+        .aggregate(vec!["l_region".into()], calls.clone())
+        .expect("aggregate plan");
+    PhysicalPlan::new(
+        PhysNode::Aggregate {
+            input: Box::new(PhysNode::Filter {
+                input: Box::new(PhysNode::Values {
+                    schema: fact.schema().clone(),
+                    batches: fact.split(batch_rows).expect("batch_rows > 0"),
+                    device: None,
+                }),
+                predicate: col("l_quantity").lt(lit(10)),
+                device: None,
+                use_kernel,
+            }),
+            group_by: vec!["l_region".into()],
+            aggs: calls,
+            mode: AggMode::Final,
+            final_schema: logical.schema(),
+            device: None,
+        },
+        "conventional",
+    )
+}
 
 /// Run E1.
 pub fn run(scale: Scale) -> ExpReport {
@@ -36,36 +76,7 @@ pub fn run(scale: Scale) -> ExpReport {
     .headers(&["engine", "wall time", "rows out", "bytes to CPU"]);
 
     let fact = workload::lineitem(scale.rows, scale.seed);
-    let calls = vec![
-        AggCall::count_star("n"),
-        AggCall::new(AggFn::Sum, "l_price", "revenue"),
-    ];
-    let logical = LogicalPlan::values(vec![fact.clone()])
-        .unwrap()
-        .filter(col("l_quantity").lt(lit(10)))
-        .unwrap()
-        .aggregate(vec!["l_region".into()], calls.clone())
-        .unwrap();
-    let plan = PhysicalPlan::new(
-        PhysNode::Aggregate {
-            input: Box::new(PhysNode::Filter {
-                input: Box::new(PhysNode::Values {
-                    schema: fact.schema().clone(),
-                    batches: fact.split(8192).unwrap(),
-                    device: None,
-                }),
-                predicate: col("l_quantity").lt(lit(10)),
-                device: None,
-                use_kernel: false,
-            }),
-            group_by: vec!["l_region".into()],
-            aggs: calls,
-            mode: AggMode::Final,
-            final_schema: logical.schema(),
-            device: None,
-        },
-        "conventional",
-    );
+    let plan = plan(&fact, 8192, false);
 
     let env = ExecEnv::in_memory();
     // Volcano: tuple-at-a-time pull.
@@ -76,10 +87,11 @@ pub fn run(scale: Scale) -> ExpReport {
     let t = Instant::now();
     let push_out = execute(&plan, &env).expect("push runs");
     let push_time = t.elapsed();
-    // Morsel-parallel push.
+    // Morsel-parallel push: the plan fanned out over a gather exchange.
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
     let t = Instant::now();
-    let par_out = parallel::execute_parallel(&plan, &env, threads).expect("parallel runs");
+    let par_out =
+        execute(&fan_out(&plan, threads).expect("E1's plan fans out"), &env).expect("fan-out runs");
     let par_time = t.elapsed();
 
     // All three agree; morsel-parallel float sums may differ in the last ulps.
@@ -129,6 +141,21 @@ pub fn run(scale: Scale) -> ExpReport {
         100.0 * 9.0 / 50.0
     ));
     report
+}
+
+/// Trace E1's plan into one tracer: push at 1 thread (lane `exec.push`),
+/// then fanned out over 2 workers, each fragment on its own
+/// `exec.push.p<pid>` lane under an `exchange-producer` span.
+pub fn trace_run(scale: Scale) -> Arc<Tracer> {
+    let tracer = Arc::new(Tracer::new());
+    let env = ExecEnv {
+        tracer: Some(tracer.clone()),
+        ..ExecEnv::in_memory()
+    };
+    let plan = plan(&workload::lineitem(scale.rows, scale.seed), 8192, false);
+    execute(&plan, &env).expect("push runs");
+    execute(&fan_out(&plan, 2).expect("E1's plan fans out"), &env).expect("fan-out runs");
+    tracer
 }
 
 #[cfg(test)]

@@ -55,9 +55,13 @@ pub type ExperimentFn = fn(Scale) -> ExpReport;
 /// Signature for experiments that can record a query-level trace.
 pub type TraceFn = fn(Scale) -> std::sync::Arc<df_sim::Tracer>;
 
-/// Experiments that support `figures --trace`: `(id, tracer)`.
+/// Experiments that support `figures --trace`: `(id, tracer)`. When several
+/// are selected, `figures` traces the first listed.
 pub fn traceable() -> Vec<(&'static str, TraceFn)> {
-    vec![("E10", e10_full_pipeline::trace_flow)]
+    vec![
+        ("E10", e10_full_pipeline::trace_flow),
+        ("E1", e01_conventional::trace_run),
+    ]
 }
 
 /// All experiments: `(id, runner)` in paper order.

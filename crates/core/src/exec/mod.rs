@@ -1,8 +1,8 @@
-//! Executors: the push-based streaming engine (with movement ledger), the
-//! morsel-parallel driver, and the tuple-at-a-time Volcano baseline.
+//! Executors: the push-based streaming engine (with movement ledger) and
+//! the tuple-at-a-time Volcano baseline. Morsel parallelism is a plan
+//! rewrite the push engine runs ([`crate::scaleout::fan_out`]).
 
 pub mod ledger;
-pub mod parallel;
 pub mod push;
 pub mod source;
 pub mod volcano;

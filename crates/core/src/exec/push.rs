@@ -62,8 +62,8 @@ use crate::streaming::StreamGen;
 ///
 /// When several queries share the engine, each pipeline checks in with the
 /// scheduler at every **batch boundary** — right before a concrete source
-/// (Values or storage scan) emits its next batch, and once per morsel in
-/// the parallel driver. The implementation (the serving layer's fair-share
+/// (Values, storage scan or stream) emits its next batch, on whichever
+/// thread runs the pipeline. The implementation (the serving layer's fair-share
 /// scheduler) blocks the call until the query holds a credit, which is how
 /// a lower-priority pipeline yields device time at the next batch boundary
 /// instead of being preempted mid-batch. Returning an error aborts the

@@ -1,16 +1,14 @@
 //! The single source-materialization path shared by every executor.
 //!
 //! `StorageScan` handling used to be reimplemented in the push executor
-//! (streaming), the Volcano baseline (materialized) and the morsel-parallel
-//! driver (materialized). All three now call into this module, so the
-//! missing-storage error, the stats capture and the pushdown semantics live
-//! in exactly one place.
+//! (streaming) and the Volcano baseline (materialized). Both now call into
+//! this module, so the missing-storage error, the stats capture and the
+//! pushdown semantics live in exactly one place.
 
 use df_data::Batch;
 use df_storage::smart::{ScanRequest, ScanStats, SmartStorage};
 
 use crate::error::{EngineError, Result};
-use crate::physical::PhysNode;
 
 fn require_storage(storage: Option<&SmartStorage>) -> Result<&SmartStorage> {
     storage
@@ -45,8 +43,8 @@ pub fn scan_streaming(
     }
 }
 
-/// Materialize a storage scan into a batch vector (Volcano and the
-/// morsel-parallel driver both start from a materialized source).
+/// Materialize a storage scan into a batch vector (Volcano starts from a
+/// materialized source).
 pub fn scan_materialized(
     storage: Option<&SmartStorage>,
     table: &str,
@@ -54,23 +52,4 @@ pub fn scan_materialized(
 ) -> Result<(Vec<Batch>, ScanStats)> {
     let storage = require_storage(storage)?;
     storage.scan(table, request).map_err(EngineError::from)
-}
-
-/// Materialize any leaf node (`StorageScan` or `Values`). Returns the
-/// batches plus scan stats when the leaf actually hit storage.
-pub fn materialize_leaf(
-    leaf: &PhysNode,
-    storage: Option<&SmartStorage>,
-) -> Result<(Vec<Batch>, Option<ScanStats>)> {
-    match leaf {
-        PhysNode::Values { batches, .. } => Ok((batches.clone(), None)),
-        PhysNode::StorageScan { table, request, .. } => {
-            let (batches, stats) = scan_materialized(storage, table, request)?;
-            Ok((batches, Some(stats)))
-        }
-        other => Err(EngineError::Internal(format!(
-            "materialize_leaf called on a non-leaf node: {}",
-            other.explain().lines().next().unwrap_or("?")
-        ))),
-    }
 }

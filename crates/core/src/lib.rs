@@ -21,15 +21,15 @@
 //!   into pipelines cut at breakers and device boundaries, with typed
 //!   local/fabric edges; every executor and the flow simulator drive this
 //!   one graph
-//! - [`exec`] — the push executor with its movement ledger, the
-//!   tuple-at-a-time Volcano baseline (§1's departure point), and the
-//!   morsel-parallel driver
+//! - [`exec`] — the push executor with its movement ledger and the
+//!   tuple-at-a-time Volcano baseline (§1's departure point)
 //! - [`optimizer`] — rewrites (predicate/projection pushdown), cardinality
 //!   estimation, and the movement-aware cost model that enumerates
 //!   placement alternatives and ranks plan variants (§7.3 requires several
 //!   data-path alternatives per query)
 //! - [`scaleout`] — N-host distributed execution as placed Exchange plans
-//!   over the pipeline-graph IR (Figure 4)
+//!   over the pipeline-graph IR (Figure 4), and `fan_out`: morsel
+//!   parallelism on one node as a gather-exchange rewrite
 //! - [`streaming`] — unbounded seed-deterministic sources, event-time
 //!   windows, and frontier-gated windowed aggregation (§7.4–7.5); the
 //!   pipeline graph carries punctuation on its edges and the verifier

@@ -13,9 +13,9 @@
 //! §7.1) and the flow simulator replays the same stage chain in simulated
 //! time via [`PipelineGraph::to_flow_specs`].
 //!
-//! The push executor, the morsel-parallel driver, the serving layer's
-//! admission control and the bench experiments all consume this graph
-//! instead of re-walking `PhysNode` trees.
+//! The push executor, the serving layer's admission control and the bench
+//! experiments all consume this graph instead of re-walking `PhysNode`
+//! trees.
 
 pub mod verify;
 
@@ -284,18 +284,6 @@ impl OperatorSpec {
                 schema.clone(),
             )),
         })
-    }
-
-    /// Instantiate as a plain streaming operator (no build input). Errors
-    /// for [`OperatorSpec::JoinProbe`].
-    pub fn instantiate_streaming(&self) -> Result<Box<dyn Operator>> {
-        match self.instantiate()? {
-            RuntimeOp::Std(op) => Ok(op),
-            RuntimeOp::Window(op) => Ok(Box::new(op)),
-            RuntimeOp::Join(_) => Err(EngineError::Internal(
-                "join probe needs a build edge; use instantiate()".into(),
-            )),
-        }
     }
 }
 

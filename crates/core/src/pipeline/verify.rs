@@ -34,8 +34,8 @@
 //!   timestamp column its input actually supplies.
 //!
 //! The compiler debug-asserts `verify` on every graph it builds; the push
-//! and morsel-parallel executors and the flow-spec derivation call it
-//! explicitly and surface [`VerifyError`]s as
+//! executor and the flow-spec derivation call it explicitly and surface
+//! [`VerifyError`]s as
 //! [`EngineError::Verify`](crate::error::EngineError).
 
 use std::fmt;

@@ -11,6 +11,11 @@
 //! streams through the same credit-bounded channels and single ledger
 //! charge site as any other fabric edge, so the [`ScaleoutReport`] is read
 //! straight off the movement ledger instead of being hand-counted.
+//!
+//! [`fan_out`] applies the same gather to one compute node: morsel
+//! parallelism as a plan rewrite that deals a `Values` leaf across N
+//! fragments behind a gather exchange, with a partial/merge aggregate
+//! split, so the push driver runs the fragments on parallel threads.
 
 use df_codec::wire::WireOptions;
 use df_data::{Batch, SchemaRef};
@@ -19,6 +24,7 @@ use df_fabric::{ClusterConfig, DeviceId, DeviceKind, Topology};
 use crate::error::{EngineError, Result};
 use crate::exec::push::{execute, ExecEnv};
 use crate::logical::JoinType;
+use crate::ops::AggMode;
 use crate::physical::{PhysNode, PhysicalPlan};
 use crate::pipeline::ExchangeKind;
 
@@ -190,7 +196,12 @@ pub fn cluster_hash_join_plan(
             })
         })
         .collect::<Result<Vec<PhysNode>>>()?;
-    let root = gather_root(topology, joins, join_schema, 2)?;
+    let root = gather(
+        2,
+        joins,
+        join_schema,
+        Some(host_device(topology, 0, "mem")?),
+    );
     Ok(PhysicalPlan::new(
         root,
         if smart_exchange {
@@ -253,7 +264,12 @@ pub fn cluster_broadcast_join_plan(
             })
         })
         .collect::<Result<Vec<PhysNode>>>()?;
-    let root = gather_root(topology, joins, join_schema, 1)?;
+    let root = gather(
+        1,
+        joins,
+        join_schema,
+        Some(host_device(topology, 0, "mem")?),
+    );
     Ok(PhysicalPlan::new(
         root,
         if smart_exchange {
@@ -339,23 +355,100 @@ fn leaves(
         .collect()
 }
 
-/// Gather every join fragment's output into the coordinator's (host 0)
-/// memory — the root of every scale-out plan.
-fn gather_root(
-    topology: &Topology,
-    joins: Vec<PhysNode>,
-    join_schema: SchemaRef,
+/// A gather exchange concatenating every fragment into one consumer.
+fn gather(
     group: usize,
-) -> Result<PhysNode> {
-    Ok(PhysNode::Exchange {
+    inputs: Vec<PhysNode>,
+    schema: SchemaRef,
+    device: Option<DeviceId>,
+) -> PhysNode {
+    PhysNode::Exchange {
         group,
         kind: ExchangeKind::Gather,
         index: 0,
         parts: 1,
-        inputs: joins,
-        schema: join_schema,
-        device: Some(host_device(topology, 0, "mem")?),
-    })
+        inputs,
+        schema,
+        device,
+    }
+}
+
+/// Rewrite a plan into `workers` parallel fragments behind a gather
+/// exchange: morsel parallelism in the IR.
+///
+/// Accepts exactly `[Aggregate(Final)]? (Filter|Project)* Values`; any
+/// other shape (a root `Limit`, joins, sorts, storage or stream scans, a
+/// plan that already exchanges) returns `EngineError::Plan`. The leaf's
+/// batches are dealt round-robin, whole, over `min(workers,
+/// batches).max(1)` fragments, each the chain over its share with every
+/// device unchanged. With an aggregate, every fragment ends in a `Partial`
+/// aggregate and a `Merge` aggregate sits on the gather, all on the
+/// `Final` aggregate's device; without one, the gather sits on the chain
+/// tip's device.
+pub fn fan_out(plan: &PhysicalPlan, workers: usize) -> Result<PhysicalPlan> {
+    let (chain, agg) = match &plan.root {
+        PhysNode::Aggregate {
+            input,
+            group_by,
+            aggs,
+            mode: AggMode::Final,
+            final_schema,
+            device,
+        } => (
+            input.as_ref(),
+            Some((group_by, aggs, final_schema, *device)),
+        ),
+        root => (root, None),
+    };
+    let mut leaf = chain;
+    while let PhysNode::Filter { input, .. } | PhysNode::Project { input, .. } = leaf {
+        leaf = input;
+    }
+    let PhysNode::Values { batches, .. } = leaf else {
+        return Err(EngineError::Plan(format!(
+            "fan_out needs [Aggregate(final)]? (Filter|Project)* Values, found {}",
+            leaf.explain().lines().next().unwrap_or_default()
+        )));
+    };
+    let k = workers.min(batches.len()).max(1);
+    let mut shares = vec![Vec::new(); k];
+    for (i, batch) in batches.iter().enumerate() {
+        shares[i % k].push(batch.clone());
+    }
+    let fragments = shares.into_iter().map(|share| with_share(chain, share));
+    let root = match agg {
+        None => gather(0, fragments.collect(), chain.schema(), chain.device()),
+        Some((group_by, aggs, final_schema, device)) => {
+            let aggregate = |input: PhysNode, mode: AggMode| PhysNode::Aggregate {
+                input: Box::new(input),
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+                mode,
+                final_schema: final_schema.clone(),
+                device,
+            };
+            let partial = AggMode::Partial {
+                max_groups: 1 << 20,
+            };
+            let partials: Vec<PhysNode> = fragments.map(|f| aggregate(f, partial)).collect();
+            let schema = partials[0].schema();
+            aggregate(gather(0, partials, schema, device), AggMode::Merge)
+        }
+    };
+    Ok(PhysicalPlan::new(root, plan.variant.clone()))
+}
+
+/// `chain` with its `Values` leaf's batches replaced by `share`.
+fn with_share(chain: &PhysNode, share: Vec<Batch>) -> PhysNode {
+    let mut node = chain.clone();
+    match &mut node {
+        PhysNode::Filter { input, .. } | PhysNode::Project { input, .. } => {
+            **input = with_share(input, share);
+        }
+        PhysNode::Values { batches, .. } => *batches = share,
+        _ => {}
+    }
+    node
 }
 
 /// Execute a scale-out plan and classify its ledger into the report.

@@ -33,7 +33,6 @@ use std::sync::RwLock;
 
 use crate::error::{EngineError, Result};
 use crate::exec::ledger::MovementLedger;
-use crate::exec::parallel::execute_adaptive;
 use crate::exec::push::{execute, CodecPolicy, ExecEnv, ExecGate};
 use crate::logical::LogicalPlan;
 use crate::optimizer::{Optimizer, PlanCost, Profiles, RankedPlan, TableProfile};
@@ -62,8 +61,6 @@ pub struct Session {
     storage: SmartStorage,
     optimizer: Optimizer,
     profiles: RwLock<Profiles>,
-    /// Worker threads for the morsel-parallel executor (1 = sequential).
-    pub parallelism: usize,
     /// Opt-in execution tracer; see [`Session::enable_tracing`].
     pub tracer: Option<Arc<df_sim::Tracer>>,
 }
@@ -80,7 +77,6 @@ impl Session {
             storage,
             optimizer,
             profiles: RwLock::new(Profiles::new()),
-            parallelism: 1,
             tracer: None,
         })
     }
@@ -165,11 +161,6 @@ impl Session {
     /// Execute a plan under a cross-query scheduling gate (the serving
     /// layer's fair-share scheduler). The gate is consulted at every batch
     /// boundary; `None` behaves exactly like [`Session::execute_plan`].
-    ///
-    /// Parallelism is *adaptive*: the configured worker count is clamped to
-    /// the cores actually available, and when only one worker would run the
-    /// single-thread graph driver is used directly — oversubscribing a
-    /// 1-core host made 2-thread morsel execution slower than sequential.
     pub fn execute_plan_gated(
         &self,
         plan: &PhysicalPlan,
@@ -183,15 +174,7 @@ impl Session {
             gate,
             codec: CodecPolicy::AsCompiled,
         };
-        let outcome = if self.parallelism > 1 {
-            match execute_adaptive(plan, &env, self.parallelism) {
-                Ok(out) => out,
-                Err(EngineError::Plan(_)) => execute(plan, &env)?,
-                Err(other) => return Err(other),
-            }
-        } else {
-            execute(plan, &env)?
-        };
+        let outcome = execute(plan, &env)?;
         let batch = if outcome.batches.is_empty() {
             Batch::empty(plan.schema())
         } else {
@@ -382,18 +365,6 @@ mod tests {
                 variants[0].plan.variant
             );
         }
-    }
-
-    #[test]
-    fn parallel_session_matches_sequential() {
-        let s = session();
-        let query = "SELECT region, COUNT(*) AS n, SUM(amount) AS t FROM orders \
-                     WHERE amount < 50.0 GROUP BY region";
-        let seq = s.sql(query).unwrap();
-        let mut par_session = session();
-        par_session.parallelism = 4;
-        let par = par_session.sql(query).unwrap();
-        assert_eq!(seq.batch.canonical_rows(), par.batch.canonical_rows());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Cross-crate integration tests: SQL queries through the full stack, with
-//! every plan variant, both executors, and the parallel driver agreeing.
+//! every plan variant and both executors agreeing.
 
 use rheo::bench::workload;
 use rheo::core::exec::push::{execute, CodecPolicy, ExecEnv};
@@ -97,39 +97,6 @@ fn volcano_agrees_with_push_on_storage_plans() {
             volcano.canonical_rows(),
             "executors disagree on {query}"
         );
-    }
-}
-
-/// Compare row sets allowing tiny float drift (parallel partial sums are
-/// not bit-associative).
-fn assert_rows_approx_eq(a: &[Vec<Scalar>], b: &[Vec<Scalar>], context: &str) {
-    assert_eq!(a.len(), b.len(), "{context}: row counts differ");
-    for (ra, rb) in a.iter().zip(b) {
-        assert_eq!(ra.len(), rb.len(), "{context}: arity differs");
-        for (va, vb) in ra.iter().zip(rb) {
-            match (va, vb) {
-                (Scalar::Float(x), Scalar::Float(y)) => {
-                    let scale = x.abs().max(y.abs()).max(1.0);
-                    assert!(
-                        (x - y).abs() / scale < 1e-9,
-                        "{context}: floats differ: {x} vs {y}"
-                    );
-                }
-                _ => assert_eq!(va, vb, "{context}: values differ"),
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_sessions_agree_with_sequential() {
-    let seq = session(12_000);
-    let mut par = session(12_000);
-    par.parallelism = 4;
-    for query in QUERIES {
-        let a = seq.sql(query).unwrap();
-        let b = par.sql(query).unwrap();
-        assert_rows_approx_eq(&a.batch.canonical_rows(), &b.batch.canonical_rows(), query);
     }
 }
 

@@ -8,9 +8,14 @@
 //! executor's contract: materialize each child, stream every batch through
 //! the operator, and charge the ledger once per batch at each placement
 //! handoff (`child device → node device`, plus `root device → consumer`).
+//!
+//! Morsel parallelism is a plan rewrite ([`fan_out`]), so its property
+//! compares the rewritten plan's rows and cross-device ledger with the
+//! sequential run's, and model-checks the fanned-out graph.
 
+use rheo::analysis::deadlock;
 use rheo::check::{check, Gen};
-use rheo::core::exec::parallel::execute_parallel;
+use rheo::core::error::EngineError;
 use rheo::core::exec::push::{execute, CodecPolicy, ExecEnv};
 use rheo::core::exec::MovementLedger;
 use rheo::core::expr::{col, lit};
@@ -19,6 +24,8 @@ use rheo::core::ops::{
     AggMode, FilterOp, HashAggOp, HashJoinOp, LimitOp, Operator, ProjectOp, SortOp, TopKOp,
 };
 use rheo::core::physical::{PhysNode, PhysicalPlan};
+use rheo::core::pipeline::{PipelineGraph, DEFAULT_QUEUE_CAPACITY};
+use rheo::core::scaleout::fan_out;
 use rheo::data::batch::batch_of;
 use rheo::data::{Batch, Column, DataType, Field, Schema, SchemaRef};
 use rheo::fabric::topology::DisaggregatedConfig;
@@ -400,73 +407,80 @@ fn graph_push_matches_seed_semantics_on_random_plans() {
 }
 
 #[test]
-fn graph_parallel_matches_push_rows_on_supported_shapes() {
+fn fan_out_matches_push_rows_and_ledger() {
     let topo = Topology::disaggregated(&DisaggregatedConfig::default());
     let gens = PlanGen::new(&topo);
-    check(
-        "pipeline-graph-parallel-equivalence",
-        48,
-        |gen: &mut Gen| {
-            // Only shapes the morsel driver accepts: (filter|project)* agg? limit?
-            let source = gens.values(gen);
-            let mut node = gens.chain(gen, source);
-            if gen.bool() {
-                node = gens.final_agg(gen, node);
-            }
-            if gen.bool() {
-                node = PhysNode::Limit {
-                    input: Box::new(node),
-                    n: gen.usize_in(0, 15) as u64,
-                };
-            }
-            let leaf_device = {
-                let mut leaf = &node;
-                while let Some(child) = leaf.children().first() {
-                    leaf = child;
-                }
-                leaf.device()
+    check("pipeline-graph-fan-out-equivalence", 48, |gen: &mut Gen| {
+        // The generator's shapes minus joins and sorts: a chain, an
+        // optional final aggregate, an optional limit.
+        let source = gens.values(gen);
+        let mut node = gens.chain(gen, source);
+        if gen.bool() {
+            node = gens.final_agg(gen, node);
+        }
+        let limited = gen.bool();
+        if limited {
+            node = PhysNode::Limit {
+                input: Box::new(node),
+                n: gen.usize_in(0, 15) as u64,
             };
-            let plan = PhysicalPlan::new(node, "prop-parallel");
-            let env = ExecEnv {
-                storage: None,
-                topology: Some(&topo),
-                wire: None,
-                tracer: None,
-                gate: None,
-                codec: CodecPolicy::AsCompiled,
-            };
-            let sequential = execute(&plan, &env).expect("push execution");
-            let threads = gen.usize_in(1, 4);
-            let parallel = execute_parallel(&plan, &env, threads).expect("parallel execution");
-            let rows = |batches: &[Batch]| -> Vec<Vec<rheo::data::Scalar>> {
-                if batches.is_empty() {
-                    return Vec::new();
-                }
-                Batch::concat(batches).expect("concat").canonical_rows()
-            };
-            assert_eq!(
-                rows(&parallel.batches),
-                rows(&sequential.batches),
-                "parallel rows diverge from push rows"
-            );
-            // Seed parallel-ledger contract: the source batches are charged
-            // from the leaf device to the (unplaced) workers, nothing else.
-            let mut want = MovementLedger::new();
-            if let PhysNode::Values { batches, .. } = {
-                let mut leaf = &plan.root;
-                while let Some(child) = leaf.children().first() {
-                    leaf = child;
-                }
-                leaf
-            } {
-                for b in batches {
-                    want.charge(leaf_device, None, b.byte_size() as u64, b.rows() as u64);
-                }
+        }
+        let plan = PhysicalPlan::new(node, "prop-fan-out");
+        let fanned = fan_out(&plan, gen.usize_in(1, 4));
+        if limited {
+            assert!(matches!(fanned, Err(EngineError::Plan(_))), "{fanned:?}");
+            return;
+        }
+        let fanned = fanned.expect("supported shape fans out");
+        let env = ExecEnv {
+            storage: None,
+            topology: Some(&topo),
+            wire: None,
+            tracer: None,
+            gate: None,
+            codec: CodecPolicy::AsCompiled,
+        };
+        let sequential = execute(&plan, &env).expect("push execution");
+        let parallel = execute(&fanned, &env).expect("fan-out execution");
+        let rows = |batches: &[Batch]| -> Vec<Vec<rheo::data::Scalar>> {
+            if batches.is_empty() {
+                return Vec::new();
             }
-            assert_eq!(ledger_edges(&parallel.ledger), ledger_edges(&want));
-            assert_eq!(parallel.ledger.local_bytes(), want.local_bytes());
-        },
-    );
+            Batch::concat(batches).expect("concat").canonical_rows()
+        };
+        assert_eq!(
+            rows(&parallel.batches),
+            rows(&sequential.batches),
+            "fan-out rows diverge from push rows"
+        );
+        // Fragments cross devices exactly where the sequential chain did;
+        // only the partials' hop to the gather adds (local) bytes.
+        assert_eq!(
+            ledger_edges(&parallel.ledger),
+            ledger_edges(&sequential.ledger)
+        );
+        let graph = PipelineGraph::compile(&fanned, None, Some(&topo), DEFAULT_QUEUE_CAPACITY);
+        let report = deadlock::analyze(&graph);
+        assert!(report.is_verified_deadlock_free(), "{:?}", report.findings);
+    });
+}
+
+#[test]
+fn fan_out_refuses_joins_and_sorts() {
+    let topo = Topology::disaggregated(&DisaggregatedConfig::default());
+    let gens = PlanGen::new(&topo);
+    let mut gen = Gen::new(7);
+    let probe = gens.values(&mut gen);
+    let join = gens.join(&mut gen, probe);
+    let sort = PhysNode::Sort {
+        input: Box::new(gens.values(&mut gen)),
+        keys: vec![("id".into(), true)],
+        device: None,
+    };
+    for node in [join, sort] {
+        let plan = PhysicalPlan::new(node, "unsupported");
+        assert!(matches!(fan_out(&plan, 2), Err(EngineError::Plan(_))));
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The tracing test suite: golden-trace determinism, Chrome trace_event
 //! structural soundness, and a property test over arbitrary span nesting.
 
-use rheo::bench::experiments::{e10_full_pipeline, Scale};
+use rheo::bench::experiments::{e01_conventional, e10_full_pipeline, Scale};
 use rheo::check::{check, Gen};
 use rheo::sim::{LaneKind, SimTime, SpanGuard, Tracer};
 
@@ -37,6 +37,46 @@ fn golden_trace_e10_is_deterministic() {
             "no events on lane {lane}"
         );
     }
+}
+
+/// E1's trace shows parallel work per worker: the fanned-out run puts each
+/// fragment on its own `exec.push.p<pid>` lane under an
+/// `exchange-producer` span.
+#[test]
+fn e1_trace_has_a_lane_per_fan_out_fragment() {
+    let tracer = e01_conventional::trace_run(Scale::quick());
+    tracer.validate().expect("E1 trace well-formed");
+    let json = tracer.chrome_trace_json();
+    let mut lanes: Vec<(&str, &str)> = Vec::new(); // (tid, lane name)
+    let mut producer_lanes: Vec<&str> = Vec::new();
+    for line in json.lines() {
+        let line = line.trim().trim_end_matches(',');
+        let Some(tid) = field(line, "tid") else {
+            continue;
+        };
+        match field(line, "name") {
+            Some("thread_name") => {
+                let name = line
+                    .split_once(r#""args":{"name":""#)
+                    .and_then(|(_, rest)| rest.split('"').next());
+                lanes.push((tid, name.unwrap_or_default()));
+            }
+            Some("exchange-producer") if !producer_lanes.contains(&tid) => producer_lanes.push(tid),
+            _ => {}
+        }
+    }
+    let fragment_lanes = producer_lanes
+        .iter()
+        .filter_map(|tid| lanes.iter().find(|(t, _)| t == tid))
+        .filter(|(_, name)| {
+            name.strip_prefix("exec.push.p")
+                .is_some_and(|pid| pid.parse::<usize>().is_ok())
+        })
+        .count();
+    assert!(
+        fragment_lanes >= 2,
+        "want >=2 exec.push.p<pid> lanes with exchange-producer spans: {lanes:?}"
+    );
 }
 
 /// A minimal reader for the known shape of our own Chrome trace_event
