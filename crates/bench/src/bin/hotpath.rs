@@ -7,7 +7,7 @@
 //! cargo run -p df-bench --release --bin hotpath -- --out BENCH_hotpath.json
 //! ```
 //!
-//! Four measurements:
+//! Five measurements:
 //!
 //! * `split`: chopping a ~36 MB batch into 4096-row morsels. Asserts (via
 //!   pointer identity into the parent allocation) that no data buffer is
@@ -21,6 +21,9 @@
 //!   out over a gather exchange at increasing worker counts. Full runs on
 //!   hosts with two or more cores assert that 2 workers beat 1 thread by
 //!   at least 1.3x.
+//! * `codec`: edge-codec encode/decode per encoding, plain `wire_size`
+//!   and CRC32 on a telemetry batch. Full runs assert floors on
+//!   `columnar+lz` encode and decode, `wire_size` and CRC32.
 //!
 //! Results land in `BENCH_hotpath.json` (hand-rolled JSON; the container
 //! has no serde).
@@ -30,7 +33,9 @@ use std::time::Instant;
 
 use df_bench::experiments::e01_conventional;
 use df_bench::workload;
+use df_codec::checksum::crc32;
 use df_codec::edge::{self, EdgeEncoding};
+use df_codec::wire::{self, WireOptions};
 use df_core::exec::push::{execute, CodecPolicy, ExecEnv};
 use df_core::expr::{col, lit};
 use df_core::logical::{AggCall, AggFn, LogicalPlan};
@@ -352,6 +357,16 @@ fn main() {
         });
     }
 
+    // -- sizing and checksums: the plain wire size the movement ledger
+    //    charges on every cross-device batch (counted, not built), and
+    //    CRC32 over the plain wire frame, GB/s of frame bytes.
+    let size_stats = time(iters, || wire::wire_size(&stream, &WireOptions::plain()));
+    let wire_size_gbps = stream_bytes as f64 / size_stats.min / 1e9;
+    let plain_frame = wire::encode_batch(&stream, &WireOptions::plain());
+    let crc_stats = time(iters, || crc32(&plain_frame));
+    let crc_gbps = plain_frame.len() as f64 / crc_stats.min / 1e9;
+    println!("codec/wire_size    {wire_size_gbps:>6.2} GB/s  crc32 {crc_gbps:>6.2} GB/s");
+
     // -- shuffle_compression: the bytes-moved-vs-CPU frontier. The same
     //    stream shuffled storage.nic -> compute0.cpu over 25 GbE: ledger
     //    bytes plain vs cost-selected, and FlowSim completion time under
@@ -465,6 +480,8 @@ fn main() {
         ));
     }
     json.push_str("    ],\n");
+    json.push_str(&format!("    \"wire_size_gbps\": {wire_size_gbps:.3},\n"));
+    json.push_str(&format!("    \"crc_gbps\": {crc_gbps:.3},\n"));
     json.push_str("    \"shuffle_compression\": {\n");
     json.push_str("      \"network\": \"ethernet-25gbe\",\n");
     json.push_str(&format!(
@@ -499,6 +516,26 @@ fn main() {
             "vectorized hash aggregation must be >=3x over the row-wise \
              baseline (got {agg_speedup:.2}x)"
         );
+    }
+    if !smoke {
+        // Codec floors: high enough to catch a return to per-bit kernels
+        // or to building frames just to size them (0.16-0.44 GB/s on a
+        // 2-vCPU VM), low enough to survive that VM's +-30% speed swings.
+        let columnar_lz = codec_cases
+            .iter()
+            .find(|c| c.name == EdgeEncoding::ColumnarLz.name())
+            .expect("columnar+lz case");
+        for (what, got, floor) in [
+            ("columnar+lz encode", columnar_lz.encode_gbps, 0.35),
+            ("columnar+lz decode", columnar_lz.decode_gbps, 0.6),
+            ("plain wire_size", wire_size_gbps, 0.6),
+            ("crc32", crc_gbps, 0.7),
+        ] {
+            assert!(
+                got >= floor,
+                "{what} must run at >= {floor} GB/s (got {got:.3} GB/s)"
+            );
+        }
     }
     if !smoke && cores >= 2 {
         assert!(

@@ -1,28 +1,45 @@
-//! CRC32 (IEEE 802.3 polynomial), table-driven.
+//! CRC32 (IEEE 802.3 polynomial), slice-by-8.
 //!
 //! Models the "decode (for error checking)" step the paper lists in the
 //! cloud storage path (§2.1): segment pages and wire frames carry a CRC that
 //! readers verify before use.
+//!
+//! Slice-by-8 folds eight input bytes per step through eight 256-entry
+//! tables: `TABLES[k][b]` is the CRC contribution of byte `b` followed by
+//! `k` zero bytes. The values are the standard reflected CRC-32.
 
-/// Lazily built 256-entry CRC table for the reflected IEEE polynomial.
-fn table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
+const POLY: u32 = 0xEDB8_8320;
+
+const TABLES: [[u32; 256]; 8] = tables();
+
+const fn tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        t
-    })
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// CRC32 of `bytes`.
@@ -33,9 +50,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Streaming update: feed chunks with `state` starting at `0xFFFF_FFFF` and
 /// finish by XORing with `0xFFFF_FFFF`.
 pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    let t = table();
-    for &b in bytes {
-        state = (state >> 8) ^ t[((state ^ u32::from(b)) & 0xff) as usize];
+    let t = &TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ state;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        state = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        state = (state >> 8) ^ t[0][((state ^ u32::from(b)) & 0xff) as usize];
     }
     state
 }
@@ -44,12 +74,33 @@ pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time definition the sliced tables must agree with.
+    fn bytewise(bytes: &[u8]) -> u32 {
+        let mut state = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            state = (state >> 8) ^ TABLES[0][((state ^ u32::from(b)) & 0xff) as usize];
+        }
+        state ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn known_vectors() {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    #[test]
+    fn sliced_equals_bytewise_at_every_length() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 131 + 7) as u8).collect();
+        for len in 0..data.len() {
+            assert_eq!(crc32(&data[..len]), bytewise(&data[..len]), "len {len}");
+        }
     }
 
     #[test]

@@ -21,8 +21,9 @@
 use df_data::{Batch, Column, DataType};
 
 use crate::checksum::crc32;
+use crate::sink::{counted, put_le, Sink};
 use crate::wire::{
-    decode_schema, encode_column_packed, encode_schema, read_bitmap, read_validity, write_bitmap,
+    decode_schema, read_bitmap, read_validity, write_bitmap, write_column, write_payload,
     write_validity,
 };
 use crate::{lz, varint, wire};
@@ -100,21 +101,17 @@ impl std::fmt::Display for EdgeEncoding {
 
 /// Raw little-endian column: the `Plain` payload, also the baseline the
 /// ratio of every other encoding is measured against.
-fn encode_column_raw(out: &mut Vec<u8>, column: &Column) {
+fn write_column_raw<S: Sink>(sink: &mut S, column: &Column) {
     match column {
         Column::Int64 { values, validity } => {
-            varint::write_u64(out, values.len() as u64);
-            for v in values.iter() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            write_validity(out, validity.as_ref());
+            sink.put_varint(values.len() as u64);
+            put_le(sink, values, i64::to_le_bytes);
+            write_validity(sink, validity.as_ref());
         }
         Column::Float64 { values, validity } => {
-            varint::write_u64(out, values.len() as u64);
-            for v in values.iter() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            write_validity(out, validity.as_ref());
+            sink.put_varint(values.len() as u64);
+            put_le(sink, values, f64::to_le_bytes);
+            write_validity(sink, validity.as_ref());
         }
         Column::Utf8 {
             offsets,
@@ -125,16 +122,15 @@ fn encode_column_raw(out: &mut Vec<u8>, column: &Column) {
             // wire carries the view's bytes with offsets rebased to 0.
             let base = offsets.first().copied().unwrap_or(0);
             let end = offsets.last().copied().unwrap_or(0);
-            varint::write_u64(out, offsets.len() as u64);
-            for &o in offsets.iter() {
-                out.extend_from_slice(&(o - base).to_le_bytes());
-            }
-            varint::write_bytes(out, &data[base as usize..end as usize]);
-            write_validity(out, validity.as_ref());
+            sink.put_varint(offsets.len() as u64);
+            put_le(sink, offsets, |o| (o - base).to_le_bytes());
+            sink.put_varint(u64::from(end - base));
+            sink.put_slice(&data[base as usize..end as usize]);
+            write_validity(sink, validity.as_ref());
         }
         Column::Bool { values, validity } => {
-            write_bitmap(out, values);
-            write_validity(out, validity.as_ref());
+            write_bitmap(sink, values);
+            write_validity(sink, validity.as_ref());
         }
     }
 }
@@ -212,19 +208,24 @@ fn decode_column_raw(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<Col
     }
 }
 
+/// The payload before LZ: schema, row count, then every column, raw or
+/// with per-column encodings.
+fn write_columns<S: Sink>(sink: &mut S, batch: &Batch, encoding: EdgeEncoding) {
+    if matches!(encoding, EdgeEncoding::Columnar | EdgeEncoding::ColumnarLz) {
+        write_payload(sink, batch, |s, column| write_column(s, column, true));
+    } else {
+        write_payload(sink, batch, write_column_raw);
+    }
+}
+
+fn is_lz(encoding: EdgeEncoding) -> bool {
+    matches!(encoding, EdgeEncoding::Lz | EdgeEncoding::ColumnarLz)
+}
+
 fn encode_payload(batch: &Batch, encoding: EdgeEncoding) -> Vec<u8> {
     let mut payload = Vec::with_capacity(batch.byte_size() / 2 + 64);
-    encode_schema(&mut payload, batch.schema());
-    varint::write_u64(&mut payload, batch.rows() as u64);
-    let columnar = matches!(encoding, EdgeEncoding::Columnar | EdgeEncoding::ColumnarLz);
-    for column in batch.columns() {
-        if columnar {
-            encode_column_packed(&mut payload, column);
-        } else {
-            encode_column_raw(&mut payload, column);
-        }
-    }
-    if matches!(encoding, EdgeEncoding::Lz | EdgeEncoding::ColumnarLz) {
+    write_columns(&mut payload, batch, encoding);
+    if is_lz(encoding) {
         payload = lz::compress(&payload);
     }
     payload
@@ -234,23 +235,30 @@ fn encode_payload(batch: &Batch, encoding: EdgeEncoding) -> Vec<u8> {
 pub fn encode(batch: &Batch, encoding: EdgeEncoding) -> Vec<u8> {
     let payload = encode_payload(batch, encoding);
     let mut frame = Vec::with_capacity(payload.len() + 16);
-    frame.extend_from_slice(MAGIC);
-    frame.push(encoding.tag());
-    varint::write_u64(&mut frame, payload.len() as u64);
+    write_header(&mut frame, encoding, payload.len());
     frame.extend_from_slice(&payload);
     frame.extend_from_slice(&crc32(&payload).to_le_bytes());
     frame
 }
 
+/// Magic, encoding tag, and the payload length.
+fn write_header<S: Sink>(sink: &mut S, encoding: EdgeEncoding, payload_len: usize) {
+    sink.put_slice(MAGIC);
+    sink.put(encoding.tag());
+    sink.put_varint(payload_len as u64);
+}
+
 /// Size of the frame [`encode`] would produce — the number the movement
 /// ledger charges when this batch crosses an edge with this encoding.
+/// `Plain` and `Columnar` frames are counted, not built; the LZ encodings
+/// need the real payload to compress.
 pub fn encoded_size(batch: &Batch, encoding: EdgeEncoding) -> usize {
-    let payload_len = encode_payload(batch, encoding).len();
-    let mut header = 5; // magic + tag
-    let mut lenbuf = Vec::with_capacity(10);
-    varint::write_u64(&mut lenbuf, payload_len as u64);
-    header += lenbuf.len();
-    header + payload_len + 4
+    let payload = if is_lz(encoding) {
+        encode_payload(batch, encoding).len()
+    } else {
+        counted(|c| write_columns(c, batch, encoding))
+    };
+    counted(|c| write_header(c, encoding, payload)) + payload + 4
 }
 
 /// Which encoding a frame carries, without decoding the payload.

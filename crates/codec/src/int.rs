@@ -1,29 +1,143 @@
-//! Integer column codecs: run-length and delta encoding.
+//! Integer column codecs: run-length, delta, and bit-packing.
 //!
 //! These are the "keep data in memory compressed, decompress on demand"
 //! codecs (§5.4): cheap enough that a near-memory functional unit can decode
 //! at streaming rate, and effective on the sorted/clustered key columns the
 //! workloads produce.
+//!
+//! Each codec is one writer, generic over the crate's byte sink: [`choose`]
+//! runs the candidates into a counter and only the winner writes bytes.
 
+use crate::sink::{counted, put_le, Sink};
 use crate::varint;
 use crate::{CodecError, Result};
 
+/// Tag of raw little-endian values: `count` varint, then 8 bytes a value.
+pub const TAG_PLAIN: u8 = 0;
+/// Tag of [`rle_encode`] streams.
+pub const TAG_RLE: u8 = 1;
+/// Tag of [`delta_encode`] streams.
+pub const TAG_DELTA: u8 = 2;
+/// Tag of [`bitpack_encode`] streams.
+pub const TAG_BITPACK: u8 = 3;
+
+fn write_plain<S: Sink>(sink: &mut S, values: &[i64]) {
+    sink.put_varint(values.len() as u64);
+    put_le(sink, values, i64::to_le_bytes);
+}
+
+fn write_rle<S: Sink>(sink: &mut S, values: &[i64]) {
+    sink.put_varint(values.len() as u64);
+    let mut rest = values;
+    while let Some(&v) = rest.first() {
+        let run = rest.iter().position(|&x| x != v).unwrap_or(rest.len());
+        sink.put_varint_i64(v);
+        sink.put_varint(run as u64);
+        rest = &rest[run..];
+    }
+}
+
+/// Write `values` as a count plus zigzag-varint deltas from the previous
+/// value (the first from 0).
+pub(crate) fn write_delta<S: Sink>(sink: &mut S, values: impl ExactSizeIterator<Item = i64>) {
+    sink.put_varint(values.len() as u64);
+    let mut prev = 0i64;
+    for v in values {
+        sink.put_varint_i64(v.wrapping_sub(prev));
+        prev = v;
+    }
+}
+
+fn write_bitpack<S: Sink>(sink: &mut S, values: &[i64]) {
+    sink.put_varint(values.len() as u64);
+    let Some(&first) = values.first() else {
+        sink.put_varint_i64(0);
+        sink.put(0);
+        return;
+    };
+    let (min, max) = values
+        .iter()
+        .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    // wrapping_sub keeps the full-range case (MIN..MAX) correct: the
+    // offset always fits u64 even when the i64 subtraction would overflow.
+    let width = 64 - (max.wrapping_sub(min) as u64).leading_zeros();
+    sink.put_varint_i64(min);
+    sink.put(width as u8);
+    if width == 0 {
+        return;
+    }
+    let nbytes = (values.len() * width as usize).div_ceil(8);
+    sink.put_with(nbytes, |dst| {
+        // Offsets enter a 128-bit accumulator at its fill level; every 64
+        // bits accumulated leave as one little-endian word.
+        let mut acc = 0u128;
+        let mut bits = 0u32;
+        let mut words = dst.chunks_mut(8);
+        for &v in values {
+            acc |= u128::from(v.wrapping_sub(min) as u64) << bits;
+            bits += width;
+            if bits >= 64 {
+                let word = words.next().expect("packed length covers every value");
+                word.copy_from_slice(&(acc as u64).to_le_bytes());
+                acc >>= 64;
+                bits -= 64;
+            }
+        }
+        if let Some(tail) = words.next() {
+            let len = tail.len();
+            tail.copy_from_slice(&(acc as u64).to_le_bytes()[..len]);
+        }
+    });
+}
+
+/// Write `values` with the codec `tag` names.
+pub(crate) fn write_tagged<S: Sink>(sink: &mut S, tag: u8, values: &[i64]) {
+    match tag {
+        TAG_RLE => write_rle(sink, values),
+        TAG_DELTA => write_delta(sink, values.iter().copied()),
+        TAG_BITPACK => write_bitpack(sink, values),
+        _ => write_plain(sink, values),
+    }
+}
+
+/// Pick the codec for `values` from exact counted lengths, returning
+/// `(tag, encoded length)`: RLE if it is no longer than delta and shorter
+/// than 8 bytes a value, else delta if shorter than 8 bytes a value, else
+/// plain. With `packed`, bit-packing replaces that winner only if strictly
+/// shorter. No candidate is written.
+pub fn choose(values: &[i64], packed: bool) -> (u8, usize) {
+    let raw = values.len() * 8;
+    let delta = counted(|c| write_delta(c, values.iter().copied()));
+    // Every RLE run takes at least two bytes: when that floor already
+    // loses, RLE cannot win and is not counted.
+    let runs = values.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!values.is_empty());
+    let rle_floor = varint::len_u64(values.len() as u64) + 2 * runs;
+    let rle = (rle_floor <= delta && rle_floor < raw).then(|| counted(|c| write_rle(c, values)));
+    let best = match rle {
+        Some(rle) if rle <= delta && rle < raw => (TAG_RLE, rle),
+        _ if delta < raw => (TAG_DELTA, delta),
+        _ => (TAG_PLAIN, counted(|c| write_plain(c, values))),
+    };
+    if packed {
+        let bitpack = counted(|c| write_bitpack(c, values));
+        if bitpack < best.1 {
+            return (TAG_BITPACK, bitpack);
+        }
+    }
+    best
+}
+
+/// Encode `values` with the codec `tag` names ([`TAG_PLAIN`] for an
+/// unknown tag).
+pub fn encode_tagged(tag: u8, values: &[i64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_tagged(&mut out, tag, values);
+    out
+}
+
 /// Encode `values` as (value, run-length) pairs, zigzag-varint packed.
 pub fn rle_encode(values: &[i64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    varint::write_u64(&mut out, values.len() as u64);
-    let mut i = 0;
-    while i < values.len() {
-        let v = values[i];
-        let mut run = 1usize;
-        while i + run < values.len() && values[i + run] == v {
-            run += 1;
-        }
-        varint::write_i64(&mut out, v);
-        varint::write_u64(&mut out, run as u64);
-        i += run;
-    }
-    out
+    encode_tagged(TAG_RLE, values)
 }
 
 /// Decode an RLE stream produced by [`rle_encode`].
@@ -51,14 +165,7 @@ pub fn rle_decode(buf: &[u8]) -> Result<Vec<i64>> {
 
 /// Encode `values` as a first value plus zigzag-varint deltas.
 pub fn delta_encode(values: &[i64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    varint::write_u64(&mut out, values.len() as u64);
-    let mut prev = 0i64;
-    for &v in values {
-        varint::write_i64(&mut out, v.wrapping_sub(prev));
-        prev = v;
-    }
-    out
+    encode_tagged(TAG_DELTA, values)
 }
 
 /// Decode a delta stream produced by [`delta_encode`].
@@ -90,41 +197,7 @@ pub fn delta_decode(buf: &[u8]) -> Result<Vec<i64>> {
 /// Layout: `count` varint, `min` zigzag varint, `width` byte (0..=64),
 /// then `ceil(count * width / 8)` bytes of little-endian-packed offsets.
 pub fn bitpack_encode(values: &[i64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    varint::write_u64(&mut out, values.len() as u64);
-    if values.is_empty() {
-        varint::write_i64(&mut out, 0);
-        out.push(0);
-        return out;
-    }
-    let min = values.iter().copied().min().expect("non-empty");
-    // wrapping_sub keeps the full-range case (MIN..MAX) correct: the
-    // offset always fits u64 even when the i64 subtraction would overflow.
-    let max_diff = values
-        .iter()
-        .map(|&v| v.wrapping_sub(min) as u64)
-        .max()
-        .expect("non-empty");
-    let width = (64 - max_diff.leading_zeros()) as u8;
-    varint::write_i64(&mut out, min);
-    out.push(width);
-    if width == 0 {
-        return out;
-    }
-    let nbytes = (values.len() * width as usize).div_ceil(8);
-    let mut packed = vec![0u8; nbytes];
-    let mut bit = 0usize;
-    for &v in values {
-        let diff = v.wrapping_sub(min) as u64;
-        for k in 0..width as usize {
-            if diff >> k & 1 == 1 {
-                packed[(bit + k) / 8] |= 1 << ((bit + k) % 8);
-            }
-        }
-        bit += width as usize;
-    }
-    out.extend_from_slice(&packed);
-    out
+    encode_tagged(TAG_BITPACK, values)
 }
 
 /// Decode a stream produced by [`bitpack_encode`]. Never panics on
@@ -136,7 +209,7 @@ pub fn bitpack_decode(buf: &[u8]) -> Result<Vec<i64>> {
     let min = varint::read_i64(buf, &mut pos)?;
     let width =
         *buf.get(pos)
-            .ok_or_else(|| CodecError::Corrupt("bitpack width past end".into()))? as usize;
+            .ok_or_else(|| CodecError::Corrupt("bitpack width past end".into()))? as u32;
     pos += 1;
     if width > 64 {
         return Err(CodecError::Corrupt(format!("bitpack width {width} > 64")));
@@ -148,77 +221,50 @@ pub fn bitpack_decode(buf: &[u8]) -> Result<Vec<i64>> {
         return Ok(vec![min; n]);
     }
     let nbits = n
-        .checked_mul(width)
+        .checked_mul(width as usize)
         .ok_or_else(|| CodecError::Corrupt("bitpack length implausible".into()))?;
     let nbytes = nbits.div_ceil(8);
-    let packed = buf
-        .get(pos..pos + nbytes)
+    let packed = pos
+        .checked_add(nbytes)
+        .and_then(|end| buf.get(pos..end))
         .ok_or_else(|| CodecError::Corrupt("bitpack payload truncated".into()))?;
     if pos + nbytes != buf.len() {
         return Err(CodecError::Corrupt("trailing bytes after bitpack".into()));
     }
-    // Padding bits past the last value must be zero, so a flipped bit in
-    // the tail is caught here rather than silently ignored.
-    for k in nbits..nbytes * 8 {
-        if packed[k / 8] >> (k % 8) & 1 == 1 {
-            return Err(CodecError::Corrupt("bitpack padding bits set".into()));
-        }
+    // Padding bits past the last value (all in the final byte) must be
+    // zero, so a flipped bit in the tail is caught here rather than
+    // silently ignored.
+    if nbits % 8 != 0 && packed[nbytes - 1] >> (nbits % 8) != 0 {
+        return Err(CodecError::Corrupt("bitpack padding bits set".into()));
     }
+    let mask = u64::MAX >> (64 - width);
     let mut out = Vec::with_capacity(n);
-    let mut bit = 0usize;
+    // Words enter a 128-bit accumulator above the bits still unread;
+    // each value is the low `width` bits.
+    let mut acc = 0u128;
+    let mut have = 0u32;
+    let mut words = packed.chunks(8);
     for _ in 0..n {
-        let mut diff = 0u64;
-        for k in 0..width {
-            if packed[(bit + k) / 8] >> ((bit + k) % 8) & 1 == 1 {
-                diff |= 1 << k;
+        if have < width {
+            let mut word = [0u8; 8];
+            if let Some(chunk) = words.next() {
+                word[..chunk.len()].copy_from_slice(chunk);
             }
+            acc |= u128::from(u64::from_le_bytes(word)) << have;
+            have += 64;
         }
-        bit += width;
-        out.push(min.wrapping_add(diff as i64));
+        out.push(min.wrapping_add((acc as u64 & mask) as i64));
+        acc >>= width;
+        have -= width;
     }
     Ok(out)
 }
 
-/// Pick the better of RLE/delta/plain for `values` by trial encoding,
-/// returning `(tag, bytes)`. Tags: 0 = plain LE, 1 = RLE, 2 = delta.
-pub fn encode_best(values: &[i64]) -> (u8, Vec<u8>) {
-    let plain_len = values.len() * 8;
-    let rle = rle_encode(values);
-    let delta = delta_encode(values);
-    if rle.len() <= delta.len() && rle.len() < plain_len {
-        (1, rle)
-    } else if delta.len() < plain_len {
-        (2, delta)
-    } else {
-        let mut out = Vec::with_capacity(plain_len + 10);
-        varint::write_u64(&mut out, values.len() as u64);
-        for &v in values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        (0, out)
-    }
-}
-
-/// Like [`encode_best`] but with bit-packing (tag 3) in the running.
-///
-/// Kept separate from `encode_best` so the storage wire format and the
-/// serve protocol stay byte-identical frame-for-frame: only the edge
-/// codec ([`crate::edge`]) opts into the wider chooser.
-pub fn encode_best_packed(values: &[i64]) -> (u8, Vec<u8>) {
-    let (tag, bytes) = encode_best(values);
-    let packed = bitpack_encode(values);
-    if packed.len() < bytes.len() {
-        (3, packed)
-    } else {
-        (tag, bytes)
-    }
-}
-
-/// Decode a `(tag, bytes)` pair produced by [`encode_best`] or
-/// [`encode_best_packed`].
+/// Decode a `(tag, bytes)` pair: bytes from [`encode_tagged`] under the
+/// tag [`choose`] picked.
 pub fn decode_tagged(tag: u8, buf: &[u8]) -> Result<Vec<i64>> {
     match tag {
-        0 => {
+        TAG_PLAIN => {
             let mut pos = 0;
             let n = varint::read_u64(buf, &mut pos)? as usize;
             if n.checked_mul(8) != Some(buf.len() - pos) {
@@ -226,12 +272,12 @@ pub fn decode_tagged(tag: u8, buf: &[u8]) -> Result<Vec<i64>> {
             }
             Ok(buf[pos..]
                 .chunks_exact(8)
-                .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
+                .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")))
                 .collect())
         }
-        1 => rle_decode(buf),
-        2 => delta_decode(buf),
-        3 => bitpack_decode(buf),
+        TAG_RLE => rle_decode(buf),
+        TAG_DELTA => delta_decode(buf),
+        TAG_BITPACK => bitpack_decode(buf),
         other => Err(CodecError::Corrupt(format!(
             "unknown int codec tag {other}"
         ))),
@@ -287,15 +333,34 @@ mod tests {
     #[test]
     fn best_picks_rle_for_runs() {
         let values = vec![7i64; 1000];
-        let (tag, _) = encode_best(&values);
-        assert_eq!(tag, 1);
+        assert_eq!(choose(&values, false).0, TAG_RLE);
     }
 
     #[test]
     fn best_picks_delta_for_sequences() {
         let values: Vec<i64> = (0..1000).collect();
-        let (tag, _) = encode_best(&values);
-        assert_eq!(tag, 2);
+        assert_eq!(choose(&values, false).0, TAG_DELTA);
+    }
+
+    #[test]
+    fn ties_keep_the_earlier_codec() {
+        // RLE and delta both take 3 bytes: RLE wins the tie.
+        assert_eq!(choose(&[5, 5], false), (TAG_RLE, 3));
+        // Bit-packing ties RLE at 3 bytes: it must be strictly shorter.
+        assert_eq!(choose(&[7, 7, 7], true), (TAG_RLE, 3));
+    }
+
+    #[test]
+    fn best_picks_plain_for_wide_noise() {
+        let mut state = 1u64;
+        let values: Vec<i64> = (0..100)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                state as i64
+            })
+            .collect();
+        let (tag, len) = choose(&values, false);
+        assert_eq!((tag, len), (TAG_PLAIN, 1 + 8 * values.len()));
     }
 
     #[test]
@@ -306,8 +371,12 @@ mod tests {
             vec![i64::MIN, 5, i64::MAX, -9, 0],
             vec![],
         ] {
-            let (tag, bytes) = encode_best(&values);
-            assert_eq!(decode_tagged(tag, &bytes).unwrap(), values);
+            for packed in [false, true] {
+                let (tag, len) = choose(&values, packed);
+                let bytes = encode_tagged(tag, &values);
+                assert_eq!(bytes.len(), len, "tag {tag}");
+                assert_eq!(decode_tagged(tag, &bytes).unwrap(), values);
+            }
         }
     }
 
@@ -336,6 +405,42 @@ mod tests {
             vec![i64::MIN; 10],
         ] {
             assert_eq!(bitpack_decode(&bitpack_encode(&values)).unwrap(), values);
+        }
+    }
+
+    #[test]
+    fn bitpack_matches_per_bit_reference() {
+        // The word-at-a-time packer must lay bits out exactly like packing
+        // one bit at a time, at every width and every tail length.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for bits in 1..=64u32 {
+            for n in [1usize, 7, 8, 9, 63, 64, 65, 130] {
+                let values: Vec<i64> = (0..n)
+                    .map(|_| {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        (state >> (64 - bits)) as i64 - 3
+                    })
+                    .collect();
+                let enc = bitpack_encode(&values);
+                let min = *values.iter().min().unwrap();
+                let max = *values.iter().max().unwrap();
+                let width = 64 - (max.wrapping_sub(min) as u64).leading_zeros() as usize;
+                let mut reference = vec![0u8; (n * width).div_ceil(8)];
+                for (i, &v) in values.iter().enumerate() {
+                    let diff = v.wrapping_sub(min) as u64;
+                    for k in 0..width {
+                        if diff >> k & 1 == 1 {
+                            reference[(i * width + k) / 8] |= 1 << ((i * width + k) % 8);
+                        }
+                    }
+                }
+                assert_eq!(
+                    &enc[enc.len() - reference.len()..],
+                    &reference[..],
+                    "width {width} n {n}"
+                );
+                assert_eq!(bitpack_decode(&enc).unwrap(), values, "width {width} n {n}");
+            }
         }
     }
 
@@ -397,11 +502,12 @@ mod tests {
         // Noisy values in a small range: RLE useless, delta ~6 bits/value
         // after zigzag rounds up to a byte, bit-packing takes 5 bits.
         let values: Vec<i64> = (0..4096).map(|i| (i * 2654435761u64 as i64) % 31).collect();
-        let (tag, bytes) = encode_best_packed(&values);
-        assert_eq!(tag, 3, "bounded-noise column should bit-pack");
+        let (tag, len) = choose(&values, true);
+        assert_eq!(tag, TAG_BITPACK, "bounded-noise column should bit-pack");
+        let bytes = encode_tagged(tag, &values);
+        assert_eq!(bytes.len(), len);
         assert_eq!(decode_tagged(tag, &bytes).unwrap(), values);
-        // And the chooser never loses to encode_best.
-        let (_, best) = encode_best(&values);
-        assert!(bytes.len() <= best.len());
+        // And the packed chooser never loses to the unpacked one.
+        assert!(len <= choose(&values, false).1);
     }
 }

@@ -11,7 +11,6 @@
 //! - [`int`] — RLE, delta, and bit-packing codecs for integer columns
 //! - [`edge`] — the fabric-edge frame: per-edge batch encodings placed as
 //!   Compress/Decompress pipeline stages
-//! - [`dict`] — dictionary encoding for string columns
 //! - [`lz`] — a byte-level LZ77-style block compressor (LZ-lite)
 //! - [`checksum`] — CRC32 (the storage "decode/error-check" step)
 //! - [`crypto`] — ChaCha20 stream cipher (educational implementation)
@@ -20,13 +19,20 @@
 //!
 //! All codecs are deterministic and panic-free on untrusted input: decoders
 //! return [`CodecError`] instead.
+//!
+//! Every column writer (including the dictionary encoding for string
+//! columns) is written once, generic over a crate-private byte sink: a
+//! `Vec<u8>` stores the bytes, a counter only adds up their length. Codec
+//! choices and frame sizes ([`wire::wire_size`], [`edge::encoded_size`])
+//! are counted by the code that writes frames, without building them.
 
 pub mod checksum;
 pub mod crypto;
-pub mod dict;
+mod dict;
 pub mod edge;
 pub mod int;
 pub mod lz;
+mod sink;
 pub mod varint;
 pub mod wire;
 

@@ -18,9 +18,20 @@ use crate::{CodecError, Result};
 const MIN_MATCH: usize = 4;
 const HASH_BITS: u32 = 15;
 
+/// The 4-byte little-endian word at `at`.
 #[inline]
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+fn word4(input: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(input[at..at + 4].try_into().expect("four bytes"))
+}
+
+/// The 8-byte little-endian word at `at`.
+#[inline]
+fn word8(input: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(input[at..at + 8].try_into().expect("eight bytes"))
+}
+
+#[inline]
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
@@ -32,15 +43,22 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut pos = 0usize;
     let mut literal_start = 0usize;
     while pos + MIN_MATCH <= input.len() {
-        let h = hash4(&input[pos..]);
+        let v = word4(input, pos);
+        let h = hash4(v);
         let candidate = table[h];
         table[h] = pos;
-        if candidate != usize::MAX
-            && candidate < pos
-            && input[candidate..candidate + MIN_MATCH] == input[pos..pos + MIN_MATCH]
-        {
-            // Extend the match as far as it goes.
+        if candidate != usize::MAX && candidate < pos && word4(input, candidate) == v {
+            // Extend the match as far as it goes, eight bytes at a time:
+            // the first differing byte is the lowest set byte of the XOR.
             let mut len = MIN_MATCH;
+            while pos + len + 8 <= input.len() {
+                let diff = word8(input, candidate + len) ^ word8(input, pos + len);
+                if diff != 0 {
+                    len += diff.trailing_zeros() as usize / 8;
+                    break;
+                }
+                len += 8;
+            }
             while pos + len < input.len() && input[candidate + len] == input[pos + len] {
                 len += 1;
             }
@@ -91,14 +109,20 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>> {
         if distance == 0 || distance > out.len() {
             return Err(CodecError::Corrupt("match distance out of range".into()));
         }
-        // Overlapping copies are legal (distance < match_len): copy bytewise.
-        let start = out.len() - distance;
-        for i in 0..match_len {
-            let b = out[start + i];
-            out.push(b);
-        }
-        if out.len() > total {
+        // Bound the copy by the declared size before making it: the match
+        // length is untrusted and a checksum is no bound.
+        if out.len().saturating_add(match_len) > total {
             return Err(CodecError::Corrupt("output exceeds declared size".into()));
+        }
+        // Overlapping copies are legal (distance < match_len): the source
+        // window repeats with period `distance`, so copy from its start in
+        // chunks that double each round; a non-overlapping match is one copy.
+        let start = out.len() - distance;
+        let mut left = match_len;
+        while left > 0 {
+            let n = left.min(out.len() - start);
+            out.extend_from_within(start..start + n);
+            left -= n;
         }
     }
     if out.len() != total {
@@ -193,6 +217,36 @@ the quick brown fox jumps again and again and again"
         varint::write_u64(&mut bad, 8); // match of 8
         varint::write_u64(&mut bad, 3); // distance 3 with empty output
         assert!(decompress(&bad).is_err());
+    }
+
+    #[test]
+    fn match_past_declared_size_is_corrupt_before_copying() {
+        // Declared size 10, one literal, then a 2^40-byte match at
+        // distance 1: rejected without allocating the match.
+        let mut frame = Vec::new();
+        varint::write_u64(&mut frame, 10);
+        varint::write_u64(&mut frame, 1);
+        frame.push(b'x');
+        varint::write_u64(&mut frame, 1 << 40);
+        varint::write_u64(&mut frame, 1);
+        assert_eq!(frame.len(), 10);
+        assert!(matches!(decompress(&frame), Err(CodecError::Corrupt(_))));
+    }
+
+    #[test]
+    fn overlapping_matches_repeat_their_period() {
+        for period in 1..=9usize {
+            let mut data: Vec<u8> = (0..period as u8).map(|b| b.wrapping_mul(37)).collect();
+            for i in 0..500 {
+                data.push(data[i]);
+            }
+            data.extend_from_slice(b"tail");
+            assert_eq!(
+                decompress(&compress(&data)).unwrap(),
+                data,
+                "period {period}"
+            );
+        }
     }
 
     #[test]

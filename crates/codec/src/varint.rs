@@ -4,21 +4,41 @@
 use crate::{CodecError, Result};
 
 /// Append `value` as an unsigned LEB128 varint.
+#[inline]
 pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+    if value < 0x80 {
+        out.push(value as u8);
+        return;
     }
+    let mut bytes = [0u8; 10];
+    let mut n = 0;
+    while value >= 0x80 {
+        bytes[n] = (value as u8) | 0x80;
+        value >>= 7;
+        n += 1;
+    }
+    bytes[n] = value as u8;
+    out.extend_from_slice(&bytes[..=n]);
+}
+
+/// Bytes [`write_u64`] takes for `value`: one per started group of 7
+/// significant bits.
+#[inline]
+pub fn len_u64(value: u64) -> usize {
+    let bits = 64 - (value | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
 }
 
 /// Read an unsigned LEB128 varint from `buf` starting at `*pos`, advancing
 /// `*pos` past it.
+#[inline]
 pub fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
+    if let Some(&byte) = buf.get(*pos) {
+        if byte < 0x80 {
+            *pos += 1;
+            return Ok(u64::from(byte));
+        }
+    }
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {
@@ -54,11 +74,13 @@ pub fn unzigzag(v: u64) -> i64 {
 }
 
 /// Append a signed value as zigzag + varint.
+#[inline]
 pub fn write_i64(out: &mut Vec<u8>, value: i64) {
     write_u64(out, zigzag(value));
 }
 
 /// Read a zigzag-varint signed value.
+#[inline]
 pub fn read_i64(buf: &[u8], pos: &mut usize) -> Result<i64> {
     read_u64(buf, pos).map(unzigzag)
 }
@@ -94,6 +116,19 @@ mod tests {
             let mut pos = 0;
             assert_eq!(read_u64(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
+        }
+    }
+
+    #[test]
+    fn len_matches_written_bytes() {
+        let mut probes = vec![0u64, u64::MAX];
+        for shift in 0..64 {
+            probes.extend([(1u64 << shift) - 1, 1 << shift, (1 << shift) + 1]);
+        }
+        for v in probes {
+            let mut buf = Vec::new();
+            write_u64(&mut buf, v);
+            assert_eq!(len_u64(v), buf.len(), "{v}");
         }
     }
 

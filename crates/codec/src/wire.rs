@@ -10,7 +10,9 @@ use df_data::{Batch, Bitmap, Column, DataType, Field, Schema};
 
 use crate::checksum::crc32;
 use crate::crypto::{self, Key, Nonce};
-use crate::{dict, int, lz, varint};
+use crate::dict::{self, Dict};
+use crate::sink::{counted, put_le, Sink};
+use crate::{int, lz, varint};
 use crate::{CodecError, Result};
 
 const MAGIC: &[u8; 4] = b"DFW1";
@@ -62,13 +64,14 @@ fn dtype_from_tag(tag: u8) -> Result<DataType> {
     })
 }
 
-pub(crate) fn write_bitmap(out: &mut Vec<u8>, bitmap: &Bitmap) {
-    varint::write_u64(out, bitmap.len() as u64);
-    let mut bytes = vec![0u8; bitmap.len().div_ceil(8)];
-    for i in bitmap.iter_ones() {
-        bytes[i / 8] |= 1 << (i % 8);
-    }
-    out.extend_from_slice(&bytes);
+pub(crate) fn write_bitmap<S: Sink>(sink: &mut S, bitmap: &Bitmap) {
+    sink.put_varint(bitmap.len() as u64);
+    sink.put_with(bitmap.len().div_ceil(8), |dst| {
+        for (bytes, word) in dst.chunks_mut(8).zip(bitmap.words()) {
+            let n = bytes.len();
+            bytes.copy_from_slice(&word.to_le_bytes()[..n]);
+        }
+    });
 }
 
 pub(crate) fn read_bitmap(buf: &[u8], pos: &mut usize) -> Result<Bitmap> {
@@ -81,22 +84,25 @@ pub(crate) fn read_bitmap(buf: &[u8], pos: &mut usize) -> Result<Bitmap> {
         .get(*pos..end)
         .ok_or_else(|| CodecError::Corrupt("bitmap past end".into()))?;
     *pos = end;
-    let mut bitmap = Bitmap::zeros(len);
-    for i in 0..len {
-        if bytes[i / 8] >> (i % 8) & 1 == 1 {
-            bitmap.set(i);
-        }
-    }
-    Ok(bitmap)
+    let words = bytes
+        .chunks(8)
+        .map(|chunk| {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(word)
+        })
+        .collect();
+    // Padding bits past `len` are ignored.
+    Ok(Bitmap::from_words(words, len))
 }
 
-pub(crate) fn write_validity(out: &mut Vec<u8>, validity: Option<&Bitmap>) {
+pub(crate) fn write_validity<S: Sink>(sink: &mut S, validity: Option<&Bitmap>) {
     match validity {
         Some(v) => {
-            out.push(1);
-            write_bitmap(out, v);
+            sink.put(1);
+            write_bitmap(sink, v);
         }
-        None => out.push(0),
+        None => sink.put(0),
     }
 }
 
@@ -112,78 +118,96 @@ pub(crate) fn read_validity(buf: &[u8], pos: &mut usize) -> Result<Option<Bitmap
     }
 }
 
-/// Encode one column (without its schema entry).
-pub fn encode_column(out: &mut Vec<u8>, column: &Column) {
+/// Write one column (without its schema entry). `packed` puts
+/// bit-packing in the running for integer columns.
+pub(crate) fn write_column<S: Sink>(sink: &mut S, column: &Column, packed: bool) {
     match column {
         Column::Int64 { values, validity } => {
-            let (tag, bytes) = int::encode_best(values);
-            out.push(tag);
-            varint::write_bytes(out, &bytes);
-            write_validity(out, validity.as_ref());
+            let (tag, len) = int::choose(values, packed);
+            sink.put(tag);
+            sink.put_varint(len as u64);
+            sink.put_counted(len, |s| int::write_tagged(s, tag, values));
+            write_validity(sink, validity.as_ref());
         }
         Column::Float64 { values, validity } => {
-            varint::write_u64(out, values.len() as u64);
-            for v in values.iter() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            write_validity(out, validity.as_ref());
+            sink.put_varint(values.len() as u64);
+            put_le(sink, values, f64::to_le_bytes);
+            write_validity(sink, validity.as_ref());
         }
         Column::Utf8 {
             offsets,
             data,
             validity,
         } => {
-            // A sliced view keeps absolute offsets into a shared (possibly
-            // larger) data buffer; the wire carries only the view's bytes,
-            // with offsets rebased to start at 0.
-            let base = offsets.first().copied().unwrap_or(0);
-            let end = offsets.last().copied().unwrap_or(0);
-            let bytes = &data[base as usize..end as usize];
-            // Plain: delta-coded offsets (monotone) + raw bytes.
-            let mut plain = Vec::new();
-            let offs: Vec<i64> = offsets.iter().map(|&o| i64::from(o - base)).collect();
-            varint::write_bytes(&mut plain, &int::delta_encode(&offs));
-            varint::write_bytes(&mut plain, bytes);
-            // Dictionary alternative.
-            let n = offsets.len().saturating_sub(1);
-            let values: Vec<&str> = (0..n)
-                .map(|i| {
-                    let lo = offsets[i] as usize;
-                    let hi = offsets[i + 1] as usize;
-                    std::str::from_utf8(&data[lo..hi]).expect("valid utf8")
-                })
-                .collect();
-            let dicted = dict::dict_encode(&values);
-            if dicted.len() < plain.len() {
-                out.push(1);
-                varint::write_bytes(out, &dicted);
-            } else {
-                out.push(0);
-                out.extend_from_slice(&plain);
-            }
-            write_validity(out, validity.as_ref());
+            write_utf8(sink, offsets, data);
+            write_validity(sink, validity.as_ref());
         }
         Column::Bool { values, validity } => {
-            write_bitmap(out, values);
-            write_validity(out, validity.as_ref());
+            write_bitmap(sink, values);
+            write_validity(sink, validity.as_ref());
         }
     }
 }
 
-/// Encode one column like [`encode_column`] but with bit-packing (int
-/// codec tag 3) in the chooser for integer columns. Used by the
-/// fabric-edge codec ([`crate::edge`]); the storage/serve wire format
-/// keeps [`encode_column`] so its frames stay byte-identical.
-pub fn encode_column_packed(out: &mut Vec<u8>, column: &Column) {
-    match column {
-        Column::Int64 { values, validity } => {
-            let (tag, bytes) = int::encode_best_packed(values);
-            out.push(tag);
-            varint::write_bytes(out, &bytes);
-            write_validity(out, validity.as_ref());
-        }
-        other => encode_column(out, other),
+/// A Utf8 column's values: dictionary-coded (tag 1) if the dictionary
+/// stream is shorter than the whole plain block, else plain (tag 0).
+fn write_utf8<S: Sink>(sink: &mut S, offsets: &[u32], data: &[u8]) {
+    let plain = PlainUtf8::new(offsets, data);
+    let plain_len = counted(|c| plain.write(c));
+    let dict = Dict::build(offsets, data);
+    let dict_len = counted(|c| dict.write(c));
+    if dict_len < plain_len {
+        sink.put(1);
+        sink.put_varint(dict_len as u64);
+        sink.put_counted(dict_len, |s| dict.write(s));
+    } else {
+        sink.put(0);
+        sink.put_counted(plain_len, |s| plain.write(s));
     }
+}
+
+/// The plain Utf8 block: delta-coded offsets (monotone), then the raw
+/// bytes, each length-prefixed.
+struct PlainUtf8<'a> {
+    offsets: &'a [u32],
+    base: u32,
+    bytes: &'a [u8],
+    /// Length of the delta-coded offsets.
+    offsets_len: usize,
+}
+
+impl<'a> PlainUtf8<'a> {
+    fn new(offsets: &'a [u32], data: &'a [u8]) -> Self {
+        // A sliced view keeps absolute offsets into a shared (possibly
+        // larger) data buffer; the wire carries only the view's bytes,
+        // with offsets rebased to start at 0.
+        let base = offsets.first().copied().unwrap_or(0);
+        let end = offsets.last().copied().unwrap_or(0);
+        PlainUtf8 {
+            offsets,
+            base,
+            bytes: &data[base as usize..end as usize],
+            offsets_len: counted(|c| write_rebased(c, offsets, base)),
+        }
+    }
+
+    fn write<S: Sink>(&self, sink: &mut S) {
+        sink.put_varint(self.offsets_len as u64);
+        sink.put_counted(self.offsets_len, |s| {
+            write_rebased(s, self.offsets, self.base)
+        });
+        sink.put_varint(self.bytes.len() as u64);
+        sink.put_slice(self.bytes);
+    }
+}
+
+fn write_rebased<S: Sink>(sink: &mut S, offsets: &[u32], base: u32) {
+    int::write_delta(sink, offsets.iter().map(|&o| i64::from(o - base)));
+}
+
+/// Encode one column (without its schema entry).
+pub fn encode_column(out: &mut Vec<u8>, column: &Column) {
+    write_column(out, column, false);
 }
 
 /// Decode one column of the given type.
@@ -252,11 +276,7 @@ pub fn decode_column(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<Col
                         validity: None,
                     }
                 }
-                1 => {
-                    let bytes = varint::read_bytes(buf, pos)?;
-                    let values = dict::dict_decode(bytes)?;
-                    Column::from_strs(&values)
-                }
+                1 => dict::decode(varint::read_bytes(buf, pos)?)?,
                 other => return Err(CodecError::Corrupt(format!("bad utf8 tag {other}"))),
             };
             let validity = read_validity(buf, pos)?;
@@ -337,13 +357,32 @@ pub fn decode_scalar(buf: &[u8], pos: &mut usize) -> Result<df_data::Scalar> {
     })
 }
 
+fn write_schema<S: Sink>(sink: &mut S, schema: &Schema) {
+    sink.put_varint(schema.len() as u64);
+    for field in schema.fields() {
+        sink.put_varint(field.name.len() as u64);
+        sink.put_slice(field.name.as_bytes());
+        sink.put(dtype_tag(field.dtype));
+        sink.put(field.nullable as u8);
+    }
+}
+
 /// Serialize a schema (field names, types, nullability).
 pub fn encode_schema(out: &mut Vec<u8>, schema: &Schema) {
-    varint::write_u64(out, schema.len() as u64);
-    for field in schema.fields() {
-        varint::write_bytes(out, field.name.as_bytes());
-        out.push(dtype_tag(field.dtype));
-        out.push(field.nullable as u8);
+    write_schema(out, schema);
+}
+
+/// Write a batch payload: schema, row count, then every column as
+/// `column_writer` lays it out.
+pub(crate) fn write_payload<S: Sink>(
+    sink: &mut S,
+    batch: &Batch,
+    column_writer: impl Fn(&mut S, &Column),
+) {
+    write_schema(sink, batch.schema());
+    sink.put_varint(batch.rows() as u64);
+    for column in batch.columns() {
+        column_writer(sink, column);
     }
 }
 
@@ -381,11 +420,7 @@ pub fn decode_schema(buf: &[u8], pos: &mut usize) -> Result<Schema> {
 /// Serialize a batch to a wire frame.
 pub fn encode_batch(batch: &Batch, opts: &WireOptions) -> Vec<u8> {
     let mut payload = Vec::with_capacity(batch.byte_size() / 2 + 64);
-    encode_schema(&mut payload, batch.schema());
-    varint::write_u64(&mut payload, batch.rows() as u64);
-    for column in batch.columns() {
-        encode_column(&mut payload, column);
-    }
+    write_payload(&mut payload, batch, |s, c| write_column(s, c, false));
 
     let mut flags = 0u8;
     if opts.compress {
@@ -395,23 +430,26 @@ pub fn encode_batch(batch: &Batch, opts: &WireOptions) -> Vec<u8> {
             flags |= FLAG_COMPRESSED;
         }
     }
-    let mut nonce_counter = 0u64;
     if let Some((key, counter)) = &opts.encrypt {
         crypto::apply_keystream(key, &Nonce::from_counter(*counter), &mut payload);
         flags |= FLAG_ENCRYPTED;
-        nonce_counter = *counter;
     }
 
     let mut frame = Vec::with_capacity(payload.len() + 24);
-    frame.extend_from_slice(MAGIC);
-    frame.push(flags);
-    if flags & FLAG_ENCRYPTED != 0 {
-        varint::write_u64(&mut frame, nonce_counter);
-    }
-    varint::write_u64(&mut frame, payload.len() as u64);
+    write_header(&mut frame, flags, opts, payload.len());
     frame.extend_from_slice(&payload);
     frame.extend_from_slice(&crc32(&payload).to_le_bytes());
     frame
+}
+
+/// Magic, flags, the nonce counter when encrypted, and the payload length.
+fn write_header<S: Sink>(sink: &mut S, flags: u8, opts: &WireOptions, payload_len: usize) {
+    sink.put_slice(MAGIC);
+    sink.put(flags);
+    if let Some((_, counter)) = opts.encrypt {
+        sink.put_varint(counter);
+    }
+    sink.put_varint(payload_len as u64);
 }
 
 /// Deserialize a wire frame. `key` must be supplied iff the frame is
@@ -485,8 +523,17 @@ pub fn decode_batch(frame: &[u8], key: Option<&Key>) -> Result<Batch> {
 
 /// Encoded size of a batch under the given options — the number the
 /// movement ledger charges to a link when this stage's output crosses it.
+///
+/// Without compression nothing is built: a counter runs the writers
+/// [`encode_batch`] runs, for the payload and then the header (encryption
+/// keeps the length), plus the 4-byte CRC. Compression needs the real
+/// payload.
 pub fn wire_size(batch: &Batch, opts: &WireOptions) -> usize {
-    encode_batch(batch, opts).len()
+    if opts.compress {
+        return encode_batch(batch, opts).len();
+    }
+    let payload = counted(|c| write_payload(c, batch, |s, col| write_column(s, col, false)));
+    counted(|c| write_header(c, 0, opts, payload)) + payload + 4
 }
 
 #[cfg(test)]
@@ -595,6 +642,18 @@ mod tests {
             let decoded = decode_batch(&frame, None);
             assert!(matches!(decoded, Err(CodecError::ChecksumMismatch { .. })));
         }
+    }
+
+    #[test]
+    fn utf8_dict_must_be_strictly_shorter() {
+        // Dictionary and plain block both take 8 bytes: plain (tag 0) wins.
+        let mut out = Vec::new();
+        encode_column(&mut out, &Column::from_strs(&["a", "b"]));
+        assert_eq!(out[0], 0);
+        // One repeat more and the dictionary is shorter.
+        out.clear();
+        encode_column(&mut out, &Column::from_strs(&["a", "b", "a"]));
+        assert_eq!(out[0], 1);
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //! groups by their encoded key bytes, so results stay bit-identical across
 //! the scalar, vectorized, and fast-path code.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-use df_data::{Batch, Column, ColumnBuilder, DataType, Field, Scalar, Schema, SchemaRef, ValueRef};
+use df_data::hash::{hash_bytes, mix};
+use df_data::{
+    Batch, Column, ColumnBuilder, DataType, Field, FxHashMap, Scalar, Schema, SchemaRef, ValueRef,
+};
 
 use crate::error::{EngineError, Result};
 use crate::logical::{AggCall, AggFn};
@@ -101,30 +101,10 @@ pub fn partial_schema(group_by: &[String], aggs: &[AggCall], input: &Schema) -> 
 
 // ------------------------------------------------------------ hashing
 
-// FxHash-style mixing: fast, deterministic, and dependency-free. The group
-// table resolves equality on key *bytes*, so hash collisions only cost a
-// chain walk, never correctness.
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+// Group hashes use the in-tree Fx mixing. The group table resolves
+// equality on key *bytes*, so hash collisions only cost a chain walk,
+// never correctness.
 const HASH_INIT: u64 = 0x9e37_79b9_7f4a_7c15;
-
-#[inline]
-fn mix(h: u64, v: u64) -> u64 {
-    (h.rotate_left(5) ^ v).wrapping_mul(FX_SEED)
-}
-
-fn hash_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h = mix(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut buf = [0u8; 8];
-        buf[..rem.len()].copy_from_slice(rem);
-        h = mix(h, u64::from_le_bytes(buf));
-    }
-    mix(h, bytes.len() as u64)
-}
 
 /// Mix one group column into the per-row hash lane, column-at-a-time.
 ///
@@ -186,30 +166,6 @@ fn hash_column(col: &Column, hashes: &mut [u64]) {
     }
 }
 
-/// The hasher used for the group-index maps themselves (`u64 → group`,
-/// `i64 → group`). Integer writes take the single-multiply path.
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-impl Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        self.hash = hash_bytes(self.hash, bytes);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.hash = mix(self.hash, v);
-    }
-    fn write_i64(&mut self, v: i64) {
-        self.hash = mix(self.hash, v as u64);
-    }
-}
-
-type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
 // ------------------------------------------------------------ key encoding
 
 /// Append the key-byte encoding of one row value. Byte-compatible with the
@@ -267,7 +223,7 @@ const NO_GROUP: u32 = u32::MAX;
 /// the single fixed-width key fast path. Group ids are dense `0..len`.
 struct GroupTable {
     /// hash → first group id with that hash (generic path).
-    by_hash: HashMap<u64, u32, FxBuildHasher>,
+    by_hash: FxHashMap<u64, u32>,
     /// Per-group: next group id sharing the same hash, or `NO_GROUP`.
     chain: Vec<u32>,
     /// Arena of encoded key bytes for all groups, back to back.
@@ -275,7 +231,7 @@ struct GroupTable {
     /// Per-group `(start, len)` into `key_data`.
     key_spans: Vec<(u32, u32)>,
     /// value → group id (single-Int64-key fast path).
-    int_index: HashMap<i64, u32, FxBuildHasher>,
+    int_index: FxHashMap<i64, u32>,
     /// Group id of the NULL key in the fast path, or `NO_GROUP`.
     int_null: u32,
 }
@@ -283,11 +239,11 @@ struct GroupTable {
 impl GroupTable {
     fn new() -> GroupTable {
         GroupTable {
-            by_hash: HashMap::default(),
+            by_hash: FxHashMap::default(),
             chain: Vec::new(),
             key_data: Vec::new(),
             key_spans: Vec::new(),
-            int_index: HashMap::default(),
+            int_index: FxHashMap::default(),
             int_null: NO_GROUP,
         }
     }

@@ -49,6 +49,23 @@ impl Bitmap {
         Self::from_bools(&bits)
     }
 
+    /// Build from packed words in the layout [`Bitmap::words`] returns.
+    /// Bits past `len` are cleared. Panics unless there are exactly
+    /// `len.div_ceil(64)` words.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "word count for {len} bits");
+        let mut b = Bitmap { words, len };
+        b.mask_tail();
+        b
+    }
+
+    /// The packed words: bit `i` is bit `i % 64` of word `i / 64`, and
+    /// bits past [`Bitmap::len`] are zero.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of bits.
     #[inline]
     pub fn len(&self) -> usize {
@@ -350,5 +367,14 @@ mod tests {
         let b = Bitmap::from_iter(pattern.iter().copied());
         let back: Vec<bool> = b.iter().collect();
         assert_eq!(pattern, back);
+    }
+
+    #[test]
+    fn words_roundtrip_and_tail_is_cleared() {
+        let b = Bitmap::from_bools(&(0..70).map(|i| i % 3 == 0).collect::<Vec<_>>());
+        assert_eq!(Bitmap::from_words(b.words().to_vec(), 70), b);
+        let dirty = Bitmap::from_words(vec![u64::MAX, u64::MAX], 70);
+        assert_eq!(dirty, Bitmap::ones(70));
+        assert_eq!(dirty.words()[1], (1 << 6) - 1);
     }
 }

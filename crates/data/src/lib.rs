@@ -14,6 +14,7 @@
 //! - [`types`] — logical [`DataType`]s and [`Scalar`] values
 //! - [`bitmap`] — packed validity/selection bitmaps
 //! - [`buffer`] — `Arc`-shared value buffers with `(offset, len)` views
+//! - [`hash`] — the in-tree seed-stable Fx hasher and [`FxHashMap`]
 //! - [`mod@column`] — typed column vectors and builders
 //! - [`schema`] — fields and schemas
 //! - [`batch`] — record batches and selection/gather utilities
@@ -28,6 +29,7 @@ pub mod bitmap;
 pub mod buffer;
 pub mod column;
 pub mod error;
+pub mod hash;
 pub mod partition;
 pub mod rowpage;
 pub mod schema;
@@ -39,6 +41,7 @@ pub use bitmap::Bitmap;
 pub use buffer::Buffer;
 pub use column::{Column, ColumnBuilder};
 pub use error::{DataError, Result};
+pub use hash::FxHashMap;
 pub use partition::HashPartitioner;
 pub use rowpage::RowPage;
 pub use schema::{Field, Schema, SchemaRef};

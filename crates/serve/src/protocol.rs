@@ -109,30 +109,35 @@ fn take_u64(buf: &[u8], at: &mut usize) -> Result<u64> {
     Ok(v)
 }
 
-/// Serialize one frame to a writer.
+/// Serialize one frame to a writer in a single write: the length prefix
+/// and the payload share one buffer, so a frame never goes out as a
+/// small segment followed by the rest.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<()> {
-    let mut payload = vec![frame.kind()];
+    // The 4-byte length prefix is patched in once the payload is built.
+    let mut buf = vec![0u8; 4];
+    buf.push(frame.kind());
     match frame {
         Frame::Hello {
             tenant,
             weight,
             priority,
         } => {
-            put_str(&mut payload, tenant);
-            payload.extend_from_slice(&weight.to_le_bytes());
-            payload.push(*priority);
+            put_str(&mut buf, tenant);
+            buf.extend_from_slice(&weight.to_le_bytes());
+            buf.push(*priority);
         }
         Frame::HelloOk | Frame::Bye => {}
-        Frame::Query { sql } => put_str(&mut payload, sql),
-        Frame::Batch(bytes) => payload.extend_from_slice(bytes),
+        Frame::Query { sql } => put_str(&mut buf, sql),
+        Frame::Batch(bytes) => buf.extend_from_slice(bytes),
         Frame::Done { rows, credits } => {
-            payload.extend_from_slice(&rows.to_le_bytes());
-            payload.extend_from_slice(&credits.to_le_bytes());
+            buf.extend_from_slice(&rows.to_le_bytes());
+            buf.extend_from_slice(&credits.to_le_bytes());
         }
-        Frame::Error(msg) | Frame::Rejected(msg) => put_str(&mut payload, msg),
+        Frame::Error(msg) | Frame::Rejected(msg) => put_str(&mut buf, msg),
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
+    let len = (buf.len() - 4) as u32;
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    w.write_all(&buf)?;
     w.flush()?;
     Ok(())
 }
@@ -204,9 +209,8 @@ mod tests {
     use df_data::batch::batch_of;
     use df_data::Column;
 
-    #[test]
-    fn frames_round_trip() {
-        let frames = vec![
+    fn every_kind() -> Vec<Frame> {
+        vec![
             Frame::Hello {
                 tenant: "alice".into(),
                 weight: 4,
@@ -224,7 +228,12 @@ mod tests {
             Frame::Error("boom".into()),
             Frame::Rejected("too big".into()),
             Frame::Bye,
-        ];
+        ]
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        let frames = every_kind();
         let mut buf = Vec::new();
         for f in &frames {
             write_frame(&mut buf, f).unwrap();
@@ -237,6 +246,35 @@ mod tests {
             read_frame(&mut cursor),
             Err(ServeError::Disconnected)
         ));
+    }
+
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        for frame in every_kind() {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &frame).unwrap();
+            assert_eq!(w.writes, 1, "{frame:?}");
+            let mut cursor = std::io::Cursor::new(w.bytes);
+            assert_eq!(read_frame(&mut cursor).unwrap(), frame);
+        }
     }
 
     #[test]

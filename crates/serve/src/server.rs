@@ -91,8 +91,16 @@ pub fn serve(service: Arc<QueryService>, port: u16) -> Result<ServerHandle> {
     })
 }
 
+/// Turn off Nagle's algorithm on a session socket. Every frame is one
+/// write, so nothing is gained by coalescing, and a small reply held back
+/// until the peer's delayed ACK stalls the query by tens of milliseconds.
+fn no_delay(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nodelay(true)
+}
+
 /// One session: Hello handshake, then a query loop until Bye/disconnect.
 fn handle_connection(stream: TcpStream, service: Arc<QueryService>) -> Result<()> {
+    no_delay(&stream)?;
     let mut writer = stream.try_clone()?;
     let reader_stream = stream.try_clone()?;
     // The cancel token of the query currently executing on this session,
@@ -240,6 +248,7 @@ impl Client {
     /// Connect and perform the Hello handshake.
     pub fn connect(addr: SocketAddr, spec: &TenantSpec) -> Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        no_delay(&stream)?;
         let writer = stream.try_clone()?;
         let mut client = Client {
             reader: BufReader::new(stream),
@@ -300,6 +309,19 @@ mod tests {
     use df_core::session::Session;
     use df_data::batch::batch_of;
     use df_data::{Column, Scalar};
+
+    #[test]
+    fn session_sockets_disable_nagle() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        for stream in [&client, &server] {
+            no_delay(stream).unwrap();
+            assert!(stream.nodelay().unwrap());
+            // The session's reader and writer clones share the option.
+            assert!(stream.try_clone().unwrap().nodelay().unwrap());
+        }
+    }
 
     fn service() -> Arc<QueryService> {
         let session = Session::in_memory().unwrap();

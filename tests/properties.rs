@@ -9,12 +9,12 @@
 //! replay first).
 
 use rheo::check::{check, Gen};
-use rheo::codec::wire::{decode_batch, encode_batch, WireOptions};
+use rheo::codec::wire::{decode_batch, encode_batch, wire_size, WireOptions};
 use rheo::codec::{crypto, int, lz};
 use rheo::core::kernel::Program;
 use rheo::data::batch::batch_of;
 use rheo::data::sort::{is_sorted, sort_batch, SortKey};
-use rheo::data::{Batch, Column, HashPartitioner, RowPage, Scalar};
+use rheo::data::{Batch, Column, DataType, Field, HashPartitioner, RowPage, Scalar, Schema};
 use rheo::fabric::coherence::{CoherenceConfig, CoherenceSim, Mode};
 use rheo::fabric::flow::{FlowSim, PipelineSpec, StageSpec};
 use rheo::fabric::topology::{DisaggregatedConfig, Topology};
@@ -53,6 +53,43 @@ fn arb_batch(g: &mut Gen, max_rows: usize) -> Batch {
         ("s", Column::from_strs(&strings)),
         ("b", Column::from_bools(&bools)),
     ])
+}
+
+/// [`arb_batch`] plus the columns that drive every codec choice: a
+/// low-cardinality Utf8 column (up to 200 distinct values, so dictionary
+/// codes reach two bytes) and an Int64 column drawn run-heavy, ascending
+/// or narrow-range (RLE, delta and bit-packing each win somewhere).
+fn arb_codec_batch(g: &mut Gen, max_rows: usize) -> Batch {
+    let batch = arb_batch(g, max_rows);
+    let rows = batch.rows();
+    let distinct = g.usize_in(1, 200);
+    let labels = g.vec_of(rows, |g| format!("v{}", g.usize_in(0, distinct - 1)));
+    let ints: Vec<i64> = match g.usize_in(0, 2) {
+        0 => {
+            let run = g.usize_in(1, 40);
+            let values = g.vec_of(rows.div_ceil(run), |g| g.i64_in(-5, 5));
+            (0..rows).map(|i| values[i / run]).collect()
+        }
+        1 => {
+            let mut v = g.i64();
+            g.vec_of(rows, |g| {
+                v = v.wrapping_add(g.i64_in(0, 300));
+                v
+            })
+        }
+        _ => {
+            let lo = g.i64();
+            let span = g.i64_in(0, 1 << 12);
+            g.vec_of(rows, |g| lo.wrapping_add(g.i64_in(0, span)))
+        }
+    };
+    let mut columns = batch.columns().to_vec();
+    columns.push(Column::from_strs(&labels));
+    columns.push(Column::from_i64(ints));
+    let mut fields = batch.schema().fields().to_vec();
+    fields.push(Field::new("label", DataType::Utf8));
+    fields.push(Field::new("shaped", DataType::Int64));
+    Batch::new(Schema::new(fields).into_ref(), columns).unwrap()
 }
 
 // ------------------------------------------------------ zero-copy views
@@ -161,7 +198,7 @@ fn gather_from_view_matches_deep_copy() {
 #[test]
 fn wire_roundtrip_any_batch() {
     check("wire_roundtrip_any_batch", 64, |g| {
-        let batch = arb_batch(g, 200);
+        let batch = arb_codec_batch(g, 200);
         let compress = g.bool();
         let encrypt = g.bool();
         let key = crypto::Key::from_seed(7);
@@ -170,6 +207,7 @@ fn wire_roundtrip_any_batch() {
             encrypt: encrypt.then_some((key, 3)),
         };
         let frame = encode_batch(&batch, &opts);
+        assert_eq!(wire_size(&batch, &opts), frame.len(), "counted frame size");
         let back = decode_batch(&frame, encrypt.then_some(&key)).unwrap();
         assert_eq!(batch.canonical_rows(), back.canonical_rows());
         // A zero-copy view must serialize identically to the rows it shows:
@@ -178,6 +216,11 @@ fn wire_roundtrip_any_batch() {
         let len = g.usize_in(0, batch.rows() - offset);
         let view = batch.slice(offset, len);
         let view_frame = encode_batch(&view, &opts);
+        assert_eq!(
+            wire_size(&view, &opts),
+            view_frame.len(),
+            "counted view size"
+        );
         let view_back = decode_batch(&view_frame, encrypt.then_some(&key)).unwrap();
         assert_eq!(view.canonical_rows(), view_back.canonical_rows());
     });
@@ -187,7 +230,7 @@ fn wire_roundtrip_any_batch() {
 fn edge_frames_roundtrip_bit_identically() {
     use rheo::codec::edge::{self, EdgeEncoding};
     check("edge_frames_roundtrip_bit_identically", 64, |g| {
-        let batch = arb_batch(g, 200);
+        let batch = arb_codec_batch(g, 200);
         // A zero-copy slice exercises non-zero Utf8 view offsets and
         // partial null bitmaps; len 0 exercises the empty frame.
         let offset = g.usize_in(0, batch.rows());
@@ -286,6 +329,115 @@ fn codec_edge_ledger_charges_exact_frame_sizes() {
     });
 }
 
+/// A fixed corpus covering every codec branch: hash partitions of the
+/// exchange join's fact table, the dimension table, 8192-row telemetry
+/// views, a batch of nulls, bools, i64 extremes, runs and 200 distinct
+/// strings (2-byte dict codes), and empty and one-row views.
+fn codec_corpus() -> Vec<Batch> {
+    use rheo::bench::workload;
+    use rheo::core::scaleout::SHUFFLE_SEED;
+    let lineitem = workload::lineitem(12_000, 1);
+    let mut corpus = HashPartitioner::with_seed(vec!["l_orderkey".into()], 4, SHUFFLE_SEED)
+        .unwrap()
+        .partition(&lineitem)
+        .unwrap();
+    corpus.push(workload::orders(3000, 1));
+    corpus.extend(workload::telemetry(3 * 8192, 64, 1).split(8192).unwrap());
+    let rows = 700;
+    let extremes = [i64::MIN, i64::MAX, 0, -1, 1, i64::MIN + 1, i64::MAX - 1];
+    let odd = batch_of(vec![
+        (
+            "extreme",
+            Column::from_opt_i64(
+                &(0..rows)
+                    .map(|i| (i % 5 != 0).then_some(extremes[i % extremes.len()]))
+                    .collect::<Vec<_>>(),
+            ),
+        ),
+        (
+            "run",
+            Column::from_i64((0..rows).map(|i| (i / 60) as i64 - 3).collect()),
+        ),
+        (
+            "narrow",
+            Column::from_i64((0..rows).map(|i| (i * 7919 % 29) as i64).collect()),
+        ),
+        (
+            "ascending",
+            Column::from_i64((0..rows).map(|i| 1_000_000 + 3 * i as i64).collect()),
+        ),
+        (
+            "key",
+            Column::from_opt_strs(
+                &(0..rows)
+                    .map(|i| {
+                        let k = i * 37 % 200;
+                        (i % 11 != 0).then(|| format!("{}{k}", ["k", "key-", "ключ"][k % 3]))
+                    })
+                    .collect::<Vec<_>>()
+                    .iter()
+                    .map(Option::as_deref)
+                    .collect::<Vec<_>>(),
+            ),
+        ),
+        (
+            "x",
+            Column::from_opt_f64(
+                &(0..rows)
+                    .map(|i| (i % 3 != 0).then_some(i as f64 * -0.75))
+                    .collect::<Vec<_>>(),
+            ),
+        ),
+        (
+            "flag",
+            Column::from_bools(&(0..rows).map(|i| i % 3 == 1).collect::<Vec<_>>()),
+        ),
+    ]);
+    corpus.push(odd.slice(13, rows - 20));
+    corpus.push(odd);
+    corpus.push(lineitem.slice(100, 0));
+    corpus.push(lineitem.slice(77, 1));
+    corpus
+}
+
+/// 64-bit FNV-1a, folded over every frame in turn.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn codec_frames_match_parent_digest() {
+    use rheo::codec::edge::{self, EdgeEncoding};
+    let key = crypto::Key::from_seed(11);
+    let wire_opts = [
+        WireOptions::plain(),
+        WireOptions::compressed(),
+        WireOptions {
+            compress: true,
+            encrypt: Some((key, 5)),
+        },
+    ];
+    let mut total = 0usize;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for batch in codec_corpus() {
+        for opts in &wire_opts {
+            let frame = encode_batch(&batch, opts);
+            total += frame.len();
+            digest = fnv1a(digest, &frame);
+        }
+        for encoding in EdgeEncoding::ALL {
+            let frame = edge::encode(&batch, encoding);
+            total += frame.len();
+            digest = fnv1a(digest, &frame);
+        }
+    }
+    // Pinned at the commit before the counting encoder and word-at-a-time
+    // kernels: every frame byte must stay identical.
+    assert_eq!((total, digest), (6_579_717, 14_920_649_991_020_434_162));
+}
+
 #[test]
 fn int_codecs_roundtrip() {
     check("int_codecs_roundtrip", 64, |g| {
@@ -299,7 +451,9 @@ fn int_codecs_roundtrip() {
             &int::delta_decode(&int::delta_encode(&values)).unwrap(),
             &values
         );
-        let (tag, bytes) = int::encode_best(&values);
+        let (tag, len) = int::choose(&values, g.bool());
+        let bytes = int::encode_tagged(tag, &values);
+        assert_eq!(bytes.len(), len, "counted length of tag {tag}");
         assert_eq!(&int::decode_tagged(tag, &bytes).unwrap(), &values);
     });
 }
