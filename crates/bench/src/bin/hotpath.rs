@@ -7,7 +7,7 @@
 //! cargo run -p df-bench --release --bin hotpath -- --out BENCH_hotpath.json
 //! ```
 //!
-//! Five measurements:
+//! Six measurements:
 //!
 //! * `split`: chopping a ~36 MB batch into 4096-row morsels. Asserts (via
 //!   pointer identity into the parent allocation) that no data buffer is
@@ -17,6 +17,11 @@
 //!   against an in-bench reimplementation of the row-at-a-time scalar
 //!   aggregation the operator replaced (per-row `Vec<Scalar>` + `Vec<u8>`
 //!   key allocation). The speedup ratio is part of the JSON output.
+//! * `join`: `HashJoinOp` on one E5 host's share (25k `orders` rows built,
+//!   100k `lineitem` rows probed, 6250-row batches) against an in-bench
+//!   reimplementation of the row-at-a-time join it replaced: a per-row
+//!   `Vec<u8>` key in a std `HashMap`, output built through `scalar_at`
+//!   and `ColumnBuilder`. Full runs assert at least a 1.5x speedup.
 //! * `parallel`: the E1 filter+aggregate plan single-threaded vs fanned
 //!   out over a gather exchange at increasing worker counts. Full runs on
 //!   hosts with two or more cores assert that 2 workers beat 1 thread by
@@ -39,11 +44,11 @@ use df_codec::wire::{self, WireOptions};
 use df_core::exec::push::{execute, CodecPolicy, ExecEnv};
 use df_core::expr::{col, lit};
 use df_core::logical::{AggCall, AggFn, LogicalPlan};
-use df_core::ops::{AggMode, HashAggOp, Operator};
+use df_core::ops::{AggMode, HashAggOp, HashJoinOp, Operator};
 use df_core::physical::{PhysNode, PhysicalPlan};
 use df_core::pipeline::{PipelineGraph, DEFAULT_QUEUE_CAPACITY};
 use df_core::scaleout::fan_out;
-use df_data::{Batch, Bitmap, Column, Scalar};
+use df_data::{Batch, Bitmap, Column, ColumnBuilder, Scalar, SchemaRef};
 use df_fabric::flow::FlowSim;
 use df_fabric::link::LinkTech;
 use df_fabric::topology::{DisaggregatedConfig, Topology};
@@ -153,6 +158,75 @@ fn vectorized_agg(batches: &[Batch], schema: &df_data::SchemaRef) -> usize {
         op.push(batch.clone()).expect("push");
     }
     op.finish().expect("finish").iter().map(Batch::rows).sum()
+}
+
+/// The pre-vectorization hash join, reproduced as the baseline: every
+/// build and probe row allocates a `Vec<u8>` key, the table maps key bytes
+/// to `(batch, row)` lists, and build columns are assembled row by row
+/// through `scalar_at` and a `ColumnBuilder`. Joins column 0 of `build`
+/// with column 0 of `probe`; returns the output row count.
+fn rowwise_join(build: &[Batch], probe: &[Batch], schema: &SchemaRef) -> usize {
+    let key = |col: &Column, row: usize| {
+        let s = col.scalar_at(row);
+        (!s.is_null()).then(|| rowwise_key_bytes(&[s]))
+    };
+    let mut table: HashMap<Vec<u8>, Vec<(u32, u32)>> = HashMap::new();
+    for (bb, batch) in build.iter().enumerate() {
+        for row in 0..batch.rows() {
+            if let Some(k) = key(batch.column(0), row) {
+                table.entry(k).or_default().push((bb as u32, row as u32));
+            }
+        }
+    }
+    let nleft = build[0].schema().len();
+    let mut out_rows = 0;
+    for batch in probe {
+        let mut matches: Vec<(u32, u32, usize)> = Vec::new();
+        for row in 0..batch.rows() {
+            if let Some(hits) = key(batch.column(0), row).and_then(|k| table.get(&k)) {
+                matches.extend(hits.iter().map(|&(bb, br)| (bb, br, row)));
+            }
+        }
+        if matches.is_empty() {
+            continue;
+        }
+        let mut columns = Vec::with_capacity(schema.len());
+        for li in 0..nleft {
+            let mut b = ColumnBuilder::new(schema.field(li).dtype, matches.len());
+            for &(bb, br, _) in &matches {
+                b.push(build[bb as usize].column(li).scalar_at(br as usize))
+                    .expect("build column type");
+            }
+            columns.push(b.finish());
+        }
+        let probe_rows: Vec<usize> = matches.iter().map(|&(_, _, pr)| pr).collect();
+        columns.extend(batch.gather(&probe_rows).columns().iter().cloned());
+        out_rows += Batch::new(schema.clone(), columns)
+            .expect("join batch")
+            .rows();
+    }
+    out_rows
+}
+
+fn vectorized_join(build: &[Batch], probe: &[Batch], schema: &SchemaRef) -> usize {
+    let on = vec![(
+        build[0].schema().field(0).name.clone(),
+        probe[0].schema().field(0).name.clone(),
+    )];
+    let mut op = HashJoinOp::new(on, build[0].schema().clone(), schema.clone());
+    for batch in build {
+        op.build(batch.clone()).expect("build");
+    }
+    let mut out_rows = 0;
+    for batch in probe {
+        out_rows += op
+            .push(batch.clone())
+            .expect("probe")
+            .iter()
+            .map(Batch::rows)
+            .sum::<usize>();
+    }
+    out_rows
 }
 
 /// The log-analytics shuffle: the telemetry stream filtered at the
@@ -265,6 +339,43 @@ fn main() {
     report(&mut cases, "hash_agg/vectorized_int_key", vec_stats);
     report(&mut cases, "hash_agg/rowwise_baseline", row_stats);
     println!("hash_agg speedup vs rowwise baseline: {agg_speedup:.2}x");
+
+    // -- join: one E5 host's share, orders built and lineitem probed on
+    //    the Int64 order key, 6250-row batches on both sides.
+    let (orders_rows, lineitem_rows) = if smoke {
+        (6_250, 25_000)
+    } else {
+        (25_000, 100_000)
+    };
+    let orders = workload::orders(orders_rows, 42);
+    let lineitem = workload::lineitem(lineitem_rows, 42);
+    let join_schema = LogicalPlan::values(vec![orders.clone()])
+        .expect("values plan")
+        .join(
+            LogicalPlan::values(vec![lineitem.clone()]).expect("values plan"),
+            vec![("o_orderkey", "l_orderkey")],
+        )
+        .expect("join plan")
+        .schema();
+    let build_batches = orders.split(6250).expect("split");
+    let probe_batches = lineitem.split(6250).expect("split");
+    let joined = vectorized_join(&build_batches, &probe_batches, &join_schema);
+    assert_eq!(joined, lineitem_rows, "every lineitem row has one order");
+    assert_eq!(
+        rowwise_join(&build_batches, &probe_batches, &join_schema),
+        joined,
+        "baseline and vectorized join disagree on row count"
+    );
+    let vec_stats = time(iters, || {
+        vectorized_join(&build_batches, &probe_batches, &join_schema)
+    });
+    let row_stats = time(iters, || {
+        rowwise_join(&build_batches, &probe_batches, &join_schema)
+    });
+    let join_speedup = row_stats.min / vec_stats.min;
+    report(&mut cases, "join/vectorized_int_key", vec_stats);
+    report(&mut cases, "join/rowwise_baseline", row_stats);
+    println!("hash_join speedup vs rowwise baseline: {join_speedup:.2}x");
 
     // -- parallel: E1's plan, push single-threaded vs fanned out over a
     //    gather exchange.
@@ -462,6 +573,9 @@ fn main() {
         "  \"hash_agg_speedup_vs_rowwise\": {agg_speedup:.3},\n"
     ));
     json.push_str(&format!(
+        "  \"hash_join_speedup_vs_rowwise\": {join_speedup:.3},\n"
+    ));
+    json.push_str(&format!(
         "  \"parallel_best_speedup_vs_1t\": {parallel_speedup:.3},\n"
     ));
     json.push_str("  \"codec\": {\n");
@@ -515,6 +629,11 @@ fn main() {
             agg_speedup >= 3.0,
             "vectorized hash aggregation must be >=3x over the row-wise \
              baseline (got {agg_speedup:.2}x)"
+        );
+        assert!(
+            join_speedup >= 1.5,
+            "the vectorized hash join must be >=1.5x over the row-wise \
+             baseline (got {join_speedup:.2}x)"
         );
     }
     if !smoke {

@@ -8,9 +8,10 @@
 //! sum+count partials, which is why partial output schemas differ from
 //! final ones (see [`partial_schema`]).
 //!
-//! The group table is vectorized: group hashes are computed column-at-a-time
-//! into a scratch buffer reused across pushes, encoded key bytes live in one
-//! arena (not a `Vec<u8>` per row), and accumulators sit in a flat strided
+//! The group table is the key table shared with the hash join
+//! (`ops::keys`): group hashes are computed column-at-a-time into a
+//! scratch buffer reused across pushes, encoded key bytes live in one arena
+//! (not a `Vec<u8>` per row), and accumulators sit in a flat strided
 //! vector. A single fixed-width `Int64` group key bypasses key encoding
 //! entirely and probes an `i64 → group` index directly. Steady-state `push`
 //! (all groups already present) performs no per-row heap allocation.
@@ -19,13 +20,11 @@
 //! groups by their encoded key bytes, so results stay bit-identical across
 //! the scalar, vectorized, and fast-path code.
 
-use df_data::hash::{hash_bytes, mix};
-use df_data::{
-    Batch, Column, ColumnBuilder, DataType, Field, FxHashMap, Scalar, Schema, SchemaRef, ValueRef,
-};
+use df_data::{Batch, Column, ColumnBuilder, DataType, Field, Scalar, Schema, SchemaRef, ValueRef};
 
 use crate::error::{EngineError, Result};
 use crate::logical::{AggCall, AggFn};
+use crate::ops::keys::{decode_key_scalar, encode_key_value, hash_column, GroupTable, HASH_INIT};
 use crate::ops::Operator;
 
 /// Operating mode of the hash aggregate.
@@ -97,224 +96,6 @@ pub fn partial_schema(group_by: &[String], aggs: &[AggCall], input: &Schema) -> 
         }
     }
     Ok(Schema::new(fields))
-}
-
-// ------------------------------------------------------------ hashing
-
-// Group hashes use the in-tree Fx mixing. The group table resolves
-// equality on key *bytes*, so hash collisions only cost a chain walk,
-// never correctness.
-const HASH_INIT: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// Mix one group column into the per-row hash lane, column-at-a-time.
-///
-/// The mixed-in values mirror the key-byte encoding (tag, then payload), so
-/// rows with equal key bytes always land in the same hash bucket.
-fn hash_column(col: &Column, hashes: &mut [u64]) {
-    match col {
-        Column::Int64 { values, validity } => match validity {
-            None => {
-                for (h, &v) in hashes.iter_mut().zip(values.iter()) {
-                    *h = mix(mix(*h, 1), v as u64);
-                }
-            }
-            Some(valid) => {
-                for (i, h) in hashes.iter_mut().enumerate() {
-                    *h = if valid.get(i) {
-                        mix(mix(*h, 1), values[i] as u64)
-                    } else {
-                        mix(*h, 0)
-                    };
-                }
-            }
-        },
-        Column::Float64 { values, validity } => match validity {
-            None => {
-                for (h, &v) in hashes.iter_mut().zip(values.iter()) {
-                    *h = mix(mix(*h, 2), v.to_bits());
-                }
-            }
-            Some(valid) => {
-                for (i, h) in hashes.iter_mut().enumerate() {
-                    *h = if valid.get(i) {
-                        mix(mix(*h, 2), values[i].to_bits())
-                    } else {
-                        mix(*h, 0)
-                    };
-                }
-            }
-        },
-        Column::Utf8 { .. } => {
-            for (i, h) in hashes.iter_mut().enumerate() {
-                *h = if col.is_null(i) {
-                    mix(*h, 0)
-                } else {
-                    hash_bytes(mix(*h, 3), col.str_at(i).as_bytes())
-                };
-            }
-        }
-        Column::Bool { values, validity } => {
-            for (i, h) in hashes.iter_mut().enumerate() {
-                let null = validity.as_ref().is_some_and(|v| !v.get(i));
-                *h = if null {
-                    mix(*h, 0)
-                } else {
-                    mix(mix(*h, 4), values.get(i) as u64)
-                };
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------------ key encoding
-
-/// Append the key-byte encoding of one row value. Byte-compatible with the
-/// original per-row `key_bytes(&[Scalar])` encoding: drain sorts groups by
-/// these bytes, so keeping the encoding stable keeps output order stable.
-fn encode_key_value(key: &mut Vec<u8>, col: &Column, row: usize) {
-    match col.value_at(row) {
-        ValueRef::Null => key.push(0),
-        ValueRef::Int(v) => {
-            key.push(1);
-            key.extend_from_slice(&v.to_le_bytes());
-        }
-        ValueRef::Float(v) => {
-            key.push(2);
-            key.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        ValueRef::Str(s) => {
-            key.push(3);
-            key.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            key.extend_from_slice(s.as_bytes());
-        }
-        ValueRef::Bool(v) => key.extend_from_slice(&[4, v as u8]),
-    }
-}
-
-/// Decode one scalar from encoded key bytes; returns the value and how many
-/// bytes it consumed.
-fn decode_key_scalar(bytes: &[u8]) -> (Scalar, usize) {
-    match bytes[0] {
-        0 => (Scalar::Null, 1),
-        1 => {
-            let v = i64::from_le_bytes(bytes[1..9].try_into().expect("int key payload"));
-            (Scalar::Int(v), 9)
-        }
-        2 => {
-            let v = u64::from_le_bytes(bytes[1..9].try_into().expect("float key payload"));
-            (Scalar::Float(f64::from_bits(v)), 9)
-        }
-        3 => {
-            let len = u32::from_le_bytes(bytes[1..5].try_into().expect("str key len")) as usize;
-            let s = std::str::from_utf8(&bytes[5..5 + len]).expect("key arena holds valid utf8");
-            (Scalar::Str(s.to_string()), 5 + len)
-        }
-        4 => (Scalar::Bool(bytes[1] != 0), 2),
-        other => unreachable!("bad key tag {other}"),
-    }
-}
-
-// ------------------------------------------------------------ group table
-
-const NO_GROUP: u32 = u32::MAX;
-
-/// The vectorized group index: an arena of encoded key bytes, a `hash →
-/// chain head` map for the generic path, and a direct `i64 → group` map for
-/// the single fixed-width key fast path. Group ids are dense `0..len`.
-struct GroupTable {
-    /// hash → first group id with that hash (generic path).
-    by_hash: FxHashMap<u64, u32>,
-    /// Per-group: next group id sharing the same hash, or `NO_GROUP`.
-    chain: Vec<u32>,
-    /// Arena of encoded key bytes for all groups, back to back.
-    key_data: Vec<u8>,
-    /// Per-group `(start, len)` into `key_data`.
-    key_spans: Vec<(u32, u32)>,
-    /// value → group id (single-Int64-key fast path).
-    int_index: FxHashMap<i64, u32>,
-    /// Group id of the NULL key in the fast path, or `NO_GROUP`.
-    int_null: u32,
-}
-
-impl GroupTable {
-    fn new() -> GroupTable {
-        GroupTable {
-            by_hash: FxHashMap::default(),
-            chain: Vec::new(),
-            key_data: Vec::new(),
-            key_spans: Vec::new(),
-            int_index: FxHashMap::default(),
-            int_null: NO_GROUP,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.key_spans.len()
-    }
-
-    /// The encoded key bytes of group `gi`.
-    fn key(&self, gi: u32) -> &[u8] {
-        let (start, len) = self.key_spans[gi as usize];
-        &self.key_data[start as usize..(start + len) as usize]
-    }
-
-    fn find(&self, hash: u64, key: &[u8]) -> Option<u32> {
-        let mut gi = self.by_hash.get(&hash).copied().unwrap_or(NO_GROUP);
-        while gi != NO_GROUP {
-            if self.key(gi) == key {
-                return Some(gi);
-            }
-            gi = self.chain[gi as usize];
-        }
-        None
-    }
-
-    fn insert(&mut self, hash: u64, key: &[u8]) -> u32 {
-        let gi = self.key_spans.len() as u32;
-        self.key_spans
-            .push((self.key_data.len() as u32, key.len() as u32));
-        self.key_data.extend_from_slice(key);
-        let head = self.by_hash.insert(hash, gi).unwrap_or(NO_GROUP);
-        self.chain.push(head);
-        gi
-    }
-
-    fn find_int(&self, value: Option<i64>) -> Option<u32> {
-        let gi = match value {
-            Some(v) => self.int_index.get(&v).copied().unwrap_or(NO_GROUP),
-            None => self.int_null,
-        };
-        (gi != NO_GROUP).then_some(gi)
-    }
-
-    fn insert_int(&mut self, value: Option<i64>) -> u32 {
-        let gi = self.key_spans.len() as u32;
-        let start = self.key_data.len() as u32;
-        match value {
-            Some(v) => {
-                self.key_data.push(1);
-                self.key_data.extend_from_slice(&v.to_le_bytes());
-                self.key_spans.push((start, 9));
-                self.int_index.insert(v, gi);
-            }
-            None => {
-                self.key_data.push(0);
-                self.key_spans.push((start, 1));
-                self.int_null = gi;
-            }
-        }
-        self.chain.push(NO_GROUP);
-        gi
-    }
-
-    fn clear(&mut self) {
-        self.by_hash.clear();
-        self.chain.clear();
-        self.key_data.clear();
-        self.key_spans.clear();
-        self.int_index.clear();
-        self.int_null = NO_GROUP;
-    }
 }
 
 /// The hash aggregation operator.
@@ -1111,25 +892,6 @@ mod tests {
         assert_eq!(out.rows(), 10);
         for r in 0..10 {
             assert_eq!(out.row(r)[1], Scalar::Int(10)); // 100 rows / 10 keys
-        }
-    }
-
-    #[test]
-    fn key_codec_round_trips_every_type() {
-        let cols = [
-            Column::from_opt_i64(&[Some(-5), None]),
-            Column::from_f64(vec![2.5, -0.0]),
-            Column::from_strs(&["", "héllo"]),
-            Column::from_bools(&[true, false]),
-        ];
-        for col in &cols {
-            for row in 0..col.len() {
-                let mut key = Vec::new();
-                encode_key_value(&mut key, col, row);
-                let (scalar, used) = decode_key_scalar(&key);
-                assert_eq!(used, key.len());
-                assert_eq!(scalar, col.scalar_at(row));
-            }
         }
     }
 }

@@ -1,16 +1,35 @@
-//! Hash join (inner equi-join), two-phase: build then probe.
+//! Hash join (equi-join, Inner or Left), two-phase: build then probe.
 //!
 //! A pipeline breaker on the build side: the executor streams the build
 //! child into [`HashJoinOp::build`], then the probe child flows through
 //! `push` one batch at a time — the probe side never materializes.
+//!
+//! Build keys resolve through the key table the hash aggregate uses
+//! (`ops::keys`): a single Int64 key probes an `i64 → id` map; any other
+//! key is hashed column-at-a-time and compared on its type-tagged bytes.
+//! So an Int64 key never equals a Float64 one, floats compare by bits
+//! (`-0.0 ≠ 0.0`; a NaN equals only the same bits), and NULL keys never
+//! join. Each key id heads a chain of build rows in arrival order: `head`
+//! and `tail` per key id, `next` per build row, all indexed by the row's
+//! position across every build batch.
+//!
+//! The build batches are concatenated once, when the first probe batch
+//! arrives (or at `finish` for a Left join that saw none). A probe batch
+//! looks up each key, walks its chain into two index vectors — build row
+//! and probe row — and assembles its output a column at a time with
+//! `gather`s: no per-row key allocation, `Scalar` or builder. Output rows
+//! come in probe-row order, then build arrival order within a key; a Left
+//! join emits its unmatched build rows in arrival order at `finish`.
 
-use std::collections::{HashMap, HashSet};
-
-use df_data::{Batch, Column, ColumnBuilder, Scalar, SchemaRef};
+use df_data::{Batch, Bitmap, Column, DataType, SchemaRef};
 
 use crate::error::{EngineError, Result};
 use crate::logical::JoinType;
+use crate::ops::keys::{encode_key_value, hash_column, GroupTable, HASH_INIT};
 use crate::ops::Operator;
+
+/// End of a build-row chain.
+const NO_ROW: u32 = u32::MAX;
 
 /// Hash join operator.
 pub struct HashJoinOp {
@@ -19,11 +38,31 @@ pub struct HashJoinOp {
     /// Joined output schema (left fields then right, collisions prefixed).
     schema: SchemaRef,
     build_schema: SchemaRef,
-    /// key bytes -> rows as (batch, row) indices into `build_batches`.
-    table: HashMap<Vec<u8>, Vec<(u32, u32)>>,
-    build_batches: Vec<Batch>,
-    /// Build rows that matched at least one probe (LEFT join bookkeeping).
-    matched: HashSet<(u32, u32)>,
+    /// Build key → dense key id.
+    keys: GroupTable,
+    /// Whether the build key is one Int64 column (the table's fast path).
+    int_key: bool,
+    /// Per key id: its first and last build row.
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// Per build row: the next build row with the same key, or `NO_ROW`.
+    next: Vec<u32>,
+    /// Build batches as received, until the probe side starts.
+    pending: Vec<Batch>,
+    /// Whether `pending` was concatenated into `build`.
+    sealed: bool,
+    /// The build side's columns, one row per build row.
+    build: Vec<Column>,
+    /// Build rows that matched at least one probe row (Left join).
+    matched: Bitmap,
+    keyed_rows: usize,
+    build_bytes: usize,
+    /// Per-row key hashes and one row's encoded key (generic path).
+    scratch_hashes: Vec<u64>,
+    scratch_key: Vec<u8>,
+    /// One probe batch's matches: build rows and probe rows, pairwise.
+    build_idx: Vec<usize>,
+    probe_idx: Vec<usize>,
     probe_rows: u64,
     output_rows: u64,
 }
@@ -46,77 +85,138 @@ impl HashJoinOp {
         build_schema: SchemaRef,
         schema: SchemaRef,
     ) -> HashJoinOp {
+        let int_key = match on.as_slice() {
+            [(l, _)] => build_schema
+                .field_by_name(l)
+                .is_ok_and(|f| f.dtype == DataType::Int64),
+            _ => false,
+        };
         HashJoinOp {
             on,
             join_type,
             schema,
             build_schema,
-            table: HashMap::new(),
-            build_batches: Vec::new(),
-            matched: HashSet::new(),
+            keys: GroupTable::new(),
+            int_key,
+            head: Vec::new(),
+            tail: Vec::new(),
+            next: Vec::new(),
+            pending: Vec::new(),
+            sealed: false,
+            build: Vec::new(),
+            matched: Bitmap::zeros(0),
+            keyed_rows: 0,
+            build_bytes: 0,
+            scratch_hashes: Vec::new(),
+            scratch_key: Vec::new(),
+            build_idx: Vec::new(),
+            probe_idx: Vec::new(),
             probe_rows: 0,
             output_rows: 0,
         }
     }
 
-    fn key_of(columns: &[&Column], row: usize) -> Option<Vec<u8>> {
-        let mut key = Vec::with_capacity(columns.len() * 9);
-        for col in columns {
-            let s = col.scalar_at(row);
-            if s.is_null() {
-                return None; // SQL: NULL keys never join
+    /// Consume one build-side batch. Errors with [`EngineError::Internal`]
+    /// once the probe side has started: the build side is complete by then.
+    pub fn build(&mut self, batch: Batch) -> Result<()> {
+        if self.sealed {
+            return Err(EngineError::Internal(
+                "hash join: build batch after the probe side started".into(),
+            ));
+        }
+        let cols = key_columns(&batch, self.on.iter().map(|(l, _)| l))?;
+        let base = self.next.len();
+        let rows = batch.rows();
+        if u32::try_from(base + rows).map_or(true, |n| n == NO_ROW) {
+            return Err(EngineError::Internal(
+                "hash join: build side exceeds u32 row ids".into(),
+            ));
+        }
+        self.next.resize(base + rows, NO_ROW);
+        if self.int_key {
+            let col = cols[0];
+            for (row, &v) in col.i64_values()?.iter().enumerate() {
+                if !col.is_null(row) {
+                    let id = match self.keys.find_int(Some(v)) {
+                        Some(id) => id,
+                        None => self.keys.insert_int(Some(v)),
+                    };
+                    self.link(id, base + row);
+                }
             }
-            match s {
-                Scalar::Int(v) => {
-                    key.push(1);
-                    key.extend_from_slice(&v.to_le_bytes());
+        } else {
+            hash_rows(&mut self.scratch_hashes, &cols, rows);
+            for row in 0..rows {
+                if encode_row(&mut self.scratch_key, &cols, row) {
+                    let hash = self.scratch_hashes[row];
+                    let id = match self.keys.find(hash, &self.scratch_key) {
+                        Some(id) => id,
+                        None => self.keys.insert(hash, &self.scratch_key),
+                    };
+                    self.link(id, base + row);
                 }
-                Scalar::Float(v) => {
-                    key.push(2);
-                    key.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-                Scalar::Str(v) => {
-                    key.push(3);
-                    key.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                    key.extend_from_slice(v.as_bytes());
-                }
-                Scalar::Bool(v) => key.extend_from_slice(&[4, v as u8]),
-                Scalar::Null => unreachable!(),
             }
         }
-        Some(key)
+        self.build_bytes += batch.byte_size();
+        self.pending.push(batch);
+        Ok(())
     }
 
-    /// Consume one build-side batch.
-    pub fn build(&mut self, batch: Batch) -> Result<()> {
-        let cols: Vec<&Column> = self
-            .on
-            .iter()
-            .map(|(l, _)| batch.column_by_name(l).map_err(EngineError::from))
-            .collect::<Result<Vec<_>>>()?;
-        let batch_idx = self.build_batches.len() as u32;
-        let mut keyed = Vec::with_capacity(batch.rows());
-        for row in 0..batch.rows() {
-            if let Some(key) = Self::key_of(&cols, row) {
-                keyed.push((key, row as u32));
-            }
+    /// Append build row `row` to the chain of key `id`.
+    fn link(&mut self, id: u32, row: usize) {
+        let (id, row) = (id as usize, row as u32);
+        if id == self.head.len() {
+            self.head.push(row);
+            self.tail.push(row);
+        } else {
+            self.next[self.tail[id] as usize] = row;
+            self.tail[id] = row;
         }
-        for (key, row) in keyed {
-            self.table.entry(key).or_default().push((batch_idx, row));
+        self.keyed_rows += 1;
+    }
+
+    /// Concatenate the build batches, once: output gathers from one set of
+    /// columns by build row.
+    fn seal(&mut self) -> Result<()> {
+        if self.sealed {
+            return Ok(());
         }
-        self.build_batches.push(batch);
+        let mut pending = std::mem::take(&mut self.pending);
+        if pending.is_empty() {
+            pending.push(Batch::empty(self.build_schema.clone()));
+        }
+        self.build = (0..self.build_schema.len())
+            .map(|ci| {
+                let parts: Vec<Column> = pending.iter().map(|b| b.column(ci).clone()).collect();
+                Column::concat(&parts)
+            })
+            .collect::<df_data::Result<_>>()?;
+        if self.join_type == JoinType::Left {
+            self.matched = Bitmap::zeros(self.next.len());
+        }
+        self.sealed = true;
         Ok(())
+    }
+
+    /// Record every build row with key `id` as a match of `probe_row`.
+    fn walk(&mut self, id: u32, probe_row: usize) {
+        let mut row = self.head[id as usize];
+        while row != NO_ROW {
+            self.build_idx.push(row as usize);
+            self.probe_idx.push(probe_row);
+            row = self.next[row as usize];
+        }
     }
 
     /// Rows currently in the build table.
     pub fn build_rows(&self) -> usize {
-        self.table.values().map(Vec::len).sum()
+        self.keyed_rows
     }
 
     /// Approximate bytes of build-side state (the "unbounded state" that
-    /// keeps joins off streaming devices).
+    /// keeps joins off streaming devices): the received batches' payload.
     pub fn build_state_bytes(&self) -> usize {
-        self.build_batches.iter().map(Batch::byte_size).sum()
+        self.build_bytes
     }
 
     /// Observed join selectivity (output rows per probe row).
@@ -137,50 +237,46 @@ impl Operator for HashJoinOp {
     /// Probe with one batch.
     fn push(&mut self, batch: Batch) -> Result<Vec<Batch>> {
         self.probe_rows += batch.rows() as u64;
-        let cols: Vec<&Column> = self
-            .on
-            .iter()
-            .map(|(_, r)| batch.column_by_name(r).map_err(EngineError::from))
-            .collect::<Result<Vec<_>>>()?;
-        // Collect matching (build_batch, build_row, probe_row) triples.
-        let mut matches: Vec<(u32, u32, u32)> = Vec::new();
-        for row in 0..batch.rows() {
-            if let Some(key) = Self::key_of(&cols, row) {
-                if let Some(hits) = self.table.get(&key) {
-                    for &(bb, br) in hits {
-                        matches.push((bb, br, row as u32));
+        self.seal()?;
+        let cols = key_columns(&batch, self.on.iter().map(|(_, r)| r))?;
+        self.build_idx.clear();
+        self.probe_idx.clear();
+        if self.int_key {
+            // Build keys are Int64: a probe key of another type carries
+            // another type tag, so it matches nothing.
+            let col = cols[0];
+            if let Ok(values) = col.i64_values() {
+                for (row, &v) in values.iter().enumerate() {
+                    if !col.is_null(row) {
+                        if let Some(id) = self.keys.find_int(Some(v)) {
+                            self.walk(id, row);
+                        }
+                    }
+                }
+            }
+        } else {
+            hash_rows(&mut self.scratch_hashes, &cols, batch.rows());
+            for row in 0..batch.rows() {
+                if encode_row(&mut self.scratch_key, &cols, row) {
+                    let hash = self.scratch_hashes[row];
+                    if let Some(id) = self.keys.find(hash, &self.scratch_key) {
+                        self.walk(id, row);
                     }
                 }
             }
         }
-        if matches.is_empty() {
+        if self.build_idx.is_empty() {
             return Ok(vec![]);
         }
-        self.output_rows += matches.len() as u64;
+        self.output_rows += self.build_idx.len() as u64;
         if self.join_type == JoinType::Left {
-            for &(bb, br, _) in &matches {
-                self.matched.insert((bb, br));
+            for &row in &self.build_idx {
+                self.matched.set(row);
             }
         }
-        // Assemble output: left columns gathered from build batches,
-        // right columns gathered from the probe batch.
-        let nleft = self.build_schema.len();
         let mut columns = Vec::with_capacity(self.schema.len());
-        for li in 0..nleft {
-            let dtype = self.build_schema.field(li).dtype;
-            let mut b = ColumnBuilder::new(dtype, matches.len());
-            for &(bb, br, _) in &matches {
-                b.push(
-                    self.build_batches[bb as usize]
-                        .column(li)
-                        .scalar_at(br as usize),
-                )?;
-            }
-            columns.push(b.finish());
-        }
-        let probe_indices: Vec<usize> = matches.iter().map(|&(_, _, pr)| pr as usize).collect();
-        let probe_gathered = batch.gather(&probe_indices);
-        columns.extend(probe_gathered.columns().iter().cloned());
+        columns.extend(self.build.iter().map(|c| gather_build(c, &self.build_idx)));
+        columns.extend(batch.columns().iter().map(|c| c.gather(&self.probe_idx)));
         Ok(vec![Batch::new(self.schema.clone(), columns)?])
     }
 
@@ -189,36 +285,81 @@ impl Operator for HashJoinOp {
             return Ok(vec![]);
         }
         // Emit unmatched build rows with NULL probe-side columns.
-        let nleft = self.build_schema.len();
-        let mut unmatched: Vec<(u32, u32)> = Vec::new();
-        for (bb, batch) in self.build_batches.iter().enumerate() {
-            for br in 0..batch.rows() {
-                if !self.matched.contains(&(bb as u32, br as u32)) {
-                    unmatched.push((bb as u32, br as u32));
-                }
-            }
-        }
+        self.seal()?;
+        let unmatched: Vec<usize> = self.matched.not().iter_ones().collect();
         if unmatched.is_empty() {
             return Ok(vec![]);
         }
         self.output_rows += unmatched.len() as u64;
-        let mut columns = Vec::with_capacity(self.schema.len());
-        for li in 0..nleft {
-            let dtype = self.build_schema.field(li).dtype;
-            let mut b = ColumnBuilder::new(dtype, unmatched.len());
-            for &(bb, br) in &unmatched {
-                b.push(
-                    self.build_batches[bb as usize]
-                        .column(li)
-                        .scalar_at(br as usize),
-                )?;
-            }
-            columns.push(b.finish());
-        }
-        for field in &self.schema.fields()[nleft..] {
+        let mut columns: Vec<Column> = self
+            .build
+            .iter()
+            .map(|c| gather_build(c, &unmatched))
+            .collect();
+        for field in &self.schema.fields()[self.build_schema.len()..] {
             columns.push(Column::nulls(field.dtype, unmatched.len()));
         }
         Ok(vec![Batch::new(self.schema.clone(), columns)?])
+    }
+}
+
+/// The named key columns of `batch`.
+fn key_columns<'b, 'n>(
+    batch: &'b Batch,
+    names: impl Iterator<Item = &'n String>,
+) -> Result<Vec<&'b Column>> {
+    names
+        .map(|n| batch.column_by_name(n).map_err(EngineError::from))
+        .collect()
+}
+
+/// Hash the key of every row into `hashes`, a column at a time.
+fn hash_rows(hashes: &mut Vec<u64>, cols: &[&Column], rows: usize) {
+    hashes.clear();
+    hashes.resize(rows, HASH_INIT);
+    for col in cols {
+        hash_column(col, hashes);
+    }
+}
+
+/// Encode the key of row `row` into `key`; false if any key is NULL.
+fn encode_row(key: &mut Vec<u8>, cols: &[&Column], row: usize) -> bool {
+    key.clear();
+    for col in cols {
+        if col.is_null(row) {
+            return false;
+        }
+        encode_key_value(key, col, row);
+    }
+    true
+}
+
+/// Gather build rows, leaving off the validity bitmap when every gathered
+/// row is valid, as a column built row by row would: the output's wire
+/// bytes — which the movement ledger charges — depend on that layout.
+fn gather_build(col: &Column, rows: &[usize]) -> Column {
+    let out = col.gather(rows);
+    if !out.validity().is_some_and(Bitmap::all_set) {
+        return out;
+    }
+    match out {
+        Column::Int64 { values, .. } => Column::Int64 {
+            values,
+            validity: None,
+        },
+        Column::Float64 { values, .. } => Column::Float64 {
+            values,
+            validity: None,
+        },
+        Column::Utf8 { offsets, data, .. } => Column::Utf8 {
+            offsets,
+            data,
+            validity: None,
+        },
+        Column::Bool { values, .. } => Column::Bool {
+            values,
+            validity: None,
+        },
     }
 }
 
@@ -227,6 +368,7 @@ mod tests {
     use super::*;
     use crate::logical::LogicalPlan;
     use df_data::batch::batch_of;
+    use df_data::Scalar;
 
     fn build_side() -> Batch {
         batch_of(vec![

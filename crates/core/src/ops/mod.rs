@@ -12,6 +12,7 @@
 pub mod aggregate;
 pub mod filter;
 pub mod join;
+mod keys;
 pub mod limit;
 pub mod project;
 pub mod sort;

@@ -277,12 +277,12 @@ impl OperatorSpec {
                 join_type,
                 build_schema,
                 schema,
-            } => RuntimeOp::Join(HashJoinOp::with_type(
+            } => RuntimeOp::Join(Box::new(HashJoinOp::with_type(
                 on.clone(),
                 *join_type,
                 build_schema.clone(),
                 schema.clone(),
-            )),
+            ))),
         })
     }
 }
@@ -295,7 +295,7 @@ pub enum RuntimeOp {
     /// [`RuntimeOp::advance`] at punctuation to drain closed windows.
     Window(WindowAggOp),
     /// A hash join (probe streaming; build fed via [`RuntimeOp::build`]).
-    Join(HashJoinOp),
+    Join(Box<HashJoinOp>),
 }
 
 impl RuntimeOp {

@@ -303,6 +303,8 @@ impl Column {
     /// Works directly off the selection's packed words (via `iter_ones`)
     /// instead of materializing a `Vec<usize>` of indices; all-set and
     /// none-set selections short-circuit without touching the payload.
+    /// `Utf8` rows are copied as byte ranges straight from the offsets
+    /// (see [`Column::gather`] for why that needs no UTF-8 check).
     pub fn filter(&self, selection: &Bitmap) -> Result<Column> {
         if selection.len() != self.len() {
             return Err(DataError::LengthMismatch {
@@ -338,17 +340,11 @@ impl Column {
                     validity,
                 }
             }
-            Column::Utf8 { .. } => {
-                let mut offsets = Vec::with_capacity(keep + 1);
-                let mut data = Vec::new();
-                offsets.push(0u32);
-                for i in selection.iter_ones() {
-                    data.extend_from_slice(self.str_at(i).as_bytes());
-                    offsets.push(data.len() as u32);
-                }
+            Column::Utf8 { offsets, data, .. } => {
+                let (offsets, data) = copy_utf8_rows(offsets, data, || selection.iter_ones(), keep);
                 Column::Utf8 {
-                    offsets: offsets.into(),
-                    data: data.into(),
+                    offsets,
+                    data,
                     validity,
                 }
             }
@@ -360,6 +356,14 @@ impl Column {
     }
 
     /// Build a new column from the given row indices (may repeat/reorder).
+    ///
+    /// `Utf8` rows are copied as byte ranges straight from the offsets into
+    /// a data buffer pre-sized to their total length, without the per-row
+    /// UTF-8 check `str_at` runs. Skipping it is sound: no `&str` is formed
+    /// here, only bytes move, so the copy cannot create an invalid `&str`;
+    /// the bytes were checked when the column was built (the constructors
+    /// take `&str`s) or decoded (every decoder validates its payload), and
+    /// `str_at` still validates any row it later reads.
     pub fn gather(&self, indices: &[usize]) -> Column {
         let validity = self
             .validity()
@@ -373,17 +377,12 @@ impl Column {
                 values: indices.iter().map(|&i| values[i]).collect(),
                 validity,
             },
-            Column::Utf8 { .. } => {
-                let mut offsets = Vec::with_capacity(indices.len() + 1);
-                let mut data = Vec::new();
-                offsets.push(0u32);
-                for &i in indices {
-                    data.extend_from_slice(self.str_at(i).as_bytes());
-                    offsets.push(data.len() as u32);
-                }
+            Column::Utf8 { offsets, data, .. } => {
+                let (offsets, data) =
+                    copy_utf8_rows(offsets, data, || indices.iter().copied(), indices.len());
                 Column::Utf8 {
-                    offsets: offsets.into(),
-                    data: data.into(),
+                    offsets,
+                    data,
                     validity,
                 }
             }
@@ -540,6 +539,29 @@ impl PartialEq for Column {
             _ => false,
         }
     }
+}
+
+/// Copy the `count` Utf8 rows `rows()` yields, in order, into fresh offsets
+/// (starting at 0) and a data buffer sized by a first pass over the rows'
+/// byte spans. Rows move as raw byte ranges: see [`Column::gather`].
+fn copy_utf8_rows<I: Iterator<Item = usize>>(
+    offsets: &[u32],
+    data: &[u8],
+    rows: impl Fn() -> I,
+    count: usize,
+) -> (Buffer<u32>, Buffer<u8>) {
+    let span = |i: usize| offsets[i] as usize..offsets[i + 1] as usize;
+    let total: usize = rows().map(|i| span(i).len()).sum();
+    // One check on the total covers every `u32` offset pushed below.
+    assert!(u32::try_from(total).is_ok(), "utf8 column > 4GiB");
+    let mut out_offsets = Vec::with_capacity(count + 1);
+    let mut out = Vec::with_capacity(total);
+    out_offsets.push(0u32);
+    for i in rows() {
+        out.extend_from_slice(&data[span(i)]);
+        out_offsets.push(out.len() as u32);
+    }
+    (out_offsets.into(), out.into())
 }
 
 /// Merge adjacent views of one allocation into a single wider view, or

@@ -12,14 +12,16 @@
 use crate::batch::Batch;
 use crate::column::Column;
 use crate::error::{DataError, Result};
-use crate::types::Scalar;
+use crate::types::ValueRef;
 
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// FNV-1a hash of the canonical bytes of the key scalars of one row,
+/// FNV-1a hash of the canonical bytes of the key values of one row,
 /// with `seed` folded into the offset basis. Deterministic across devices
-/// and hosts, so every NIC and storage node partitions identically.
+/// and hosts, so every NIC and storage node partitions identically. Reads
+/// each value as a borrowed [`ValueRef`], so a string key allocates
+/// nothing.
 pub fn hash_row_seeded(columns: &[&Column], row: usize, seed: u64) -> u64 {
     let mut hash = FNV_OFFSET_BASIS ^ seed;
     let mut eat = |bytes: &[u8]| {
@@ -29,21 +31,21 @@ pub fn hash_row_seeded(columns: &[&Column], row: usize, seed: u64) -> u64 {
         }
     };
     for col in columns {
-        match col.scalar_at(row) {
-            Scalar::Null => eat(&[0]),
-            Scalar::Int(v) => {
+        match col.value_at(row) {
+            ValueRef::Null => eat(&[0]),
+            ValueRef::Int(v) => {
                 eat(&[1]);
                 eat(&v.to_le_bytes());
             }
-            Scalar::Float(v) => {
+            ValueRef::Float(v) => {
                 eat(&[2]);
                 eat(&v.to_bits().to_le_bytes());
             }
-            Scalar::Str(s) => {
+            ValueRef::Str(s) => {
                 eat(&[3]);
                 eat(s.as_bytes());
             }
-            Scalar::Bool(b) => eat(&[4, b as u8]),
+            ValueRef::Bool(b) => eat(&[4, b as u8]),
         }
     }
     hash
@@ -143,6 +145,7 @@ impl HashPartitioner {
 mod tests {
     use super::*;
     use crate::batch::batch_of;
+    use crate::bitmap::Bitmap;
 
     fn keyed(n: usize) -> Batch {
         batch_of(vec![
@@ -152,6 +155,88 @@ mod tests {
                 Column::from_strs(&(0..n).map(|i| format!("v{i}")).collect::<Vec<_>>()),
             ),
         ])
+    }
+
+    #[test]
+    fn row_hashes_are_pinned() {
+        // Every exchange, storage layout and NIC partition kernel routes
+        // rows by this hash: a changed value moves partition assignments
+        // and with them every ledger byte. Pinned per row for the seed-0
+        // function and the scale-out shuffle seed.
+        let batch = batch_of(vec![
+            (
+                "i",
+                Column::from_opt_i64(&[
+                    Some(i64::MIN),
+                    Some(i64::MAX),
+                    Some(0),
+                    Some(-1),
+                    None,
+                    None,
+                ]),
+            ),
+            (
+                "f",
+                Column::from_opt_f64(&[
+                    Some(-0.0),
+                    Some(0.0),
+                    Some(f64::NAN),
+                    None,
+                    Some(1.5),
+                    None,
+                ]),
+            ),
+            (
+                "s",
+                Column::from_opt_strs(&[
+                    Some(""),
+                    Some("héllo"),
+                    Some("日本語"),
+                    Some("a"),
+                    None,
+                    None,
+                ]),
+            ),
+            (
+                "b",
+                Column::Bool {
+                    values: Bitmap::from_bools(&[true, false, false, true, false, false]),
+                    validity: Some(Bitmap::from_bools(&[true, true, false, true, true, false])),
+                },
+            ),
+        ]);
+        let cols: Vec<&Column> = batch.columns().iter().collect();
+        let shuffle_seed = 0xE5_CA1E; // df_core::scaleout::SHUFFLE_SEED
+        let pinned: [(u64, [u64; 6]); 2] = [
+            (
+                0,
+                [
+                    9_949_340_972_665_384_340,
+                    14_075_460_361_561_817_650,
+                    7_408_955_707_910_066_624,
+                    17_668_673_467_277_764_771,
+                    10_958_854_907_225_686_478,
+                    15_876_414_090_542_715_893,
+                ],
+            ),
+            (
+                shuffle_seed,
+                [
+                    10_548_495_603_723_503_414,
+                    12_561_621_372_002_288_972,
+                    4_339_601_884_517_718_626,
+                    8_287_331_684_204_315_525,
+                    8_990_719_640_737_253_808,
+                    12_314_774_903_025_397_355,
+                ],
+            ),
+        ];
+        for (seed, want) in pinned {
+            let got: Vec<u64> = (0..batch.rows())
+                .map(|row| hash_row_seeded(&cols, row, seed))
+                .collect();
+            assert_eq!(got, want, "seed {seed}");
+        }
     }
 
     #[test]

@@ -11,10 +11,17 @@
 use rheo::check::{check, Gen};
 use rheo::codec::wire::{decode_batch, encode_batch, wire_size, WireOptions};
 use rheo::codec::{crypto, int, lz};
+use rheo::core::error::EngineError;
 use rheo::core::kernel::Program;
+use rheo::core::logical::{JoinType, LogicalPlan};
+use rheo::core::ops::{HashJoinOp, Operator};
 use rheo::data::batch::batch_of;
+use rheo::data::partition::hash_row_seeded;
 use rheo::data::sort::{is_sorted, sort_batch, SortKey};
-use rheo::data::{Batch, Column, DataType, Field, HashPartitioner, RowPage, Scalar, Schema};
+use rheo::data::{
+    Batch, Column, ColumnBuilder, DataType, Field, HashPartitioner, RowPage, Scalar, Schema,
+    SchemaRef,
+};
 use rheo::fabric::coherence::{CoherenceConfig, CoherenceSim, Mode};
 use rheo::fabric::flow::{FlowSim, PipelineSpec, StageSpec};
 use rheo::fabric::topology::{DisaggregatedConfig, Topology};
@@ -99,7 +106,6 @@ fn arb_codec_batch(g: &mut Gen, max_rows: usize) -> Batch {
 /// paths must be indistinguishable from this — including validity bits
 /// and Utf8 offset handling.
 fn materialize(batch: &Batch) -> Batch {
-    use rheo::data::ColumnBuilder;
     let columns = batch
         .schema()
         .fields()
@@ -126,7 +132,16 @@ fn assert_batches_identical(view: &Batch, reference: &Batch) {
             "column {c} differs from deep-copy reference"
         );
     }
-    assert_eq!(view.canonical_rows(), reference.canonical_rows());
+    // Rows compare through `total_cmp`, not `==`: `Scalar::Float(NaN)` is
+    // never `==` to itself, while `total_cmp` orders floats by their bits.
+    let (got, want) = (view.canonical_rows(), reference.canonical_rows());
+    let same = |a: &Vec<Scalar>, b: &Vec<Scalar>| {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.total_cmp(y).is_eq())
+    };
+    assert!(
+        got.iter().zip(&want).all(|(a, b)| same(a, b)),
+        "canonical rows differ:\n{got:?}\n{want:?}"
+    );
 }
 
 #[test]
@@ -661,6 +676,439 @@ fn partitioner_accounts_for_null_keys_and_empty_batches() {
             assert!(split.iter().all(|b| b.schema() == empty.schema()));
         },
     );
+}
+
+#[test]
+fn hash_row_matches_scalar_fnv_reference() {
+    // The partition hash, recomputed from `scalar_at` in the test: an
+    // FNV-1a-style fold over a type tag and the value's little-endian
+    // bytes (strings raw, NULL a lone 0 tag), with the seed folded into
+    // the offset basis. Its multiplier is 0x1000_0000_01b3, not the
+    // textbook FNV prime; partition assignments depend on it.
+    fn reference(cols: &[&Column], row: usize, seed: u64) -> u64 {
+        let mut bytes = Vec::new();
+        for col in cols {
+            match col.scalar_at(row) {
+                Scalar::Null => bytes.push(0),
+                Scalar::Int(v) => {
+                    bytes.push(1);
+                    bytes.extend_from_slice(&v.to_le_bytes());
+                }
+                Scalar::Float(v) => {
+                    bytes.push(2);
+                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+                Scalar::Str(s) => {
+                    bytes.push(3);
+                    bytes.extend_from_slice(s.as_bytes());
+                }
+                Scalar::Bool(b) => bytes.extend_from_slice(&[4, b as u8]),
+            }
+        }
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325 ^ seed, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        })
+    }
+    check("hash_row_matches_scalar_fnv_reference", 64, |g| {
+        let batch = arb_batch(g, 120);
+        let offset = g.usize_in(0, batch.rows() - 1);
+        let view = batch.slice(offset, batch.rows() - offset);
+        let cols: Vec<&Column> = view.columns().iter().collect();
+        let seed = if g.bool() { 0 } else { g.u64() };
+        for row in 0..view.rows() {
+            assert_eq!(
+                hash_row_seeded(&cols, row, seed),
+                reference(&cols, row, seed),
+                "row {row}"
+            );
+        }
+    });
+}
+
+// ------------------------------------------------------------ hash join
+
+/// Build a column from scalars (NULLs included) of one type.
+fn scalar_column(dtype: DataType, values: Vec<Scalar>) -> Column {
+    let mut b = ColumnBuilder::new(dtype, values.len());
+    for v in values {
+        b.push(v).unwrap();
+    }
+    b.finish()
+}
+
+/// The join schema the planner would give `build ⋈ probe`.
+fn join_schema(
+    build: &Batch,
+    probe: &Batch,
+    on: &[(&str, &str)],
+    join_type: JoinType,
+) -> SchemaRef {
+    LogicalPlan::values(vec![build.clone()])
+        .unwrap()
+        .join_with(
+            LogicalPlan::values(vec![probe.clone()]).unwrap(),
+            on.to_vec(),
+            join_type,
+        )
+        .unwrap()
+        .schema()
+}
+
+/// Drive a `HashJoinOp` to completion — every build batch, every probe
+/// batch, then `finish` — and return its outputs in emission order.
+fn run_hash_join(
+    on: &[(&str, &str)],
+    join_type: JoinType,
+    schema: SchemaRef,
+    build: &[Batch],
+    probe: &[Batch],
+) -> Vec<Batch> {
+    let on_owned = on
+        .iter()
+        .map(|(l, r)| (l.to_string(), r.to_string()))
+        .collect();
+    let mut op = HashJoinOp::with_type(on_owned, join_type, build[0].schema().clone(), schema);
+    for b in build {
+        op.build(b.clone()).unwrap();
+    }
+    let mut out = Vec::new();
+    for p in probe {
+        out.extend(op.push(p.clone()).unwrap());
+    }
+    out.extend(op.finish().unwrap());
+    out
+}
+
+/// Type-tagged key bytes of one row, `None` if any key column is NULL.
+/// Int64 and Float64 tags differ, and floats compare by bits.
+fn join_key(cols: &[&Column], row: usize) -> Option<Vec<u8>> {
+    let mut key = Vec::new();
+    for col in cols {
+        match col.scalar_at(row) {
+            Scalar::Null => return None,
+            Scalar::Int(v) => {
+                key.push(b'i');
+                key.extend_from_slice(&v.to_le_bytes());
+            }
+            Scalar::Float(v) => {
+                key.push(b'f');
+                key.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+            Scalar::Str(s) => {
+                key.push(b's');
+                key.extend_from_slice(&(s.len() as u64).to_le_bytes());
+                key.extend_from_slice(s.as_bytes());
+            }
+            Scalar::Bool(b) => key.extend_from_slice(&[b'b', b as u8]),
+        }
+    }
+    Some(key)
+}
+
+/// The reference join: a nested loop over build rows in arrival order for
+/// every probe row in order, one output batch per probe batch with a
+/// match, then (Left) the unmatched build rows in arrival order.
+fn nested_loop_join(
+    on: &[(&str, &str)],
+    join_type: JoinType,
+    schema: SchemaRef,
+    build: &[Batch],
+    probe: &[Batch],
+) -> Vec<Batch> {
+    let build_rows: Vec<(&Batch, usize)> = build
+        .iter()
+        .flat_map(|b| (0..b.rows()).map(move |r| (b, r)))
+        .collect();
+    let build_keys: Vec<Option<Vec<u8>>> = build_rows
+        .iter()
+        .map(|&(b, r)| {
+            let cols: Vec<&Column> = on
+                .iter()
+                .map(|(l, _)| b.column_by_name(l).unwrap())
+                .collect();
+            join_key(&cols, r)
+        })
+        .collect();
+    let nleft = build[0].schema().len();
+    let assemble = |pairs: &[(usize, Option<(&Batch, usize)>)]| {
+        let columns = schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(c, f)| {
+                let values = pairs
+                    .iter()
+                    .map(|&(bi, p)| {
+                        let (b, r) = build_rows[bi];
+                        match (c < nleft, p) {
+                            (true, _) => b.column(c).scalar_at(r),
+                            (false, Some((pb, pr))) => pb.column(c - nleft).scalar_at(pr),
+                            (false, None) => Scalar::Null,
+                        }
+                    })
+                    .collect();
+                scalar_column(f.dtype, values)
+            })
+            .collect();
+        Batch::new(schema.clone(), columns).unwrap()
+    };
+    let mut matched = vec![false; build_rows.len()];
+    let mut out = Vec::new();
+    for pb in probe {
+        let cols: Vec<&Column> = on
+            .iter()
+            .map(|(_, r)| pb.column_by_name(r).unwrap())
+            .collect();
+        let mut pairs = Vec::new();
+        for pr in 0..pb.rows() {
+            let Some(key) = join_key(&cols, pr) else {
+                continue;
+            };
+            for (bi, bk) in build_keys.iter().enumerate() {
+                if bk.as_ref() == Some(&key) {
+                    pairs.push((bi, Some((pb, pr))));
+                    matched[bi] = true;
+                }
+            }
+        }
+        if !pairs.is_empty() {
+            out.push(assemble(&pairs));
+        }
+    }
+    if join_type == JoinType::Left {
+        let unmatched: Vec<(usize, Option<(&Batch, usize)>)> = (0..build_rows.len())
+            .filter(|&bi| !matched[bi])
+            .map(|bi| (bi, None))
+            .collect();
+        if !unmatched.is_empty() {
+            out.push(assemble(&unmatched));
+        }
+    }
+    out
+}
+
+/// Float keys where bit equality matters: both zeros and two NaNs.
+const FLOAT_KEYS: [f64; 5] = [-0.0, 0.0, f64::NAN, 1.5, -1.5];
+
+/// One side of a join with every key shape the operator handles: a
+/// nullable Int64 key with heavy duplicates (~25% NULL), a small-alphabet
+/// Utf8, a Float64 over [`FLOAT_KEYS`] plus a second NaN payload, a Bool,
+/// and a Utf8 payload. Column names carry `prefix`.
+fn join_side(g: &mut Gen, prefix: &str, rows: usize) -> Batch {
+    let other_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+    let null_or = |g: &mut Gen, v: Scalar| {
+        if g.usize_in(0, 3) == 0 {
+            Scalar::Null
+        } else {
+            v
+        }
+    };
+    let mut k = Vec::new();
+    let mut s = Vec::new();
+    let mut x = Vec::new();
+    let mut flag = Vec::new();
+    let mut payload = Vec::new();
+    for i in 0..rows {
+        let v = Scalar::Int(g.i64_in(-3, 3));
+        k.push(null_or(g, v));
+        let v = Scalar::Str(g.string_from(&['a', 'b'], 2));
+        s.push(if g.usize_in(0, 9) == 0 {
+            Scalar::Null
+        } else {
+            v
+        });
+        let f = if g.usize_in(0, 9) == 0 {
+            other_nan
+        } else {
+            *g.pick(&FLOAT_KEYS)
+        };
+        x.push(if g.usize_in(0, 9) == 0 {
+            Scalar::Null
+        } else {
+            Scalar::Float(f)
+        });
+        let v = Scalar::Bool(g.bool());
+        flag.push(if g.usize_in(0, 9) == 0 {
+            Scalar::Null
+        } else {
+            v
+        });
+        payload.push(Scalar::Str(format!("{prefix}{i}")));
+    }
+    let columns = [
+        ("k", scalar_column(DataType::Int64, k)),
+        ("s", scalar_column(DataType::Utf8, s)),
+        ("x", scalar_column(DataType::Float64, x)),
+        ("flag", scalar_column(DataType::Bool, flag)),
+        ("payload", scalar_column(DataType::Utf8, payload)),
+    ];
+    let fields = columns
+        .iter()
+        .map(|(name, col)| Field::nullable(format!("{prefix}{name}"), col.data_type()))
+        .collect();
+    let columns = columns.into_iter().map(|(_, col)| col).collect();
+    Batch::new(Schema::new(fields).into_ref(), columns).unwrap()
+}
+
+/// Cut `batch` into `pieces` consecutive batches, some as zero-copy
+/// views and some as fresh copies.
+fn cut(g: &mut Gen, batch: &Batch, pieces: usize) -> Vec<Batch> {
+    let mut bounds: Vec<usize> = (1..pieces).map(|_| g.usize_in(0, batch.rows())).collect();
+    bounds.push(0);
+    bounds.push(batch.rows());
+    bounds.sort_unstable();
+    bounds
+        .windows(2)
+        .map(|w| {
+            let view = batch.slice(w[0], w[1] - w[0]);
+            if g.bool() {
+                view
+            } else {
+                materialize(&view)
+            }
+        })
+        .collect()
+}
+
+/// The key shapes [`join_side`] supports: one Int64 key, or a Utf8 key
+/// paired with an Int64, Float64 or Bool key.
+const JOIN_KEYS: [&[(&str, &str)]; 4] = [
+    &[("bk", "pk")],
+    &[("bs", "ps"), ("bk", "pk")],
+    &[("bs", "ps"), ("bx", "px")],
+    &[("bs", "ps"), ("bflag", "pflag")],
+];
+
+#[test]
+fn hash_join_matches_nested_loop() {
+    check("hash_join_matches_nested_loop", 64, |g| {
+        let build_rows = g.usize_in(1, 60);
+        let build = join_side(g, "b", build_rows);
+        let probe_rows = g.usize_in(1, 80);
+        let probe = join_side(g, "p", probe_rows);
+        let on = *g.pick(&JOIN_KEYS);
+        let build_pieces = g.usize_in(1, 4);
+        let build_parts = cut(g, &build, build_pieces);
+        let probe_pieces = g.usize_in(1, 5);
+        let probe_parts = cut(g, &probe, probe_pieces);
+        for join_type in [JoinType::Inner, JoinType::Left] {
+            let schema = join_schema(&build, &probe, on, join_type);
+            let got = run_hash_join(on, join_type, schema.clone(), &build_parts, &probe_parts);
+            let want = nested_loop_join(on, join_type, schema, &build_parts, &probe_parts);
+            assert_eq!(got.len(), want.len(), "{join_type:?} output batch count");
+            for (got, want) in got.iter().zip(&want) {
+                assert_batches_identical(got, want);
+            }
+        }
+    });
+}
+
+#[test]
+fn hash_join_int_key_never_matches_float_key() {
+    let build = batch_of(vec![
+        ("k", Column::from_i64(vec![0, 1, 2])),
+        ("v", Column::from_strs(&["a", "b", "c"])),
+    ]);
+    let probe = batch_of(vec![
+        ("pk", Column::from_f64(vec![0.0, 1.0, 2.0])),
+        ("amount", Column::from_i64(vec![10, 11, 12])),
+    ]);
+    // The planner rejects mismatched key types; the operator must still
+    // answer (nothing matches) rather than panic.
+    let mut fields = build.schema().join(probe.schema()).fields().to_vec();
+    for f in &mut fields[2..] {
+        f.nullable = true;
+    }
+    let schema = Schema::new(fields).into_ref();
+    let on = [("k", "pk")];
+    let (b, p) = ([build.clone()], [probe.clone()]);
+    let inner = run_hash_join(&on, JoinType::Inner, schema.clone(), &b, &p);
+    assert!(inner.is_empty(), "an Int64 key matched a Float64 key");
+    let left = run_hash_join(&on, JoinType::Left, schema, &b, &p);
+    assert_eq!(left.len(), 1);
+    assert_eq!(left[0].rows(), 3, "every build row is unmatched");
+    assert_eq!(left[0].column(2).null_count(), 3);
+}
+
+#[test]
+fn hash_join_build_after_push_is_an_internal_error() {
+    let build = batch_of(vec![("k", Column::from_i64(vec![1, 2]))]);
+    let probe = batch_of(vec![("pk", Column::from_i64(vec![2, 3]))]);
+    let on = [("k", "pk")];
+    let schema = join_schema(&build, &probe, &on, JoinType::Inner);
+    let mut op = HashJoinOp::new(
+        vec![("k".into(), "pk".into())],
+        build.schema().clone(),
+        schema,
+    );
+    op.build(build.clone()).unwrap();
+    assert_eq!(op.push(probe).unwrap()[0].rows(), 1);
+    assert!(matches!(op.build(build), Err(EngineError::Internal(_))));
+}
+
+/// The E5 join, scaled down: `orders ⋈ lineitem` cut round-robin over four
+/// hosts and hash-partitioned on the join key with the shuffle seed, so
+/// join fragment `p` sees partition `p` of every host's pieces.
+fn e5_join_fragments() -> Vec<(Vec<Batch>, Vec<Batch>)> {
+    use rheo::bench::workload;
+    use rheo::core::scaleout::{split_round_robin, SHUFFLE_SEED};
+    let route = |table: &Batch, key: &str| -> Vec<Vec<Batch>> {
+        let partitioner = HashPartitioner::with_seed(vec![key.into()], 4, SHUFFLE_SEED).unwrap();
+        let mut fragments = vec![Vec::new(); 4];
+        for piece in split_round_robin(table, 4).into_iter().flatten() {
+            for (p, part) in partitioner
+                .partition(&piece)
+                .unwrap()
+                .into_iter()
+                .enumerate()
+            {
+                fragments[p].push(part);
+            }
+        }
+        fragments
+    };
+    let build = route(&workload::orders(2_000, 1), "o_orderkey");
+    let probe = route(&workload::lineitem(8_000, 1), "l_orderkey");
+    build.into_iter().zip(probe).collect()
+}
+
+#[test]
+fn hash_join_output_matches_parent_digest() {
+    let mut total = 0usize;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |out: Vec<Batch>| {
+        for batch in out {
+            let frame = encode_batch(&batch, &WireOptions::plain());
+            total += frame.len();
+            digest = fnv1a(digest, &frame);
+        }
+    };
+    let e5_on = [("o_orderkey", "l_orderkey")];
+    let fragments = e5_join_fragments();
+    let mut g = Gen::new(15);
+    let build = join_side(&mut g, "b", 300);
+    let probe = join_side(&mut g, "p", 500);
+    let build_parts = cut(&mut g, &build, 4);
+    let probe_parts = cut(&mut g, &probe, 6);
+    for join_type in [JoinType::Inner, JoinType::Left] {
+        for (b, p) in &fragments {
+            let schema = join_schema(&b[0], &p[0], &e5_on, join_type);
+            fold(run_hash_join(&e5_on, join_type, schema, b, p));
+        }
+        for on in JOIN_KEYS {
+            let schema = join_schema(&build, &probe, on, join_type);
+            fold(run_hash_join(
+                on,
+                join_type,
+                schema,
+                &build_parts,
+                &probe_parts,
+            ));
+        }
+    }
+    // Pinned at the commit before the vectorized join: every output row,
+    // its order, batch boundaries and validity layout must stay identical.
+    assert_eq!((total, digest), (2_147_535, 1_786_946_923_278_352_115));
 }
 
 // ----------------------------------------------------------- zone maps
