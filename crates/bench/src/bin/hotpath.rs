@@ -7,7 +7,7 @@
 //! cargo run -p df-bench --release --bin hotpath -- --out BENCH_hotpath.json
 //! ```
 //!
-//! Six measurements:
+//! Seven measurements:
 //!
 //! * `split`: chopping a ~36 MB batch into 4096-row morsels. Asserts (via
 //!   pointer identity into the parent allocation) that no data buffer is
@@ -26,6 +26,13 @@
 //!   out over a gather exchange at increasing worker counts. Full runs on
 //!   hosts with two or more cores assert that 2 workers beat 1 thread by
 //!   at least 1.3x.
+//! * `predicate`: the shared predicate kernel through
+//!   `StoragePredicate::evaluate` on `lineitem` in 4096-row views:
+//!   `l_comment LIKE '%urgent%'` (reported as GB/s of comment bytes) and
+//!   `l_quantity < 25` against an in-bench reimplementation of the
+//!   row-at-a-time evaluator it replaced (`scalar_at` + `total_cmp` per
+//!   row). Full runs assert LIKE at >= 0.3 GB/s, the CPU rate the
+//!   simulator charges, and the comparison at >= 5x the baseline.
 //! * `codec`: edge-codec encode/decode per encoding, plain `wire_size`
 //!   and CRC32 on a telemetry batch. Full runs assert floors on
 //!   `columnar+lz` encode and decode, `wire_size` and CRC32.
@@ -52,6 +59,8 @@ use df_data::{Batch, Bitmap, Column, ColumnBuilder, Scalar, SchemaRef};
 use df_fabric::flow::FlowSim;
 use df_fabric::link::LinkTech;
 use df_fabric::topology::{DisaggregatedConfig, Topology};
+use df_storage::predicate::StoragePredicate;
+use df_storage::zonemap::CmpOp;
 
 struct Stats {
     min: f64,
@@ -227,6 +236,27 @@ fn vectorized_join(build: &[Batch], probe: &[Batch], schema: &SchemaRef) -> usiz
             .sum::<usize>();
     }
     out_rows
+}
+
+/// The pre-kernel predicate evaluator, reproduced as the baseline: one
+/// `Scalar` per row through `scalar_at`, compared with `total_cmp`.
+fn rowwise_cmp(column: &Column, op: CmpOp, literal: &Scalar) -> Bitmap {
+    let mut bits = Bitmap::zeros(column.len());
+    for i in 0..column.len() {
+        let v = column.scalar_at(i);
+        if !v.is_null() && op.matches(v.total_cmp(literal)) {
+            bits.set(i);
+        }
+    }
+    bits
+}
+
+/// Evaluate `pred` on every view; returns the selected row count.
+fn evaluate_all(pred: &StoragePredicate, views: &[Batch]) -> usize {
+    views
+        .iter()
+        .map(|v| pred.evaluate(v).expect("predicate").count_ones())
+        .sum()
 }
 
 /// The log-analytics shuffle: the telemetry stream filtered at the
@@ -420,6 +450,47 @@ fn main() {
     }
     println!("best morsel-parallel speedup over 1t push: {parallel_speedup:.2}x");
 
+    // -- predicate: the shared kernel on lineitem's pages, as smart
+    //    storage evaluates them.
+    let pred_rows = if smoke { 20_000 } else { 200_000 };
+    let pred_input = workload::lineitem(pred_rows, 1);
+    let comments = pred_input.column_by_name("l_comment").expect("l_comment");
+    let comment_bytes: usize = (0..comments.len()).map(|i| comments.str_at(i).len()).sum();
+    let pred_views = pred_input.split(4096).expect("split");
+    let like = StoragePredicate::like("l_comment", "%urgent%");
+    let like_stats = time(iters, || evaluate_all(&like, &pred_views));
+    let like_gbps = comment_bytes as f64 / like_stats.min / 1e9;
+    report(&mut cases, "predicate/like_contains", like_stats);
+    let quarter = Scalar::Int(25);
+    let int_lt = StoragePredicate::cmp("l_quantity", CmpOp::Lt, quarter.clone());
+    let rowwise_lt = |views: &[Batch]| -> usize {
+        views
+            .iter()
+            .map(|v| {
+                let column = v.column_by_name("l_quantity").expect("l_quantity");
+                rowwise_cmp(column, CmpOp::Lt, &quarter).count_ones()
+            })
+            .sum()
+    };
+    for view in &pred_views {
+        let column = view.column_by_name("l_quantity").expect("l_quantity");
+        assert_eq!(
+            int_lt.evaluate(view).expect("predicate"),
+            rowwise_cmp(column, CmpOp::Lt, &quarter),
+            "kernel and row-wise baseline select different rows"
+        );
+    }
+    let kernel_stats = time(iters, || evaluate_all(&int_lt, &pred_views));
+    let row_stats = time(iters, || rowwise_lt(&pred_views));
+    let int_cmp_speedup = row_stats.min / kernel_stats.min;
+    report(&mut cases, "predicate/int_lt", kernel_stats);
+    report(&mut cases, "predicate/int_lt_rowwise_baseline", row_stats);
+    println!(
+        "predicate: like {like_gbps:.2} GB/s over {:.1} MB of comments; \
+         int_lt {int_cmp_speedup:.2}x vs rowwise baseline",
+        comment_bytes as f64 / 1e6
+    );
+
     // -- codec: wire-frame encode/decode throughput per edge encoding on
     //    the telemetry stream (string-heavy log-analytics shape: ascending
     //    timestamps, low-cardinality level strings). New JSON keys only —
@@ -578,6 +649,10 @@ fn main() {
     json.push_str(&format!(
         "  \"parallel_best_speedup_vs_1t\": {parallel_speedup:.3},\n"
     ));
+    json.push_str(&format!("  \"like_gbps\": {like_gbps:.3},\n"));
+    json.push_str(&format!(
+        "  \"int_cmp_speedup_vs_rowwise\": {int_cmp_speedup:.3},\n"
+    ));
     json.push_str("  \"codec\": {\n");
     json.push_str(&format!("    \"workload_rows\": {codec_rows},\n"));
     json.push_str(&format!("    \"workload_bytes\": {stream_bytes},\n"));
@@ -634,6 +709,17 @@ fn main() {
             join_speedup >= 1.5,
             "the vectorized hash join must be >=1.5x over the row-wise \
              baseline (got {join_speedup:.2}x)"
+        );
+        // DESIGN §4b prices a CPU core's pattern matching at 0.3 GB/s; the
+        // host must not be slower than the CPU the simulator charges for.
+        assert!(
+            like_gbps >= 0.3,
+            "LIKE '%urgent%' must run at >= 0.3 GB/s (got {like_gbps:.3} GB/s)"
+        );
+        assert!(
+            int_cmp_speedup >= 5.0,
+            "the typed comparison kernel must be >=5x over the row-wise \
+             baseline (got {int_cmp_speedup:.2}x)"
         );
     }
     if !smoke {

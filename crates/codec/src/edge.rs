@@ -193,7 +193,7 @@ fn decode_column_raw(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<Col
             {
                 return Err(CodecError::Corrupt("bad utf8 offsets".into()));
             }
-            std::str::from_utf8(&data).map_err(|_| CodecError::Corrupt("utf8 payload".into()))?;
+            wire::check_utf8_rows(&offsets, &data)?;
             Ok(Column::Utf8 {
                 offsets: offsets.into(),
                 data: data.into(),

@@ -118,6 +118,20 @@ pub(crate) fn read_validity(buf: &[u8], pos: &mut usize) -> Result<Option<Bitmap
     }
 }
 
+/// Check a decoded Utf8 column whose offsets are already known to be
+/// monotonic and to end at `data.len()`: the payload must be valid UTF-8
+/// and every offset must fall on a character boundary, so each row alone
+/// is valid UTF-8. Byte-level LIKE and the Utf8 `gather`/`filter` rely on
+/// this and never re-check a row.
+pub(crate) fn check_utf8_rows(offsets: &[u32], data: &[u8]) -> Result<()> {
+    let text = std::str::from_utf8(data).map_err(|_| CodecError::Corrupt("utf8 payload".into()))?;
+    if offsets.iter().all(|&o| text.is_char_boundary(o as usize)) {
+        Ok(())
+    } else {
+        Err(CodecError::Corrupt("utf8 offset splits a character".into()))
+    }
+}
+
 /// Write one column (without its schema entry). `packed` puts
 /// bit-packing in the running for integer columns.
 pub(crate) fn write_column<S: Sink>(sink: &mut S, column: &Column, packed: bool) {
@@ -268,8 +282,7 @@ pub fn decode_column(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<Col
                     {
                         return Err(CodecError::Corrupt("bad utf8 offsets".into()));
                     }
-                    std::str::from_utf8(&data)
-                        .map_err(|_| CodecError::Corrupt("utf8 payload".into()))?;
+                    check_utf8_rows(&offsets, &data)?;
                     Column::Utf8 {
                         offsets: offsets.into(),
                         data: data.into(),

@@ -3,12 +3,15 @@
 //! Expressions are what the user writes; the kernel compiler (in
 //! [`crate::kernel`]) lowers the offloadable subset into device programs,
 //! and the host operators evaluate the rest with the vectorized paths here.
-//! NULL semantics follow SQL: comparisons and arithmetic over NULL yield
-//! NULL; predicates collapse NULL to "no match".
+//! Predicates run on the same column-at-a-time kernel every device uses
+//! ([`df_storage::eval`]). NULL semantics follow SQL: comparisons and
+//! arithmetic over NULL yield NULL; predicates collapse NULL to "no match".
 
+use std::borrow::Cow;
 use std::fmt;
 
-use df_data::{Batch, Bitmap, Column, ColumnBuilder, DataType, Scalar, Schema};
+use df_data::{Batch, Bitmap, Column, ColumnBuilder, DataError, DataType, Scalar, Schema};
+use df_storage::eval::{self, Mask, Operand};
 use df_storage::pattern::LikePattern;
 use df_storage::zonemap::CmpOp;
 
@@ -452,137 +455,64 @@ impl Expr {
                 let r = right.eval(batch)?;
                 eval_arith(*op, &l, &r)
             }
-            // Boolean-valued expressions evaluate via the predicate path;
+            // Boolean-valued expressions evaluate via the predicate kernel;
             // rows where the result is NULL become NULL booleans.
-            _ => {
-                let (bits, valid) = self.eval_predicate_3v(batch)?;
-                let mut b = ColumnBuilder::new(DataType::Bool, batch.rows());
-                for i in 0..batch.rows() {
-                    if valid.get(i) {
-                        b.push(Scalar::Bool(bits.get(i)))?;
-                    } else {
-                        b.push_null();
-                    }
-                }
-                Ok(b.finish())
-            }
+            _ => Ok(self.eval_predicate_3v(batch)?.into_bool_column()),
         }
     }
 
     /// Evaluate as a predicate: NULL collapses to false (SQL WHERE).
     pub fn eval_predicate(&self, batch: &Batch) -> Result<Bitmap> {
-        let (bits, valid) = self.eval_predicate_3v(batch)?;
-        Ok(bits.and(&valid))
+        Ok(self.eval_predicate_3v(batch)?.into_selection())
     }
 
-    /// Three-valued evaluation: `(truth, known)`. A row matches iff
-    /// `truth & known`; it is NULL iff `!known`.
-    fn eval_predicate_3v(&self, batch: &Batch) -> Result<(Bitmap, Bitmap)> {
+    /// Three-valued evaluation on the shared predicate kernel
+    /// ([`df_storage::eval`]): column and literal leaves are kernel
+    /// operands, any other operand evaluates to a column first.
+    fn eval_predicate_3v(&self, batch: &Batch) -> Result<Mask> {
         let rows = batch.rows();
         match self {
-            Expr::Lit(Scalar::Bool(b)) => Ok((
-                if *b {
-                    Bitmap::ones(rows)
-                } else {
-                    Bitmap::zeros(rows)
-                },
-                Bitmap::ones(rows),
-            )),
-            Expr::Lit(Scalar::Null) => Ok((Bitmap::zeros(rows), Bitmap::zeros(rows))),
-            Expr::Col(_) => {
-                let c = self.eval(batch)?;
-                let values = c.bool_values()?.clone();
-                let valid = c.validity().cloned().unwrap_or_else(|| Bitmap::ones(rows));
-                Ok((values, valid))
-            }
+            Expr::Lit(Scalar::Bool(b)) => Ok(Mask::constant(rows, Some(*b))),
+            Expr::Lit(Scalar::Null) => Ok(Mask::constant(rows, None)),
+            Expr::Col(name) => Ok(Mask::from_bool_column(batch.column_by_name(name)?)?),
             Expr::Cmp { op, left, right } => {
-                let l = left.eval(batch)?;
-                let r = right.eval(batch)?;
-                if l.len() != r.len() {
-                    return Err(EngineError::Internal("cmp length mismatch".into()));
-                }
-                let mut truth = Bitmap::zeros(rows);
-                let mut known = Bitmap::ones(rows);
-                for i in 0..rows {
-                    let (a, b) = (l.scalar_at(i), r.scalar_at(i));
-                    if a.is_null() || b.is_null() {
-                        known.clear(i);
-                    } else if op.matches(a.total_cmp(&b)) {
-                        truth.set(i);
+                let (l, r) = (left.operand(batch)?, right.operand(batch)?);
+                if let (Arg::Col(a), Arg::Col(b)) = (&l, &r) {
+                    if a.len() != b.len() {
+                        return Err(EngineError::Internal("cmp length mismatch".into()));
                     }
                 }
-                Ok((truth, known))
+                Ok(eval::compare(*op, l.get(), r.get(), rows))
             }
             Expr::And(children) => {
-                // Kleene AND: false dominates NULL.
-                let mut truth = Bitmap::ones(rows);
-                let mut known_false = Bitmap::zeros(rows);
-                let mut any_unknown = Bitmap::zeros(rows);
+                let mut mask = Mask::constant(rows, Some(true));
                 for c in children {
-                    let (t, k) = c.eval_predicate_3v(batch)?;
-                    known_false = known_false.or(&t.not().and(&k));
-                    any_unknown = any_unknown.or(&k.not());
-                    truth = truth.and(&t.and(&k));
+                    mask = mask.and(&c.eval_predicate_3v(batch)?);
                 }
-                let known = known_false.or(&any_unknown.not());
-                Ok((truth, known))
+                Ok(mask)
             }
             Expr::Or(children) => {
-                // Kleene OR: true dominates NULL.
-                let mut truth = Bitmap::zeros(rows);
-                let mut any_unknown = Bitmap::zeros(rows);
+                let mut mask = Mask::constant(rows, Some(false));
                 for c in children {
-                    let (t, k) = c.eval_predicate_3v(batch)?;
-                    truth = truth.or(&t.and(&k));
-                    any_unknown = any_unknown.or(&k.not());
+                    mask = mask.or(&c.eval_predicate_3v(batch)?);
                 }
-                let known = truth.or(&any_unknown.not());
-                Ok((truth, known))
+                Ok(mask)
             }
-            Expr::Not(inner) => {
-                let (t, k) = inner.eval_predicate_3v(batch)?;
-                Ok((t.not().and(&k), k))
-            }
+            Expr::Not(inner) => Ok(inner.eval_predicate_3v(batch)?.not()),
             Expr::Like { expr, pattern } => {
-                let c = expr.eval(batch)?;
-                if c.data_type() != DataType::Utf8 {
-                    return Err(EngineError::Plan(format!(
-                        "LIKE requires utf8, got {}",
-                        c.data_type()
-                    )));
-                }
-                let compiled = LikePattern::compile(pattern);
-                let mut truth = Bitmap::zeros(rows);
-                let mut known = Bitmap::ones(rows);
-                for i in 0..rows {
-                    if c.is_null(i) {
-                        known.clear(i);
-                    } else if compiled.matches(c.str_at(i)) {
-                        truth.set(i);
+                let value = expr.operand(batch)?;
+                eval::like(value.get(), &LikePattern::compile(pattern), rows).map_err(|e| match e {
+                    DataError::TypeMismatch { actual, .. } => {
+                        EngineError::Plan(format!("LIKE requires utf8, got {actual}"))
                     }
-                }
-                Ok((truth, known))
+                    other => other.into(),
+                })
             }
             Expr::IsNull { expr, negated } => {
-                let c = expr.eval(batch)?;
-                let truth = Bitmap::from_iter((0..rows).map(|i| c.is_null(i) != *negated));
-                Ok((truth, Bitmap::ones(rows)))
+                Ok(eval::is_null(expr.operand(batch)?.get(), *negated, rows))
             }
             Expr::Between { expr, low, high } => {
-                let c = expr.eval(batch)?;
-                let mut truth = Bitmap::zeros(rows);
-                let mut known = Bitmap::ones(rows);
-                for i in 0..rows {
-                    let v = c.scalar_at(i);
-                    if v.is_null() || low.is_null() || high.is_null() {
-                        known.clear(i);
-                    } else if v.total_cmp(low) != std::cmp::Ordering::Less
-                        && v.total_cmp(high) != std::cmp::Ordering::Greater
-                    {
-                        truth.set(i);
-                    }
-                }
-                Ok((truth, known))
+                Ok(eval::between(expr.operand(batch)?.get(), low, high, rows))
             }
             Expr::Lit(other) => Err(EngineError::Plan(format!(
                 "literal {other} is not a predicate"
@@ -590,6 +520,31 @@ impl Expr {
             Expr::Arith { .. } => Err(EngineError::Plan(
                 "arithmetic expression used as predicate".into(),
             )),
+        }
+    }
+
+    /// A kernel operand: a column borrowed from the batch, a literal, or
+    /// any other expression evaluated to a column.
+    fn operand<'a>(&'a self, batch: &'a Batch) -> Result<Arg<'a>> {
+        Ok(match self {
+            Expr::Col(name) => Arg::Col(Cow::Borrowed(batch.column_by_name(name)?)),
+            Expr::Lit(value) => Arg::Lit(value),
+            other => Arg::Col(Cow::Owned(other.eval(batch)?)),
+        })
+    }
+}
+
+/// An evaluated operand of a predicate leaf.
+enum Arg<'a> {
+    Col(Cow<'a, Column>),
+    Lit(&'a Scalar),
+}
+
+impl Arg<'_> {
+    fn get(&self) -> Operand<'_> {
+        match self {
+            Arg::Col(c) => Operand::Col(c),
+            Arg::Lit(s) => Operand::Lit(s),
         }
     }
 }

@@ -10,7 +10,9 @@
 //!   (filter constants, LIKE patterns) that can be re-filled per query
 //!   without recompiling the logic — see [`Program::with_registers`];
 //! - [`Program::run`] is the device interpreter, used by every emulated
-//!   accelerator so offloaded and host execution agree bit-for-bit.
+//!   accelerator. Its instructions call the same predicate kernel
+//!   ([`df_storage::eval`]) as host filters and smart storage, so
+//!   offloaded and host execution agree bit-for-bit.
 //!
 //! [`to_storage_predicate`] is the second lowering path: from `Expr` into
 //! the self-contained predicate language smart storage accepts.
@@ -20,7 +22,8 @@
 
 pub mod regex;
 
-use df_data::{Batch, Bitmap, Column, DataType, Scalar, Schema};
+use df_data::{Batch, Bitmap, Scalar, Schema};
+use df_storage::eval::{self, Mask, Operand};
 use df_storage::pattern::LikePattern;
 use df_storage::predicate::StoragePredicate;
 use df_storage::zonemap::CmpOp;
@@ -29,12 +32,13 @@ use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 
 /// One bytecode instruction. The VM is a stack machine whose values are
-/// whole columns or predicate masks — vectorized by construction.
+/// column or register operands and predicate masks — vectorized by
+/// construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     /// Push input column `columns[i]`.
     LoadCol(u16),
-    /// Push register `registers[i]`, broadcast to the batch length.
+    /// Push register `registers[i]` as a scalar operand (never broadcast).
     LoadReg(u16),
     /// Pop rhs, pop lhs, push the comparison mask.
     Cmp(CmpOp),
@@ -64,9 +68,10 @@ pub struct Program {
     pub columns: Vec<String>,
 }
 
-enum Value {
-    Col(Column),
-    Mask { truth: Bitmap, known: Bitmap },
+/// A VM stack slot: a column or register operand, or a predicate mask.
+enum Value<'a> {
+    Operand(Operand<'a>),
+    Mask(Mask),
 }
 
 impl Program {
@@ -185,117 +190,59 @@ impl Program {
     }
 
     /// Execute on a batch, producing the selection mask (NULL collapsed to
-    /// non-matching, exactly like [`Expr::eval_predicate`]).
+    /// non-matching, exactly like [`Expr::eval_predicate`]). Every
+    /// instruction runs on the shared predicate kernel
+    /// ([`df_storage::eval`]); registers stay scalars.
     pub fn run(&self, batch: &Batch) -> Result<Bitmap> {
         let rows = batch.rows();
-        let mut stack: Vec<Value> = Vec::with_capacity(8);
+        let reg = |i: u16| {
+            self.registers
+                .get(i as usize)
+                .ok_or_else(|| EngineError::Internal("kernel register out of range".into()))
+        };
+        let mut stack: Vec<Value<'_>> = Vec::with_capacity(8);
         for instr in &self.instrs {
-            match instr {
+            let value = match instr {
                 Instr::LoadCol(i) => {
                     let name = self.columns.get(*i as usize).ok_or_else(|| {
                         EngineError::Internal("kernel column index out of range".into())
                     })?;
-                    stack.push(Value::Col(batch.column_by_name(name)?.clone()));
+                    Value::Operand(Operand::Col(batch.column_by_name(name)?))
                 }
-                Instr::LoadReg(i) => {
-                    let value = self.registers.get(*i as usize).ok_or_else(|| {
-                        EngineError::Internal("kernel register out of range".into())
-                    })?;
-                    let dtype = value.data_type().unwrap_or(DataType::Int64);
-                    let mut b = df_data::ColumnBuilder::new(dtype, rows);
-                    for _ in 0..rows {
-                        b.push(value.clone())?;
-                    }
-                    stack.push(Value::Col(b.finish()));
-                }
+                Instr::LoadReg(i) => Value::Operand(Operand::Lit(reg(*i)?)),
                 Instr::Cmp(op) => {
-                    let rhs = pop_col(&mut stack)?;
-                    let lhs = pop_col(&mut stack)?;
-                    let mut truth = Bitmap::zeros(rows);
-                    let mut known = Bitmap::ones(rows);
-                    for i in 0..rows {
-                        let (a, b) = (lhs.scalar_at(i), rhs.scalar_at(i));
-                        if a.is_null() || b.is_null() {
-                            known.clear(i);
-                        } else if op.matches(a.total_cmp(&b)) {
-                            truth.set(i);
-                        }
-                    }
-                    stack.push(Value::Mask { truth, known });
+                    let rhs = pop_operand(&mut stack)?;
+                    let lhs = pop_operand(&mut stack)?;
+                    Value::Mask(eval::compare(*op, lhs, rhs, rows))
                 }
                 Instr::And => {
-                    let (bt, bk) = pop_mask(&mut stack)?;
-                    let (at, ak) = pop_mask(&mut stack)?;
-                    // Kleene AND.
-                    let truth = at.and(&ak).and(&bt.and(&bk));
-                    let false_a = at.not().and(&ak);
-                    let false_b = bt.not().and(&bk);
-                    let known = false_a.or(&false_b).or(&ak.and(&bk));
-                    stack.push(Value::Mask { truth, known });
+                    let b = pop_mask(&mut stack)?;
+                    Value::Mask(pop_mask(&mut stack)?.and(&b))
                 }
                 Instr::Or => {
-                    let (bt, bk) = pop_mask(&mut stack)?;
-                    let (at, ak) = pop_mask(&mut stack)?;
-                    // Kleene OR.
-                    let truth = at.and(&ak).or(&bt.and(&bk));
-                    let known = truth.or(&ak.and(&bk));
-                    stack.push(Value::Mask { truth, known });
+                    let b = pop_mask(&mut stack)?;
+                    Value::Mask(pop_mask(&mut stack)?.or(&b))
                 }
-                Instr::Not => {
-                    let (t, k) = pop_mask(&mut stack)?;
-                    stack.push(Value::Mask {
-                        truth: t.not().and(&k),
-                        known: k,
-                    });
-                }
-                Instr::Like(reg) => {
-                    let col = pop_col(&mut stack)?;
-                    let pattern = self.registers[*reg as usize]
-                        .as_str()
-                        .ok_or_else(|| EngineError::Internal("LIKE register not a string".into()))?
-                        .to_string();
-                    let compiled = LikePattern::compile(&pattern);
-                    let mut truth = Bitmap::zeros(rows);
-                    let mut known = Bitmap::ones(rows);
-                    for i in 0..rows {
-                        if col.is_null(i) {
-                            known.clear(i);
-                        } else if compiled.matches(col.str_at(i)) {
-                            truth.set(i);
-                        }
-                    }
-                    stack.push(Value::Mask { truth, known });
+                Instr::Not => Value::Mask(pop_mask(&mut stack)?.not()),
+                Instr::Like(r) => {
+                    let pattern = reg(*r)?.as_str().ok_or_else(|| {
+                        EngineError::Internal("LIKE register not a string".into())
+                    })?;
+                    let value = pop_operand(&mut stack)?;
+                    Value::Mask(eval::like(value, &LikePattern::compile(pattern), rows)?)
                 }
                 Instr::IsNull(negated) => {
-                    let col = pop_col(&mut stack)?;
-                    let truth = Bitmap::from_iter((0..rows).map(|i| col.is_null(i) != *negated));
-                    stack.push(Value::Mask {
-                        truth,
-                        known: Bitmap::ones(rows),
-                    });
+                    Value::Mask(eval::is_null(pop_operand(&mut stack)?, *negated, rows))
                 }
                 Instr::Between(lo, hi) => {
-                    let col = pop_col(&mut stack)?;
-                    let low = &self.registers[*lo as usize];
-                    let high = &self.registers[*hi as usize];
-                    let mut truth = Bitmap::zeros(rows);
-                    let mut known = Bitmap::ones(rows);
-                    for i in 0..rows {
-                        let v = col.scalar_at(i);
-                        if v.is_null() || low.is_null() || high.is_null() {
-                            known.clear(i);
-                        } else if v.total_cmp(low) != std::cmp::Ordering::Less
-                            && v.total_cmp(high) != std::cmp::Ordering::Greater
-                        {
-                            truth.set(i);
-                        }
-                    }
-                    stack.push(Value::Mask { truth, known });
+                    let value = pop_operand(&mut stack)?;
+                    Value::Mask(eval::between(value, reg(*lo)?, reg(*hi)?, rows))
                 }
-            }
+            };
+            stack.push(value);
         }
         match stack.pop() {
-            Some(Value::Mask { truth, known }) if stack.is_empty() => Ok(truth.and(&known)),
+            Some(Value::Mask(mask)) if stack.is_empty() => Ok(mask.into_selection()),
             _ => Err(EngineError::Internal(
                 "kernel program did not leave exactly one mask".into(),
             )),
@@ -303,16 +250,16 @@ impl Program {
     }
 }
 
-fn pop_col(stack: &mut Vec<Value>) -> Result<Column> {
+fn pop_operand<'a>(stack: &mut Vec<Value<'a>>) -> Result<Operand<'a>> {
     match stack.pop() {
-        Some(Value::Col(c)) => Ok(c),
-        _ => Err(EngineError::Internal("kernel expected a column".into())),
+        Some(Value::Operand(v)) => Ok(v),
+        _ => Err(EngineError::Internal("kernel expected an operand".into())),
     }
 }
 
-fn pop_mask(stack: &mut Vec<Value>) -> Result<(Bitmap, Bitmap)> {
+fn pop_mask(stack: &mut Vec<Value<'_>>) -> Result<Mask> {
     match stack.pop() {
-        Some(Value::Mask { truth, known }) => Ok((truth, known)),
+        Some(Value::Mask(mask)) => Ok(mask),
         _ => Err(EngineError::Internal("kernel expected a mask".into())),
     }
 }
@@ -329,20 +276,11 @@ pub fn to_storage_predicate(expr: &Expr) -> Option<StoragePredicate> {
                 literal: v.clone(),
             }),
             // literal OP col: flip the operator.
-            (Expr::Lit(v), Expr::Col(c)) => {
-                let flipped = match op {
-                    CmpOp::Lt => CmpOp::Gt,
-                    CmpOp::Le => CmpOp::Ge,
-                    CmpOp::Gt => CmpOp::Lt,
-                    CmpOp::Ge => CmpOp::Le,
-                    other => *other,
-                };
-                Some(StoragePredicate::Cmp {
-                    column: c.clone(),
-                    op: flipped,
-                    literal: v.clone(),
-                })
-            }
+            (Expr::Lit(v), Expr::Col(c)) => Some(StoragePredicate::Cmp {
+                column: c.clone(),
+                op: op.flipped(),
+                literal: v.clone(),
+            }),
             _ => None,
         },
         Expr::And(children) => children
@@ -397,6 +335,7 @@ mod tests {
     use super::*;
     use crate::expr::{col, lit};
     use df_data::batch::batch_of;
+    use df_data::Column;
 
     fn sample() -> Batch {
         batch_of(vec![

@@ -230,7 +230,11 @@ impl Column {
     }
 
     /// The string at row `i` (ignores validity; returns "" for NULL slots).
-    /// Panics on non-Utf8 columns.
+    /// Panics on non-Utf8 columns, and on a row that is not valid UTF-8,
+    /// which no constructor or decoder produces: decoders reject payloads
+    /// with invalid bytes or with an offset inside a character. Bulk paths
+    /// (the predicate kernel, `gather`, `filter`) read rows as bytes and
+    /// skip this per-row check.
     pub fn str_at(&self, i: usize) -> &str {
         match self {
             Column::Utf8 { offsets, data, .. } => {
@@ -361,9 +365,10 @@ impl Column {
     /// a data buffer pre-sized to their total length, without the per-row
     /// UTF-8 check `str_at` runs. Skipping it is sound: no `&str` is formed
     /// here, only bytes move, so the copy cannot create an invalid `&str`;
-    /// the bytes were checked when the column was built (the constructors
-    /// take `&str`s) or decoded (every decoder validates its payload), and
-    /// `str_at` still validates any row it later reads.
+    /// and every row already is valid UTF-8 on its own, whether the column
+    /// was built (the constructors take `&str`s) or decoded (every decoder
+    /// checks the payload and that each offset falls on a character
+    /// boundary). `str_at` still validates any row it later reads.
     pub fn gather(&self, indices: &[usize]) -> Column {
         let validity = self
             .validity()

@@ -45,4 +45,4 @@ pub use hash::FxHashMap;
 pub use partition::HashPartitioner;
 pub use rowpage::RowPage;
 pub use schema::{Field, Schema, SchemaRef};
-pub use types::{DataType, Scalar, ValueRef};
+pub use types::{kind_rank, DataType, Scalar, ValueRef};

@@ -42,6 +42,18 @@ impl DataType {
     }
 }
 
+/// The rank of a value's kind in [`Scalar::total_cmp`]'s order, which
+/// orders values of different kinds: NULL (`None`) < Bool < Int64/Float64 <
+/// Utf8.
+pub fn kind_rank(dtype: Option<DataType>) -> u8 {
+    match dtype {
+        None => 0,
+        Some(DataType::Bool) => 1,
+        Some(DataType::Int64 | DataType::Float64) => 2,
+        Some(DataType::Utf8) => 3,
+    }
+}
+
 impl fmt::Display for DataType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -133,14 +145,6 @@ impl Scalar {
     pub fn total_cmp(&self, other: &Scalar) -> std::cmp::Ordering {
         use std::cmp::Ordering::*;
         use Scalar::*;
-        fn rank(s: &Scalar) -> u8 {
-            match s {
-                Null => 0,
-                Bool(_) => 1,
-                Int(_) | Float(_) => 2,
-                Str(_) => 3,
-            }
-        }
         match (self, other) {
             (Null, Null) => Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
@@ -149,7 +153,7 @@ impl Scalar {
             (Int(a), Float(b)) => (*a as f64).total_cmp(b),
             (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
             (Str(a), Str(b)) => a.cmp(b),
-            (a, b) => rank(a).cmp(&rank(b)),
+            (a, b) => kind_rank(a.data_type()).cmp(&kind_rank(b.data_type())),
         }
     }
 }
@@ -175,6 +179,17 @@ pub enum ValueRef<'a> {
 }
 
 impl ValueRef<'_> {
+    /// The data type of this value, or `None` for NULL.
+    pub fn data_type(&self) -> Option<DataType> {
+        match self {
+            ValueRef::Null => None,
+            ValueRef::Int(_) => Some(DataType::Int64),
+            ValueRef::Float(_) => Some(DataType::Float64),
+            ValueRef::Str(_) => Some(DataType::Utf8),
+            ValueRef::Bool(_) => Some(DataType::Bool),
+        }
+    }
+
     /// Whether this is the NULL value.
     pub fn is_null(&self) -> bool {
         matches!(self, ValueRef::Null)
@@ -212,22 +227,6 @@ impl ValueRef<'_> {
     /// this value.
     pub fn total_cmp_scalar(&self, other: &Scalar) -> std::cmp::Ordering {
         use std::cmp::Ordering::*;
-        fn rank_ref(s: &ValueRef<'_>) -> u8 {
-            match s {
-                ValueRef::Null => 0,
-                ValueRef::Bool(_) => 1,
-                ValueRef::Int(_) | ValueRef::Float(_) => 2,
-                ValueRef::Str(_) => 3,
-            }
-        }
-        fn rank(s: &Scalar) -> u8 {
-            match s {
-                Scalar::Null => 0,
-                Scalar::Bool(_) => 1,
-                Scalar::Int(_) | Scalar::Float(_) => 2,
-                Scalar::Str(_) => 3,
-            }
-        }
         match (self, other) {
             (ValueRef::Null, Scalar::Null) => Equal,
             (ValueRef::Bool(a), Scalar::Bool(b)) => a.cmp(b),
@@ -236,7 +235,7 @@ impl ValueRef<'_> {
             (ValueRef::Int(a), Scalar::Float(b)) => (*a as f64).total_cmp(b),
             (ValueRef::Float(a), Scalar::Int(b)) => a.total_cmp(&(*b as f64)),
             (ValueRef::Str(a), Scalar::Str(b)) => (*a).cmp(b.as_str()),
-            (a, b) => rank_ref(a).cmp(&rank(b)),
+            (a, b) => kind_rank(a.data_type()).cmp(&kind_rank(b.data_type())),
         }
     }
 }

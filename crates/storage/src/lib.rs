@@ -12,7 +12,10 @@
 //! - [`segment`] — the columnar segment format: pages of encoded column
 //!   blocks plus a footer directory, so projections read only the blocks
 //!   they need
-//! - [`pattern`] — a SQL `LIKE` matcher (the AQUA-style pushdown predicate)
+//! - [`pattern`] — a SQL `LIKE` matcher on UTF-8 bytes (the AQUA-style
+//!   pushdown predicate)
+//! - [`eval`] — the one column-at-a-time, three-valued predicate kernel
+//!   that storage, NIC, near-memory, host and device-VM filters all run
 //! - [`predicate`] — the self-contained predicate language the engine
 //!   pushes down to storage
 //! - [`smart`] — the smart-storage server: streaming, stateless, page-at-a-
@@ -20,6 +23,7 @@
 //!   pre-aggregation, with byte-level billing (bytes scanned vs returned)
 //! - [`table`] — multi-segment tables and their statistics
 
+pub mod eval;
 pub mod object;
 pub mod partition;
 pub mod pattern;

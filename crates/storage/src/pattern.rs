@@ -7,6 +7,15 @@
 //!
 //! Supported metacharacters: `%` (any run, including empty), `_` (exactly
 //! one character), and `\` as the escape character.
+//!
+//! Matching runs on UTF-8 bytes, never on decoded `char`s: a literal
+//! character becomes its byte sequence, and `_` consumes one code point (a
+//! lead byte plus its continuation bytes). On valid UTF-8 this is exactly
+//! character matching — a literal starts with a lead byte, which never
+//! equals a continuation byte, so a literal can only match at a character
+//! boundary. Columns guarantee valid UTF-8 at every row boundary (the
+//! constructors take `&str`, and every decoder checks both the payload and
+//! that each offset falls on a character boundary).
 
 /// A compiled LIKE pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,10 +25,11 @@ pub struct LikePattern {
     source: String,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One compiled pattern element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Token {
-    /// A literal character.
-    Char(char),
+    /// A literal byte (literal characters expand to their UTF-8 bytes).
+    Byte(u8),
     /// `_`: exactly one character.
     AnyOne,
     /// `%`: zero or more characters.
@@ -32,18 +42,24 @@ impl LikePattern {
     pub fn compile(pattern: &str) -> LikePattern {
         let mut tokens = Vec::with_capacity(pattern.len());
         let mut chars = pattern.chars();
+        let mut utf8 = [0u8; 4];
         while let Some(c) = chars.next() {
-            match c {
+            let literal = match c {
                 '%' => {
                     // Collapse runs of % (equivalent and cheaper to match).
                     if tokens.last() != Some(&Token::AnyRun) {
                         tokens.push(Token::AnyRun);
                     }
+                    continue;
                 }
-                '_' => tokens.push(Token::AnyOne),
-                '\\' => tokens.push(Token::Char(chars.next().unwrap_or('\\'))),
-                other => tokens.push(Token::Char(other)),
-            }
+                '_' => {
+                    tokens.push(Token::AnyOne);
+                    continue;
+                }
+                '\\' => chars.next().unwrap_or('\\'),
+                other => other,
+            };
+            tokens.extend(literal.encode_utf8(&mut utf8).bytes().map(Token::Byte));
         }
         LikePattern {
             tokens,
@@ -59,31 +75,35 @@ impl LikePattern {
     /// Whether `input` matches the pattern (anchored at both ends, as SQL
     /// LIKE requires).
     pub fn matches(&self, input: &str) -> bool {
-        let chars: Vec<char> = input.chars().collect();
-        // Iterative two-pointer algorithm with backtracking over the last
-        // `%`: O(n*m) worst case, O(n) typical, no recursion.
-        let (mut ti, mut ci) = (0usize, 0usize);
-        let mut star: Option<(usize, usize)> = None; // (token after %, char idx)
-        while ci < chars.len() {
+        self.matches_bytes(input.as_bytes())
+    }
+
+    /// [`LikePattern::matches`] on the UTF-8 bytes of one value: an
+    /// iterative two-pointer algorithm with backtracking over the last `%`,
+    /// O(n*m) worst case, O(n) typical, no recursion.
+    pub(crate) fn matches_bytes(&self, input: &[u8]) -> bool {
+        let (mut ti, mut bi) = (0usize, 0usize);
+        let mut star: Option<(usize, usize)> = None; // (token after %, byte idx)
+        while bi < input.len() {
             match self.tokens.get(ti) {
-                Some(Token::Char(p)) if *p == chars[ci] => {
+                Some(Token::Byte(p)) if *p == input[bi] => {
                     ti += 1;
-                    ci += 1;
+                    bi += 1;
                 }
                 Some(Token::AnyOne) => {
                     ti += 1;
-                    ci += 1;
+                    bi = next_char(input, bi);
                 }
                 Some(Token::AnyRun) => {
-                    star = Some((ti + 1, ci));
+                    star = Some((ti + 1, bi));
                     ti += 1;
                 }
                 _ => match star {
-                    Some((st, sc)) => {
+                    Some((st, sb)) => {
                         // Let the last % absorb one more character.
                         ti = st;
-                        ci = sc + 1;
-                        star = Some((st, sc + 1));
+                        bi = next_char(input, sb);
+                        star = Some((st, bi));
                     }
                     None => return false,
                 },
@@ -96,18 +116,47 @@ impl LikePattern {
     /// Whether this pattern is a pure prefix match (`abc%`), which storage
     /// can additionally prune with string zone maps.
     pub fn literal_prefix(&self) -> Option<String> {
-        let mut prefix = String::new();
+        let mut prefix = Vec::new();
         for (i, t) in self.tokens.iter().enumerate() {
             match t {
-                Token::Char(c) => prefix.push(*c),
+                Token::Byte(b) => prefix.push(*b),
                 Token::AnyRun if i + 1 == self.tokens.len() => {
-                    return Some(prefix);
+                    // Whole characters went in, so the bytes are UTF-8.
+                    return Some(String::from_utf8_lossy(&prefix).into_owned());
                 }
                 _ => return None,
             }
         }
         None
     }
+
+    /// The literal bytes of a `%lit%` pattern, which a substring search
+    /// answers without the backtracking matcher.
+    pub(crate) fn contained_literal(&self) -> Option<Vec<u8>> {
+        match self.tokens.as_slice() {
+            [Token::AnyRun, inner @ .., Token::AnyRun] if !inner.is_empty() => inner
+                .iter()
+                .map(|t| match t {
+                    Token::Byte(b) => Some(*b),
+                    _ => None,
+                })
+                .collect(),
+            _ => None,
+        }
+    }
+}
+
+/// The byte index after the character starting at `i`, read from its lead
+/// byte (clamped to the input, so malformed bytes cannot overrun).
+#[inline]
+fn next_char(input: &[u8], i: usize) -> usize {
+    let width = match input[i] {
+        0x00..=0x7F => 1,
+        0x80..=0xDF => 2,
+        0xE0..=0xEF => 3,
+        _ => 4,
+    };
+    (i + width).min(input.len())
 }
 
 /// Convenience: compile-and-match in one call (host-side expression path).
@@ -176,6 +225,9 @@ mod tests {
         assert!(like("héllo", "h_llo"));
         assert!(like("日本語", "日__"));
         assert!(!like("日本語", "日_"));
+        assert!(like("日本語", "%_語"));
+        assert!(like("aé", "%é"));
+        assert!(!like("é", "__"));
     }
 
     #[test]
@@ -191,6 +243,20 @@ mod tests {
             LikePattern::compile("\\%x%").literal_prefix(),
             Some("%x".to_string())
         );
+        assert_eq!(
+            LikePattern::compile("日%").literal_prefix(),
+            Some("日".to_string())
+        );
+    }
+
+    #[test]
+    fn contained_literal_detection() {
+        let lit = |p| LikePattern::compile(p).contained_literal();
+        assert_eq!(lit("%urgent%"), Some(b"urgent".to_vec()));
+        assert_eq!(lit("%%\\_é%%"), Some("_é".as_bytes().to_vec()));
+        for p in ["%", "%%", "abc%", "%abc", "abc", "%a_c%", "%a%c%"] {
+            assert_eq!(lit(p), None, "{p}");
+        }
     }
 
     #[test]

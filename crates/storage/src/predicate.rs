@@ -5,15 +5,16 @@
 //! (§3.3, §7.2). It supports exactly the operations the paper identifies as
 //! storage-pushable — comparisons, ranges, LIKE, null tests, and boolean
 //! combinations — and can both *evaluate* on a batch and *prune* with zone
-//! maps.
-
-use std::cmp::Ordering;
+//! maps. Evaluation runs on the shared kernel in [`crate::eval`] with SQL's
+//! three-valued (Kleene) logic, so a pushed-down predicate selects exactly
+//! the rows the host's `Expr` and the device VM select.
 
 use df_data::{Batch, Bitmap, Scalar};
 
+use crate::eval::{self, Mask, Operand};
 use crate::pattern::LikePattern;
 use crate::zonemap::{CmpOp, ZoneMap};
-use crate::{Result, StorageError};
+use crate::Result;
 
 /// A predicate evaluable by the storage layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +55,8 @@ pub enum StoragePredicate {
     And(Vec<StoragePredicate>),
     /// Disjunction.
     Or(Vec<StoragePredicate>),
-    /// Negation (SQL semantics: NULL comparisons stay non-matching).
+    /// Kleene negation: a row whose operand is NULL (unknown) stays
+    /// unknown, so it matches neither the inner predicate nor its NOT.
     Not(Box<StoragePredicate>),
     /// Matches every row.
     True,
@@ -103,98 +105,49 @@ impl StoragePredicate {
         }
     }
 
-    /// Evaluate over a batch, producing a selection bitmap. SQL three-valued
-    /// logic collapses to "NULL does not match".
+    /// Evaluate over a batch, producing a selection bitmap: the rows where
+    /// the predicate is TRUE under SQL's three-valued logic.
     pub fn evaluate(&self, batch: &Batch) -> Result<Bitmap> {
+        Ok(self.mask(batch)?.into_selection())
+    }
+
+    /// Three-valued evaluation on the shared predicate kernel.
+    fn mask(&self, batch: &Batch) -> Result<Mask> {
         let rows = batch.rows();
+        let col = |name: &str| batch.column_by_name(name).map(Operand::Col);
         Ok(match self {
-            StoragePredicate::True => Bitmap::ones(rows),
+            StoragePredicate::True => Mask::constant(rows, Some(true)),
             StoragePredicate::Cmp {
                 column,
                 op,
                 literal,
-            } => {
-                let col = batch.column_by_name(column)?;
-                let mut bits = Bitmap::zeros(rows);
-                if literal.is_null() {
-                    return Ok(bits); // `x OP NULL` matches nothing
-                }
-                for i in 0..rows {
-                    let v = col.scalar_at(i);
-                    if !v.is_null() && op.matches(v.total_cmp(literal)) {
-                        bits.set(i);
-                    }
-                }
-                bits
-            }
+            } => eval::compare(*op, col(column)?, Operand::Lit(literal), rows),
             StoragePredicate::Between { column, low, high } => {
-                let col = batch.column_by_name(column)?;
-                let mut bits = Bitmap::zeros(rows);
-                if low.is_null() || high.is_null() {
-                    return Ok(bits);
-                }
-                for i in 0..rows {
-                    let v = col.scalar_at(i);
-                    if !v.is_null()
-                        && v.total_cmp(low) != Ordering::Less
-                        && v.total_cmp(high) != Ordering::Greater
-                    {
-                        bits.set(i);
-                    }
-                }
-                bits
+                eval::between(col(column)?, low, high, rows)
             }
             StoragePredicate::Like { column, pattern } => {
-                let col = batch.column_by_name(column)?;
-                if col.data_type() != df_data::DataType::Utf8 {
-                    return Err(StorageError::Data(df_data::DataError::TypeMismatch {
-                        expected: "utf8".into(),
-                        actual: col.data_type().to_string(),
-                    }));
-                }
-                let compiled = LikePattern::compile(pattern);
-                let mut bits = Bitmap::zeros(rows);
-                for i in 0..rows {
-                    if !col.is_null(i) && compiled.matches(col.str_at(i)) {
-                        bits.set(i);
-                    }
-                }
-                bits
+                eval::like(col(column)?, &LikePattern::compile(pattern), rows)?
             }
             StoragePredicate::IsNull { column, negated } => {
-                let col = batch.column_by_name(column)?;
-                Bitmap::from_iter((0..rows).map(|i| col.is_null(i) != *negated))
+                eval::is_null(col(column)?, *negated, rows)
             }
             StoragePredicate::And(children) => {
-                let mut bits = Bitmap::ones(rows);
+                let mut mask = Mask::constant(rows, Some(true));
                 for c in children {
-                    bits = bits.and(&c.evaluate(batch)?);
+                    mask = mask.and(&c.mask(batch)?);
                 }
-                bits
+                mask
             }
             StoragePredicate::Or(children) => {
-                let mut bits = Bitmap::zeros(rows);
+                let mut mask = Mask::constant(rows, Some(false));
                 for c in children {
-                    bits = bits.or(&c.evaluate(batch)?);
+                    mask = mask.or(&c.mask(batch)?);
                 }
-                bits
+                mask
             }
-            StoragePredicate::Not(inner) => {
-                // SQL NOT over two-valued collapse: rows where the inner
-                // predicate *matched* become non-matching and vice versa,
-                // except NULL operands must stay non-matching. We get that
-                // by also requiring the operand columns to be non-null.
-                let inner_bits = inner.evaluate(batch)?;
-                let mut bits = inner_bits.not();
-                for column in inner.columns() {
-                    let col = batch.column_by_name(&column)?;
-                    if col.null_count() > 0 {
-                        let non_null = Bitmap::from_iter((0..rows).map(|i| !col.is_null(i)));
-                        bits = bits.and(&non_null);
-                    }
-                }
-                bits
-            }
+            // Kleene NOT: a row whose inner predicate is NULL stays NULL,
+            // so it matches neither the predicate nor its negation.
+            StoragePredicate::Not(inner) => inner.mask(batch)?.not(),
         })
     }
 
@@ -354,6 +307,24 @@ mod tests {
         // NOT (qty > 20): NULL qty rows match neither the inner nor the NOT.
         let p = StoragePredicate::Not(Box::new(StoragePredicate::cmp("qty", CmpOp::Gt, 20i64)));
         assert_eq!(selected(&p), vec![0]); // only qty=10; row 1 NULL excluded
+    }
+
+    #[test]
+    fn not_of_a_nullable_conjunction_is_kleene() {
+        // a < 3 is FALSE and b > 10 is NULL: the AND is FALSE (FALSE
+        // dominates NULL), so its NOT is TRUE even though b is NULL.
+        let batch = batch_of(vec![
+            ("a", Column::from_i64(vec![5])),
+            ("b", Column::from_opt_i64(&[None])),
+        ]);
+        let p = StoragePredicate::Not(Box::new(StoragePredicate::And(vec![
+            StoragePredicate::cmp("a", CmpOp::Lt, 3i64),
+            StoragePredicate::cmp("b", CmpOp::Gt, 10i64),
+        ])));
+        assert_eq!(
+            p.evaluate(&batch).unwrap().iter_ones().collect::<Vec<_>>(),
+            vec![0]
+        );
     }
 
     #[test]

@@ -39,6 +39,17 @@ impl CmpOp {
         }
     }
 
+    /// The operator with its operands swapped: `a OP b` is `b OP' a`.
+    pub fn flipped(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            CmpOp::Eq | CmpOp::Ne => self,
+        }
+    }
+
     /// Short SQL-ish symbol.
     pub fn symbol(self) -> &'static str {
         match self {

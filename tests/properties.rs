@@ -538,15 +538,221 @@ fn kernel_vm_matches_host_eval() {
 #[test]
 fn pushdown_matches_host_eval() {
     check("pushdown_matches_host_eval", 64, |g| {
-        use rheo::core::expr::col;
+        // `i` is NULL on about a quarter of the rows, so NOT over AND/OR
+        // trees separates Kleene logic from "NULL never matches".
         let batch = arb_batch(g, 100);
-        let lo = g.i64_in(-100, 99);
-        let span = g.i64_in(0, 49);
-        let expr = col("i").between(lo, lo + span);
+        let expr = arb_predicate(g, &batch, 3, false);
         let host = expr.eval_predicate(&batch).unwrap();
-        let pushed = rheo::core::kernel::to_storage_predicate(&expr).unwrap();
+        let pushed = rheo::core::kernel::to_storage_predicate(&expr)
+            .unwrap_or_else(|| panic!("{expr} must lower to storage"));
         let storage = pushed.evaluate(&batch).unwrap();
-        assert_eq!(host, storage);
+        assert_eq!(host, storage, "{expr}");
+    });
+}
+
+// ------------------------------------------------- the predicate kernel
+
+const KERNEL_CHARS: [char; 8] = ['a', 'b', 'é', '日', '%', '_', '\\', ' '];
+
+fn opt<T>(g: &mut Gen, value: impl FnOnce(&mut Gen) -> T) -> Option<T> {
+    if g.usize_in(0, 4) == 0 {
+        None
+    } else {
+        Some(value(g))
+    }
+}
+
+fn kernel_int(g: &mut Gen) -> i64 {
+    match g.usize_in(0, 5) {
+        0 => *g.pick(&[i64::MIN, i64::MAX, 0, -1, 1, 1 << 53]),
+        1 => g.i64(),
+        _ => g.i64_in(-4, 4),
+    }
+}
+
+fn kernel_float(g: &mut Gen) -> f64 {
+    match g.usize_in(0, 3) {
+        0 => *g.pick(&[
+            -0.0,
+            0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]),
+        1 => g.i64_in(-4, 4) as f64,
+        2 => g.i64_in(-8, 8) as f64 / 2.0,
+        _ => g.f64_any(),
+    }
+}
+
+fn kernel_str(g: &mut Gen) -> String {
+    g.string_from(&KERNEL_CHARS, 5)
+}
+
+/// A batch with every type the kernel compares: Int64 with NULLs and
+/// extremes, Float64 with signed zeros, NaN, infinities and NULLs, Utf8
+/// with empty strings, multibyte characters and literal `%`/`_`/`\`, and
+/// Bool with NULLs.
+fn kernel_batch(g: &mut Gen, max_rows: usize) -> Batch {
+    let rows = g.usize_in(1, max_rows);
+    let ints = |g: &mut Gen| g.vec_of(rows, |g| opt(g, kernel_int));
+    let strs = |g: &mut Gen| g.vec_of(rows, |g| opt(g, kernel_str));
+    let (i, j) = (ints(g), ints(g));
+    let f = g.vec_of(rows, |g| opt(g, kernel_float));
+    let (s, t) = (strs(g), strs(g));
+    let b = g.vec_of(rows, |g| opt(g, Gen::bool));
+    let as_strs = |v: &[Option<String>]| -> Column {
+        Column::from_opt_strs(&v.iter().map(Option::as_deref).collect::<Vec<_>>())
+    };
+    let mut bools = ColumnBuilder::new(DataType::Bool, rows);
+    for v in b {
+        match v {
+            Some(v) => bools.push(Scalar::Bool(v)).unwrap(),
+            None => bools.push_null(),
+        }
+    }
+    batch_of(vec![
+        ("i", Column::from_opt_i64(&i)),
+        ("j", Column::from_opt_i64(&j)),
+        ("f", Column::from_opt_f64(&f)),
+        ("s", as_strs(&s)),
+        ("t", as_strs(&t)),
+        ("b", bools.finish()),
+    ])
+}
+
+/// A literal for comparing against a column of type `dtype`: mostly the
+/// same kind, sometimes another kind (cross-type order) or NULL.
+fn kernel_literal(g: &mut Gen, dtype: DataType) -> Scalar {
+    let kind = match g.usize_in(0, 9) {
+        0 => None,
+        1 | 2 => Some(*g.pick(&[
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Utf8,
+            DataType::Bool,
+        ])),
+        _ => Some(dtype),
+    };
+    match kind {
+        None => Scalar::Null,
+        Some(DataType::Int64) => Scalar::Int(kernel_int(g)),
+        Some(DataType::Float64) => Scalar::Float(kernel_float(g)),
+        Some(DataType::Utf8) => Scalar::Str(kernel_str(g)),
+        Some(DataType::Bool) => Scalar::Bool(g.bool()),
+    }
+}
+
+/// A random predicate tree over `batch`'s columns. `with_col_pairs` adds
+/// column-vs-column comparisons, which storage cannot lower.
+fn arb_predicate(
+    g: &mut Gen,
+    batch: &Batch,
+    depth: usize,
+    with_col_pairs: bool,
+) -> rheo::core::expr::Expr {
+    use rheo::core::expr::{col, lit, Expr};
+    let fields = batch.schema().fields();
+    let field = g.pick(fields);
+    let (name, dtype) = (field.name.clone(), field.dtype);
+    let strings: Vec<String> = fields
+        .iter()
+        .filter(|f| f.dtype == DataType::Utf8)
+        .map(|f| f.name.clone())
+        .collect();
+    let ops = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    let op = *g.pick(&ops);
+    let choice = if depth == 0 {
+        g.usize_in(0, 4)
+    } else {
+        g.usize_in(0, 7)
+    };
+    match choice {
+        0 if with_col_pairs && g.bool() => col(name).cmp(op, col(g.pick(fields).name.clone())),
+        0 if g.bool() => lit(kernel_literal(g, dtype)).cmp(op, col(name)),
+        0 => col(name).cmp(op, lit(kernel_literal(g, dtype))),
+        1 => Expr::Between {
+            expr: Box::new(col(name)),
+            low: kernel_literal(g, dtype),
+            high: kernel_literal(g, dtype),
+        },
+        2 => {
+            let pattern = g.string_from(&KERNEL_CHARS, 6);
+            col(g.pick(&strings).clone()).like(pattern)
+        }
+        3 if g.bool() => col(name).is_null(),
+        3 => col(name).is_not_null(),
+        4 => {
+            // Literal-only shapes: exact, `lit%`, `%lit` and `%lit%`, the
+            // one the kernel answers with a substring search.
+            let needle = g.string_from(&KERNEL_CHARS[..4], 2);
+            let pattern = match g.usize_in(0, 3) {
+                0 => needle,
+                1 => format!("{needle}%"),
+                2 => format!("%{needle}"),
+                _ => format!("%{needle}%"),
+            };
+            col(g.pick(&strings).clone()).like(pattern)
+        }
+        5 => arb_predicate(g, batch, depth - 1, with_col_pairs).not(),
+        6 => {
+            let n = g.usize_in(2, 3);
+            Expr::And(
+                (0..n)
+                    .map(|_| arb_predicate(g, batch, depth - 1, with_col_pairs))
+                    .collect(),
+            )
+        }
+        _ => {
+            let n = g.usize_in(2, 3);
+            Expr::Or(
+                (0..n)
+                    .map(|_| arb_predicate(g, batch, depth - 1, with_col_pairs))
+                    .collect(),
+            )
+        }
+    }
+}
+
+/// Every predicate evaluator against an independent reference: the
+/// row-at-a-time `Expr::eval_row`, keeping only rows that are `TRUE`.
+#[test]
+fn predicate_kernel_matches_eval_row() {
+    check("predicate_kernel_matches_eval_row", 256, |g| {
+        let whole = kernel_batch(g, 150);
+        let offset = g.usize_in(1, whole.rows());
+        let view = whole.slice(offset, g.usize_in(0, whole.rows() - offset));
+        let expr = arb_predicate(g, &whole, 3, true);
+        let program = Program::compile_predicate(&expr).unwrap();
+        let pushed = rheo::core::kernel::to_storage_predicate(&expr);
+        for batch in [&whole, &view] {
+            let schema = batch.schema();
+            let reference: Vec<usize> = (0..batch.rows())
+                .filter(|&r| expr.eval_row(schema, &batch.row(r)).unwrap() == Scalar::Bool(true))
+                .collect();
+            let ones = |bits: rheo::data::Bitmap| bits.iter_ones().collect::<Vec<_>>();
+            assert_eq!(
+                ones(expr.eval_predicate(batch).unwrap()),
+                reference,
+                "host: {expr}"
+            );
+            assert_eq!(ones(program.run(batch).unwrap()), reference, "vm: {expr}");
+            if let Some(p) = &pushed {
+                assert_eq!(
+                    ones(p.evaluate(batch).unwrap()),
+                    reference,
+                    "storage: {expr}"
+                );
+            }
+        }
     });
 }
 
@@ -1142,6 +1348,49 @@ fn zonemap_pruning_is_sound() {
     });
 }
 
+// ------------------------------------------------------- Utf8 decoders
+
+/// Every decoded Utf8 row must be valid UTF-8 on its own: the byte-level
+/// LIKE and the Utf8 `gather`/`filter` never re-check a row. A payload
+/// that is valid as a whole can still hide an offset inside a character.
+#[test]
+fn utf8_offsets_must_fall_on_char_boundaries() {
+    use rheo::codec::edge::{self, EdgeEncoding};
+    // "é" is two bytes; offset 1 splits it. Distinct one-byte rows keep
+    // the dictionary from beating the plain block.
+    let mut data = "é".as_bytes().to_vec();
+    data.extend(b'a'..=b'z');
+    let offsets: Vec<u32> = (0..=data.len() as u32).collect();
+    let split = batch_of(vec![(
+        "s",
+        Column::Utf8 {
+            offsets: offsets.into(),
+            data: data.into(),
+            validity: None,
+        },
+    )]);
+    let frame = encode_batch(&split, &WireOptions::plain());
+    assert!(
+        decode_batch(&frame, None).is_err(),
+        "DFW1 accepted an offset inside a character"
+    );
+    for enc in [EdgeEncoding::Plain, EdgeEncoding::Columnar] {
+        assert!(
+            edge::decode(&edge::encode(&split, enc)).is_err(),
+            "DFE1 {enc} accepted an offset inside a character"
+        );
+    }
+    // Whole characters per row still round-trip.
+    let whole = batch_of(vec![("s", Column::from_strs(&["é", "日本", "", "a"]))]);
+    assert_eq!(
+        decode_batch(&encode_batch(&whole, &WireOptions::plain()), None).unwrap(),
+        whole
+    );
+    for enc in [EdgeEncoding::Plain, EdgeEncoding::Columnar] {
+        assert_eq!(edge::decode(&edge::encode(&whole, enc)).unwrap(), whole);
+    }
+}
+
 // ---------------------------------------------------------------- LIKE
 
 #[test]
@@ -1159,8 +1408,8 @@ fn like_matches_naive_semantics() {
         }
     }
     check("like_matches_naive_semantics", 256, |g| {
-        let input = g.string_from(&['a', 'b', '%', '_'], 8);
-        let pattern = g.string_from(&['a', 'b', '%', '_', '\\'], 8);
+        let input = g.string_from(&['a', 'b', 'é', '%', '_'], 8);
+        let pattern = g.string_from(&['a', 'b', 'é', '%', '_', '\\'], 8);
         let compiled = LikePattern::compile(&pattern);
         let in_chars: Vec<char> = input.chars().collect();
         let pat_chars: Vec<char> = pattern.chars().collect();

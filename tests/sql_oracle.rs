@@ -66,11 +66,14 @@ enum WherePred {
     BGe(i64),
     GEq(usize),
     BNotNull,
+    /// `NOT (a < x AND b > y)`: `b` is NULL on some rows, so the inner
+    /// conjunction is NULL, FALSE or TRUE and NOT must follow Kleene logic.
+    NotAnd(i64, i64),
 }
 
 impl WherePred {
     fn arbitrary(g: &mut Gen) -> WherePred {
-        match g.usize_in(0, 4) {
+        match g.usize_in(0, 5) {
             0 => WherePred::ALt(g.i64_in(0, 799)),
             1 => {
                 let lo = g.i64_in(0, 799);
@@ -78,7 +81,8 @@ impl WherePred {
             }
             2 => WherePred::BGe(g.i64_in(0, 54)),
             3 => WherePred::GEq(g.usize_in(0, 7)),
-            _ => WherePred::BNotNull,
+            4 => WherePred::BNotNull,
+            _ => WherePred::NotAnd(g.i64_in(0, 799), g.i64_in(0, 54)),
         }
     }
 
@@ -89,6 +93,7 @@ impl WherePred {
             WherePred::BGe(x) => format!("b >= {x}"),
             WherePred::GEq(i) => format!("g = 'g{i}'"),
             WherePred::BNotNull => "b IS NOT NULL".to_string(),
+            WherePred::NotAnd(x, y) => format!("NOT (a < {x} AND b > {y})"),
         }
     }
 
@@ -99,6 +104,9 @@ impl WherePred {
             WherePred::BGe(x) => row.b.is_some_and(|b| b >= *x),
             WherePred::GEq(i) => row.g == format!("g{i}"),
             WherePred::BNotNull => row.b.is_some(),
+            // The conjunction is FALSE (so its NOT is TRUE) iff a conjunct
+            // is FALSE; a NULL `b` alone leaves it NULL, which never matches.
+            WherePred::NotAnd(x, y) => row.a >= *x || row.b.is_some_and(|b| b <= *y),
         }
     }
 }
@@ -127,6 +135,25 @@ fn filtered_count_matches_oracle() {
             "{query}"
         );
     });
+}
+
+/// The pinned case: pushed-down storage once negated the collapsed inner
+/// bitmap and then dropped every row with a NULL operand, losing the 68
+/// rows where `a >= 100` and `b` is NULL.
+#[test]
+fn not_of_nullable_conjunction_matches_oracle() {
+    let pred = WherePred::NotAnd(100, 10);
+    let query = format!("SELECT COUNT(*) AS n FROM t WHERE {}", pred.sql());
+    let result = shared_session()
+        .sql(&query)
+        .unwrap_or_else(|e| panic!("{query}: {e}"));
+    let expected = raw_rows().iter().filter(|r| pred.matches(r)).count() as i64;
+    assert_eq!(expected, 697);
+    assert_eq!(
+        result.batch.row(0)[0].clone(),
+        Scalar::Int(expected),
+        "{query}"
+    );
 }
 
 #[test]
