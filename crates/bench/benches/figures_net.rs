@@ -8,8 +8,9 @@ use df_codec::wire::WireOptions;
 use df_core::logical::LogicalPlan;
 use df_core::scaleout::{exchange_hash_join, ScaleoutConfig};
 use df_net::nic::{NicKernel, NicPipeline};
+use df_storage::agg::AggFn;
 use df_storage::predicate::StoragePredicate;
-use df_storage::smart::{AggFunc, PreAggSpec};
+use df_storage::smart::PreAggSpec;
 use df_storage::zonemap::CmpOp;
 
 const ROWS: usize = 50_000;
@@ -49,7 +50,7 @@ fn main() {
                 "preagg",
                 vec![NicKernel::PreAggregate(PreAggSpec {
                     group_by: vec!["l_region".into()],
-                    aggs: vec![(AggFunc::Sum, "l_quantity".into())],
+                    aggs: vec![(AggFn::Sum, "l_quantity".into())],
                     max_groups: 1024,
                 })],
             ),
@@ -121,14 +122,22 @@ fn main() {
         let batches = fact.split(4096).unwrap();
         let spec = || PreAggSpec {
             group_by: vec!["l_quantity".into()],
-            aggs: vec![(AggFunc::Count, "l_orderkey".into())],
+            aggs: vec![(AggFn::Count, "l_orderkey".into())],
             max_groups: 32,
         };
         let mut group = bench.group("a5_preagg_stages");
         for stages in 0..=3usize {
             group.bench(&stages.to_string(), || {
+                // A raw pre-aggregation, then bounded merges of its partials.
                 let mut pipes: Vec<NicPipeline> = (0..stages)
-                    .map(|_| NicPipeline::new(vec![NicKernel::PreAggregate(spec())]).unwrap())
+                    .map(|i| {
+                        let kernel = if i == 0 {
+                            NicKernel::PreAggregate(spec())
+                        } else {
+                            NicKernel::MergeAggregate(spec())
+                        };
+                        NicPipeline::new(vec![kernel]).unwrap()
+                    })
                     .collect();
                 let mut stream = batches.clone();
                 for nic in pipes.iter_mut() {

@@ -9,15 +9,16 @@
 //! We run the cascade on real data with genuinely bounded group tables at
 //! every in-path stage (16 → 48 → 64 slots, straddling the 50-group
 //! cardinality, so upstream stages flush partials) and count the rows that reach
-//! each hop. The Figure 3 hashing path (projection at storage, hashing at
-//! the receiving NIC) is exercised alongside.
+//! each hop. Every stage runs the one aggregation kernel: storage
+//! pre-aggregates, the two NICs run bounded `MergeAggregate` kernels, and
+//! the CPU merges what is left. The Figure 3 hashing path (projection at
+//! storage, hashing at the receiving NIC) is exercised alongside.
 
 use df_data::Batch;
 use df_net::nic::{NicKernel, NicPipeline};
+use df_storage::agg::{AggFn, AggMode};
 use df_storage::object::MemObjectStore;
-use df_storage::smart::{
-    merge_partial_aggregates, AggFunc, PartialAggregator, PreAggSpec, ScanRequest, SmartStorage,
-};
+use df_storage::smart::{PreAggSpec, ScanRequest, SmartStorage};
 use df_storage::table::TableStore;
 
 use crate::report::{fmt_util, ExpReport};
@@ -25,48 +26,36 @@ use crate::workload;
 
 use super::Scale;
 
-/// Merge partial batches with a *bounded* table (an in-path merge stage):
-/// counts/sums add, mins/maxes fold; overflow flushes downstream.
-fn bounded_merge_stage(partials: &[Batch], spec: &PreAggSpec, max_groups: usize) -> Vec<Batch> {
-    if partials.is_empty() {
-        return Vec::new();
-    }
-    let schema = partials[0].schema().clone();
-    let merge_spec = PreAggSpec {
-        group_by: spec.group_by.clone(),
-        aggs: spec
-            .aggs
-            .iter()
-            .enumerate()
-            .map(|(i, (func, col))| {
-                let partial_name = schema.field(spec.group_by.len() + i).name.clone();
-                let merge_func = match func {
-                    AggFunc::Count | AggFunc::Sum => AggFunc::Sum,
-                    AggFunc::Min => AggFunc::Min,
-                    AggFunc::Max => AggFunc::Max,
-                };
-                let _ = col;
-                (merge_func, partial_name)
-            })
-            .collect(),
-        max_groups,
-    };
-    let mut agg = PartialAggregator::new(merge_spec, &schema);
+/// Stream `stream` through a one-kernel NIC program and collect its output.
+fn nic_stage(kernel: NicKernel, stream: Vec<Batch>) -> Vec<Batch> {
+    let mut nic = NicPipeline::new(vec![kernel]).expect("nic program");
     let mut out = Vec::new();
-    for batch in partials {
-        agg.consume(batch).expect("merge stage");
-        if let Some(flush) = agg.take_flush() {
-            out.push(restore_schema(flush, &schema));
-        }
+    for batch in stream {
+        out.extend(
+            nic.push(batch)
+                .expect("nic stage")
+                .into_iter()
+                .map(|(_, b)| b),
+        );
     }
-    out.push(restore_schema(agg.finish().expect("finish"), &schema));
+    out.extend(
+        nic.finish()
+            .expect("nic finish")
+            .into_iter()
+            .map(|(_, b)| b),
+    );
     out
 }
 
-/// The merged batch has mapped column names; restore the partial layout so
-/// stages compose (positional contract).
-fn restore_schema(batch: Batch, schema: &df_data::SchemaRef) -> Batch {
-    Batch::new(schema.clone(), batch.columns().to_vec()).expect("positional layout")
+/// The final stage at the CPU: the same kernel, holding every group.
+fn cpu_stage(spec: &PreAggSpec, mode: AggMode, stream: Vec<Batch>) -> Batch {
+    let mut kernel = spec.kernel(mode, stream[0].schema()).expect("cpu kernel");
+    let mut out = Vec::new();
+    for batch in stream {
+        out.extend(kernel.push(batch).expect("cpu stage"));
+    }
+    out.extend(kernel.finish().expect("cpu finish"));
+    Batch::concat(&out).expect("one layout")
 }
 
 /// Run E4.
@@ -102,8 +91,8 @@ pub fn run(scale: Scale) -> ExpReport {
         // Integer aggregates so staged merging is bit-exact regardless of
         // accumulation order (float sums are not associative).
         aggs: vec![
-            (AggFunc::Count, "l_orderkey".into()),
-            (AggFunc::Sum, "l_orderkey".into()),
+            (AggFn::Count, "l_orderkey".into()),
+            (AggFn::Sum, "l_orderkey".into()),
         ],
         max_groups,
     };
@@ -115,7 +104,10 @@ pub fn run(scale: Scale) -> ExpReport {
             &ScanRequest::full().pre_aggregate(spec(usize::MAX)),
         )
         .expect("reference scan");
-    let reference = merge_partial_aggregates(&raw, &spec(usize::MAX)).expect("merge");
+    let all_groups = AggMode::Merge {
+        max_groups: Some(usize::MAX),
+    };
+    let reference = cpu_stage(&spec(usize::MAX), all_groups, raw);
 
     let baseline_rows = scale.rows as u64;
     for stages in 0..=3usize {
@@ -127,10 +119,9 @@ pub fn run(scale: Scale) -> ExpReport {
                     &ScanRequest::full().project(&["l_orderkey", "l_quantity"]),
                 )
                 .expect("raw scan");
-            let rows: usize = batches.iter().map(Batch::rows).sum();
             // With no cascade, raw rows enter the network; the CPU does the
-            // whole aggregation. Convert to the partial layout for the final
-            // merge by a storage-side no-op... no: CPU aggregates raw rows.
+            // whole aggregation.
+            let rows: usize = batches.iter().map(Batch::rows).sum();
             (batches, rows as u64)
         } else {
             let (partials, _) = storage
@@ -141,24 +132,22 @@ pub fn run(scale: Scale) -> ExpReport {
         };
         // Stage 1 (sending NIC) and stage 2 (receiving NIC): bounded merges.
         if stages >= 2 {
-            stream = bounded_merge_stage(&stream, &spec(16), 48);
+            stream = nic_stage(NicKernel::MergeAggregate(spec(48)), stream);
         }
         if stages >= 3 {
-            stream = bounded_merge_stage(&stream, &spec(16), 64);
+            stream = nic_stage(NicKernel::MergeAggregate(spec(64)), stream);
         }
         let into_cpu: u64 = stream.iter().map(|b| b.rows() as u64).sum();
 
         // Final stage at the CPU.
         let final_result = if stages == 0 {
             // CPU aggregates raw rows (count + sum per group).
-            let schema = stream[0].schema().clone();
-            let mut agg = PartialAggregator::new(spec(usize::MAX), &schema);
-            for b in &stream {
-                agg.consume(b).expect("cpu agg");
-            }
-            agg.finish().expect("finish")
+            let raw_rows = AggMode::Partial {
+                max_groups: usize::MAX,
+            };
+            cpu_stage(&spec(usize::MAX), raw_rows, stream)
         } else {
-            merge_partial_aggregates(&stream, &spec(16)).expect("cpu merge")
+            cpu_stage(&spec(usize::MAX), all_groups, stream)
         };
         let correct = final_result.canonical_rows() == reference.canonical_rows();
 

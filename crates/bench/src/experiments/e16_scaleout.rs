@@ -173,7 +173,7 @@ fn scan_heavy_plan(
         group_by,
         aggs,
         mode: match tip {
-            ExchangeTip::Nic => AggMode::Merge,
+            ExchangeTip::Nic => AggMode::Merge { max_groups: None },
             ExchangeTip::Cpu => AggMode::Final,
         },
         final_schema,
@@ -288,7 +288,7 @@ fn join_heavy_plan(
         input: Box::new(gather),
         group_by: vec![],
         aggs,
-        mode: AggMode::Merge,
+        mode: AggMode::Merge { max_groups: None },
         final_schema,
         device: Some(root_cpu),
     };

@@ -1179,7 +1179,7 @@ mod tests {
     use df_data::{Column, Scalar};
     use df_fabric::topology::DisaggregatedConfig;
     use df_storage::object::MemObjectStore;
-    use df_storage::smart::{AggFunc, PreAggSpec, ScanRequest};
+    use df_storage::smart::{PreAggSpec, ScanRequest};
     use df_storage::table::TableStore;
 
     fn sample(n: usize) -> Batch {
@@ -1296,7 +1296,7 @@ mod tests {
                 input: Box::new(partial),
                 group_by: vec!["grp".into()],
                 aggs,
-                mode: AggMode::Merge,
+                mode: AggMode::Merge { max_groups: None },
                 final_schema: logical.schema(),
                 device: Some(cpu),
             },
@@ -1426,7 +1426,7 @@ mod tests {
         let storage = SmartStorage::new(ts);
         let request = ScanRequest::full().pre_aggregate(PreAggSpec {
             group_by: vec!["grp".into()],
-            aggs: vec![(AggFunc::Sum, "qty".into()), (AggFunc::Count, "qty".into())],
+            aggs: vec![(AggFn::Sum, "qty".into()), (AggFn::Count, "qty".into())],
             max_groups: 2, // force partial flushes at storage
         });
         let scan_schema = storage.output_schema("t", &request).unwrap();
@@ -1447,7 +1447,7 @@ mod tests {
                 }),
                 group_by: vec!["grp".into()],
                 aggs: vec![AggCall::new(AggFn::Avg, "qty", "avg_qty")],
-                mode: AggMode::Merge,
+                mode: AggMode::Merge { max_groups: None },
                 final_schema: logical.schema(),
                 device: None,
             },

@@ -31,76 +31,7 @@ impl JoinType {
     }
 }
 
-/// An aggregate function in a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFn {
-    /// `COUNT(col)` / `COUNT(*)`.
-    Count,
-    /// `SUM(col)`.
-    Sum,
-    /// `MIN(col)`.
-    Min,
-    /// `MAX(col)`.
-    Max,
-    /// `AVG(col)`.
-    Avg,
-}
-
-impl AggFn {
-    /// Lowercase SQL name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AggFn::Count => "count",
-            AggFn::Sum => "sum",
-            AggFn::Min => "min",
-            AggFn::Max => "max",
-            AggFn::Avg => "avg",
-        }
-    }
-}
-
-/// One aggregate call: function, input column (`None` = `COUNT(*)`), and
-/// output name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggCall {
-    /// The function.
-    pub func: AggFn,
-    /// Input column; `None` only for COUNT(*).
-    pub column: Option<String>,
-    /// Output column name.
-    pub alias: String,
-}
-
-impl AggCall {
-    /// `COUNT(*) AS alias`.
-    pub fn count_star(alias: impl Into<String>) -> AggCall {
-        AggCall {
-            func: AggFn::Count,
-            column: None,
-            alias: alias.into(),
-        }
-    }
-
-    /// `func(column) AS alias`.
-    pub fn new(func: AggFn, column: impl Into<String>, alias: impl Into<String>) -> AggCall {
-        AggCall {
-            func,
-            column: Some(column.into()),
-            alias: alias.into(),
-        }
-    }
-
-    /// Output type given the input column's type.
-    pub fn output_type(&self, input: Option<DataType>) -> Result<DataType> {
-        Ok(match self.func {
-            AggFn::Count => DataType::Int64,
-            AggFn::Avg => DataType::Float64,
-            AggFn::Sum | AggFn::Min | AggFn::Max => input.ok_or_else(|| {
-                EngineError::Plan(format!("{}(*) is not valid", self.func.name()))
-            })?,
-        })
-    }
-}
+pub use df_storage::agg::{AggCall, AggFn};
 
 /// A logical plan node. Children are boxed; every constructor validates and
 /// stores the output schema.

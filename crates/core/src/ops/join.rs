@@ -4,8 +4,8 @@
 //! child into [`HashJoinOp::build`], then the probe child flows through
 //! `push` one batch at a time — the probe side never materializes.
 //!
-//! Build keys resolve through the key table the hash aggregate uses
-//! (`ops::keys`): a single Int64 key probes an `i64 → id` map; any other
+//! Build keys resolve through the key table the aggregation kernel uses
+//! ([`df_data::keys`]): a single Int64 key probes an `i64 → id` map; any other
 //! key is hashed column-at-a-time and compared on its type-tagged bytes.
 //! So an Int64 key never equals a Float64 one, floats compare by bits
 //! (`-0.0 ≠ 0.0`; a NaN equals only the same bits), and NULL keys never
@@ -21,11 +21,11 @@
 //! come in probe-row order, then build arrival order within a key; a Left
 //! join emits its unmatched build rows in arrival order at `finish`.
 
+use df_data::keys::{encode_key_value, hash_column, GroupTable, HASH_INIT};
 use df_data::{Batch, Bitmap, Column, DataType, SchemaRef};
 
 use crate::error::{EngineError, Result};
 use crate::logical::JoinType;
-use crate::ops::keys::{encode_key_value, hash_column, GroupTable, HASH_INIT};
 use crate::ops::Operator;
 
 /// End of a build-row chain.

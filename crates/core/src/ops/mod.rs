@@ -12,7 +12,6 @@
 pub mod aggregate;
 pub mod filter;
 pub mod join;
-mod keys;
 pub mod limit;
 pub mod project;
 pub mod sort;

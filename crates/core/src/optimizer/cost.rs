@@ -601,7 +601,7 @@ mod tests {
             None,
             ScanRequest::full().pre_aggregate(df_storage::smart::PreAggSpec {
                 group_by: vec!["grp".into()],
-                aggs: vec![(df_storage::smart::AggFunc::Count, "id".into())],
+                aggs: vec![(df_storage::agg::AggFn::Count, "id".into())],
                 max_groups: 1024,
             }),
         );

@@ -13,10 +13,9 @@ pub mod stats;
 
 use std::sync::Arc;
 
-use df_data::{Field, Schema};
 use df_fabric::{DeviceId, DeviceKind, Topology};
 use df_storage::predicate::StoragePredicate;
-use df_storage::smart::{AggFunc, PreAggSpec, ScanRequest};
+use df_storage::smart::{PreAggSpec, ScanRequest};
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
@@ -465,64 +464,41 @@ impl Optimizer {
             _ => return Ok(None),
         };
         let input_schema = scan.schema();
-        // Map AggCalls to storage functions (positional contract).
-        let mut storage_aggs: Vec<(AggFunc, String)> = Vec::new();
+        // Map AggCalls to storage calls (positional contract).
+        let mut storage_aggs: Vec<(AggFn, String)> = Vec::new();
         for call in aggs {
-            match (&call.func, &call.column) {
-                (AggFn::Count, Some(c)) => storage_aggs.push((AggFunc::Count, c.clone())),
+            match (call.func, &call.column) {
                 (AggFn::Count, None) => {
                     // COUNT(*) needs a non-nullable column to count.
                     let Some(field) = input_schema.fields().iter().find(|f| !f.nullable) else {
                         return Ok(None);
                     };
-                    storage_aggs.push((AggFunc::Count, field.name.clone()));
+                    storage_aggs.push((AggFn::Count, field.name.clone()));
                 }
-                (AggFn::Sum, Some(c)) => storage_aggs.push((AggFunc::Sum, c.clone())),
-                (AggFn::Min, Some(c)) => storage_aggs.push((AggFunc::Min, c.clone())),
-                (AggFn::Max, Some(c)) => storage_aggs.push((AggFunc::Max, c.clone())),
                 (AggFn::Avg, Some(c)) => {
                     // AVG decomposes positionally into (sum, count).
-                    storage_aggs.push((AggFunc::Sum, c.clone()));
-                    storage_aggs.push((AggFunc::Count, c.clone()));
+                    storage_aggs.push((AggFn::Sum, c.clone()));
+                    storage_aggs.push((AggFn::Count, c.clone()));
                 }
-                _ => return Ok(None),
+                (func, Some(c)) => storage_aggs.push((func, c.clone())),
+                (_, None) => return Ok(None),
             }
         }
         let LogicalPlan::Scan { table, .. } = scan else {
             return Ok(None);
         };
-        let mut request = ScanRequest::full().pre_aggregate(PreAggSpec {
+        let spec = PreAggSpec {
             group_by: group_by.to_vec(),
             aggs: storage_aggs,
             max_groups: 1 << 16,
-        });
+        };
+        // The scan emits the storage partial layout; the Merge aggregate
+        // consumes it positionally.
+        let scan_schema = spec.output_schema(&input_schema)?;
+        let mut request = ScanRequest::full().pre_aggregate(spec);
         if let Some(p) = filter {
             request.predicate = p;
         }
-        // The scan's output schema is the storage partial layout; the Merge
-        // aggregate consumes it positionally. Build a representative schema
-        // for the physical node (names follow the storage convention).
-        let mut fields = Vec::new();
-        for g in group_by {
-            fields.push(input_schema.field_by_name(g)?.clone());
-        }
-        for (func, col) in &request.preagg.as_ref().expect("just set").aggs {
-            let dtype = match func {
-                AggFunc::Count => df_data::DataType::Int64,
-                _ => input_schema.field_by_name(col)?.dtype,
-            };
-            fields.push(Field::nullable(format!("{}_{col}", func.prefix()), dtype));
-        }
-        // Positional partial columns may collide by name (e.g. AVG over the
-        // same column as a SUM); disambiguate with an index suffix.
-        let mut seen = std::collections::HashSet::new();
-        for (i, f) in fields.iter_mut().enumerate() {
-            if !seen.insert(f.name.clone()) {
-                f.name = format!("{}__{i}", f.name);
-                seen.insert(f.name.clone());
-            }
-        }
-        let scan_schema = Schema::new(fields).into_ref();
         Ok(Some(PhysNode::Aggregate {
             input: Box::new(PhysNode::StorageScan {
                 table: table.clone(),
@@ -532,7 +508,7 @@ impl Optimizer {
             }),
             group_by: group_by.to_vec(),
             aggs: aggs.to_vec(),
-            mode: AggMode::Merge,
+            mode: AggMode::Merge { max_groups: None },
             final_schema: final_schema.clone(),
             device: Some(self.site.cpu),
         }))
@@ -543,7 +519,7 @@ impl Optimizer {
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
-    use df_data::DataType;
+    use df_data::{DataType, Field, Schema};
     use df_fabric::topology::DisaggregatedConfig;
 
     fn topo() -> Arc<Topology> {

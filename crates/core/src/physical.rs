@@ -214,14 +214,10 @@ impl PhysNode {
                 mode,
                 final_schema,
                 ..
-            } => match mode {
-                AggMode::Partial { .. } => {
-                    crate::ops::aggregate::partial_schema(group_by, aggs, &input.schema())
-                        .expect("validated at plan build")
-                        .into_ref()
-                }
-                _ => final_schema.clone(),
-            },
+            } => {
+                df_storage::agg::output_schema(group_by, aggs, *mode, &input.schema(), final_schema)
+                    .expect("validated at plan build")
+            }
         }
     }
 
@@ -333,13 +329,8 @@ impl PhysNode {
                 device,
                 ..
             } => {
-                let mode_str = match mode {
-                    AggMode::Partial { max_groups } => format!("partial(max={max_groups})"),
-                    AggMode::Final => "final".to_string(),
-                    AggMode::Merge => "merge".to_string(),
-                };
                 out.push_str(&format!(
-                    "{pad}WindowAggregate[{mode_str}]: ts={ts_col} size={} slide={} group=[{}]{}\n",
+                    "{pad}WindowAggregate[{mode}]: ts={ts_col} size={} slide={} group=[{}]{}\n",
                     window.size,
                     window.slide,
                     group_by.join(","),
@@ -381,13 +372,8 @@ impl PhysNode {
                 device,
                 ..
             } => {
-                let mode_str = match mode {
-                    AggMode::Partial { max_groups } => format!("partial(max={max_groups})"),
-                    AggMode::Final => "final".to_string(),
-                    AggMode::Merge => "merge".to_string(),
-                };
                 out.push_str(&format!(
-                    "{pad}Aggregate[{mode_str}]: group=[{}]{}\n",
+                    "{pad}Aggregate[{mode}]: group=[{}]{}\n",
                     group_by.join(","),
                     Self::dev_str(device)
                 ));

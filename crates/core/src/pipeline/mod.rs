@@ -161,7 +161,7 @@ impl OperatorSpec {
             OperatorSpec::Sort { .. }
                 | OperatorSpec::TopK { .. }
                 | OperatorSpec::Aggregate {
-                    mode: AggMode::Final | AggMode::Merge,
+                    mode: AggMode::Final | AggMode::Merge { max_groups: None },
                     ..
                 }
         )
@@ -183,14 +183,8 @@ impl OperatorSpec {
                 mode,
                 input_schema,
                 final_schema,
-            } => match mode {
-                AggMode::Partial { .. } => {
-                    crate::ops::aggregate::partial_schema(group_by, aggs, input_schema)
-                        .expect("validated at plan build")
-                        .into_ref()
-                }
-                _ => final_schema.clone(),
-            },
+            } => df_storage::agg::output_schema(group_by, aggs, *mode, input_schema, final_schema)
+                .expect("validated at plan build"),
             OperatorSpec::WindowAggregate {
                 group_by,
                 aggs,
@@ -645,7 +639,7 @@ fn is_breaker(node: &PhysNode) -> bool {
     matches!(
         node,
         PhysNode::Aggregate {
-            mode: AggMode::Final | AggMode::Merge,
+            mode: AggMode::Final | AggMode::Merge { max_groups: None },
             ..
         } | PhysNode::Sort { .. }
             | PhysNode::TopK { .. }

@@ -869,7 +869,7 @@ impl Verifier<'_> {
                 {
                     let (column, ok) = match mode {
                         // Merge inputs lead with the partial stage's wstart.
-                        AggMode::Merge => (
+                        AggMode::Merge { .. } => (
                             WSTART_COL.to_string(),
                             input_schema
                                 .fields()

@@ -432,7 +432,10 @@ pub fn fan_out(plan: &PhysicalPlan, workers: usize) -> Result<PhysicalPlan> {
             };
             let partials: Vec<PhysNode> = fragments.map(|f| aggregate(f, partial)).collect();
             let schema = partials[0].schema();
-            aggregate(gather(0, partials, schema, device), AggMode::Merge)
+            aggregate(
+                gather(0, partials, schema, device),
+                AggMode::Merge { max_groups: None },
+            )
         }
     };
     Ok(PhysicalPlan::new(root, plan.variant.clone()))

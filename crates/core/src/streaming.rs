@@ -323,7 +323,7 @@ pub fn windowed_stream_plan(
         window,
         group_by,
         aggs,
-        mode: AggMode::Merge,
+        mode: AggMode::Merge { max_groups: None },
         final_schema,
         device: merge_device,
     };
@@ -379,7 +379,7 @@ impl WindowAggOp {
     ) -> Result<WindowAggOp> {
         window.validate()?;
         let (ts_idx, inner_input) = match mode {
-            AggMode::Merge => {
+            AggMode::Merge { .. } => {
                 let fields = input_schema.fields();
                 if fields.is_empty() || fields[0].dtype != DataType::Int64 {
                     return Err(EngineError::Plan(
@@ -571,7 +571,7 @@ impl Operator for WindowAggOp {
 
     fn push(&mut self, batch: Batch) -> Result<Vec<Batch>> {
         match self.mode {
-            AggMode::Merge => self.push_partials(batch),
+            AggMode::Merge { .. } => self.push_partials(batch),
             _ => self.push_raw(batch),
         }
     }
@@ -779,7 +779,7 @@ mod tests {
             WindowSpec::tumbling(64),
             vec!["sensor".into()],
             vec![AggCall::new(AggFn::Sum, "value", "total")],
-            AggMode::Merge,
+            AggMode::Merge { max_groups: None },
             &partial.schema(),
             final_schema.clone(),
         )

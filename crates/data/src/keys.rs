@@ -1,7 +1,7 @@
-//! The key table both hash operators share: column-at-a-time key
+//! The key table every hash operator shares: column-at-a-time key
 //! hashing, the type-tagged key-byte encoding, and the key → dense id
-//! index behind [`HashAggOp`](super::HashAggOp)'s groups and
-//! [`HashJoinOp`](super::HashJoinOp)'s build keys.
+//! index behind the aggregation kernel's groups (`df_storage::agg`, run by
+//! storage, NIC and CPU group-bys) and the hash join's build keys.
 //!
 //! Keys compare on their encoded bytes — a type tag, then the payload — so
 //! an Int64 key never equals a Float64 one, floats compare by bits
@@ -9,21 +9,21 @@
 //! only costs a chain walk. A single Int64 key skips the encoding and
 //! probes an `i64 → id` map directly.
 
-use df_data::hash::{hash_bytes, mix};
-use df_data::{Column, FxHashMap, Scalar, ValueRef};
+use crate::hash::{hash_bytes, mix, FxHashMap};
+use crate::{Column, Scalar, ValueRef};
 
 // ------------------------------------------------------------ hashing
 
-// Key hashes use the in-tree Fx mixing. The key table resolves equality
-// on key *bytes*, so hash collisions only cost a chain walk, never
-// correctness.
-pub(crate) const HASH_INIT: u64 = 0x9e37_79b9_7f4a_7c15;
+/// The initial value of every row's key hash. Key hashes use the in-tree
+/// Fx mixing; the key table resolves equality on key *bytes*, so hash
+/// collisions only cost a chain walk, never correctness.
+pub const HASH_INIT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Mix one key column into the per-row hash lane, column-at-a-time.
 ///
 /// The mixed-in values mirror the key-byte encoding (tag, then payload), so
 /// rows with equal key bytes always land in the same hash bucket.
-pub(crate) fn hash_column(col: &Column, hashes: &mut [u64]) {
+pub fn hash_column(col: &Column, hashes: &mut [u64]) {
     match col {
         Column::Int64 { values, validity } => match validity {
             None => {
@@ -87,10 +87,10 @@ pub(crate) fn hash_column(col: &Column, hashes: &mut [u64]) {
 /// output order stable.
 ///
 /// This and the table's per-row lookups are `#[inline]`: called once per
-/// row from another module, they otherwise stayed out of line and the
-/// aggregate's Utf8-key loop ran ~8% slower than with them in its module.
+/// row from other crates, they otherwise stay out of line, and the
+/// aggregate's Utf8-key loop measured ~8% slower that way.
 #[inline]
-pub(crate) fn encode_key_value(key: &mut Vec<u8>, col: &Column, row: usize) {
+pub fn encode_key_value(key: &mut Vec<u8>, col: &Column, row: usize) {
     match col.value_at(row) {
         ValueRef::Null => key.push(0),
         ValueRef::Int(v) => {
@@ -114,7 +114,7 @@ pub(crate) fn encode_key_value(key: &mut Vec<u8>, col: &Column, row: usize) {
 /// bytes it consumed. `bytes` starts at a value [`encode_key_value`] wrote,
 /// so each payload is complete and string payloads are valid UTF-8 (the
 /// lossy conversion copies them unchanged).
-pub(crate) fn decode_key_scalar(bytes: &[u8]) -> (Scalar, usize) {
+pub fn decode_key_scalar(bytes: &[u8]) -> (Scalar, usize) {
     let word = || {
         let mut w = [0u8; 8];
         w.copy_from_slice(&bytes[1..9]);
@@ -144,7 +144,7 @@ const NO_GROUP: u32 = u32::MAX;
 /// chain head` map for the generic path, and a direct `i64 → id` map for
 /// the single fixed-width key fast path. Ids are dense `0..len`: the
 /// aggregate's group ids, the join's build-key ids.
-pub(crate) struct GroupTable {
+pub struct GroupTable {
     /// hash → first group id with that hash (generic path).
     by_hash: FxHashMap<u64, u32>,
     /// Per-group: next group id sharing the same hash, or `NO_GROUP`.
@@ -159,8 +159,15 @@ pub(crate) struct GroupTable {
     int_null: u32,
 }
 
+impl Default for GroupTable {
+    fn default() -> GroupTable {
+        GroupTable::new()
+    }
+}
+
 impl GroupTable {
-    pub(crate) fn new() -> GroupTable {
+    /// An empty table.
+    pub fn new() -> GroupTable {
         GroupTable {
             by_hash: FxHashMap::default(),
             chain: Vec::new(),
@@ -171,19 +178,26 @@ impl GroupTable {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    /// Number of distinct keys (ids `0..len`).
+    pub fn len(&self) -> usize {
         self.key_spans.len()
+    }
+
+    /// Whether the table holds no key.
+    pub fn is_empty(&self) -> bool {
+        self.key_spans.is_empty()
     }
 
     /// The encoded key bytes of group `gi`.
     #[inline]
-    pub(crate) fn key(&self, gi: u32) -> &[u8] {
+    pub fn key(&self, gi: u32) -> &[u8] {
         let (start, len) = self.key_spans[gi as usize];
         &self.key_data[start as usize..(start + len) as usize]
     }
 
+    /// The id of the key with these encoded bytes, given their hash.
     #[inline]
-    pub(crate) fn find(&self, hash: u64, key: &[u8]) -> Option<u32> {
+    pub fn find(&self, hash: u64, key: &[u8]) -> Option<u32> {
         let mut gi = self.by_hash.get(&hash).copied().unwrap_or(NO_GROUP);
         while gi != NO_GROUP {
             if self.key(gi) == key {
@@ -194,7 +208,8 @@ impl GroupTable {
         None
     }
 
-    pub(crate) fn insert(&mut self, hash: u64, key: &[u8]) -> u32 {
+    /// Add a key not in the table; returns its id.
+    pub fn insert(&mut self, hash: u64, key: &[u8]) -> u32 {
         let gi = self.key_spans.len() as u32;
         self.key_spans
             .push((self.key_data.len() as u32, key.len() as u32));
@@ -204,8 +219,9 @@ impl GroupTable {
         gi
     }
 
+    /// The id of a single Int64 key (`None` is the NULL key).
     #[inline]
-    pub(crate) fn find_int(&self, value: Option<i64>) -> Option<u32> {
+    pub fn find_int(&self, value: Option<i64>) -> Option<u32> {
         let gi = match value {
             Some(v) => self.int_index.get(&v).copied().unwrap_or(NO_GROUP),
             None => self.int_null,
@@ -213,7 +229,9 @@ impl GroupTable {
         (gi != NO_GROUP).then_some(gi)
     }
 
-    pub(crate) fn insert_int(&mut self, value: Option<i64>) -> u32 {
+    /// Add a single Int64 key not in the table; returns its id. Its
+    /// encoded bytes are the ones [`encode_key_value`] writes.
+    pub fn insert_int(&mut self, value: Option<i64>) -> u32 {
         let gi = self.key_spans.len() as u32;
         let start = self.key_data.len() as u32;
         match value {
@@ -233,7 +251,8 @@ impl GroupTable {
         gi
     }
 
-    pub(crate) fn clear(&mut self) {
+    /// Remove every key; ids restart at 0.
+    pub fn clear(&mut self) {
         self.by_hash.clear();
         self.chain.clear();
         self.key_data.clear();

@@ -15,6 +15,8 @@
 //! - [`bitmap`] — packed validity/selection bitmaps
 //! - [`buffer`] — `Arc`-shared value buffers with `(offset, len)` views
 //! - [`hash`] — the in-tree seed-stable Fx hasher and [`FxHashMap`]
+//! - [`keys`] — the key table every hash operator shares: column-at-a-time
+//!   key hashes, type-tagged key bytes and a key → dense id index
 //! - [`mod@column`] — typed column vectors and builders
 //! - [`schema`] — fields and schemas
 //! - [`batch`] — record batches and selection/gather utilities
@@ -30,6 +32,7 @@ pub mod buffer;
 pub mod column;
 pub mod error;
 pub mod hash;
+pub mod keys;
 pub mod partition;
 pub mod rowpage;
 pub mod schema;

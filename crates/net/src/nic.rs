@@ -13,8 +13,9 @@ use std::sync::Arc;
 use df_data::partition::hash_row;
 use df_data::{Batch, Column, DataType, Field, Schema};
 use df_sim::trace::{LaneId, LaneKind, Tracer};
+use df_storage::agg::{AggMode, HashAggOp};
 use df_storage::predicate::StoragePredicate;
-use df_storage::smart::{PartialAggregator, PreAggSpec};
+use df_storage::smart::PreAggSpec;
 
 use crate::{NetError, Result};
 
@@ -41,8 +42,12 @@ pub enum NicKernel {
         /// Number of output partitions.
         fanout: usize,
     },
-    /// Bounded pre-aggregation (partials flush downstream when full).
+    /// Bounded pre-aggregation of raw rows (partials flush downstream when
+    /// full).
     PreAggregate(PreAggSpec),
+    /// Bounded merge of upstream partials in `spec`'s pre-aggregation
+    /// layout; emits that same layout, flushing when full.
+    MergeAggregate(PreAggSpec),
     /// Count rows, discarding the data; emits a single-row batch at finish.
     Count {
         /// Name of the single output column.
@@ -78,9 +83,11 @@ impl NicStats {
 
 enum KernelState {
     Stateless(NicKernel),
-    PreAgg {
+    /// An aggregate kernel, built from the first batch's schema.
+    Aggregate {
         spec: PreAggSpec,
-        agg: Option<PartialAggregator>,
+        mode: AggMode,
+        kernel: Option<Box<HashAggOp>>,
     },
     Count {
         output: String,
@@ -96,7 +103,11 @@ impl KernelState {
             KernelState::Stateless(NicKernel::AppendHash { .. }) => "append-hash",
             KernelState::Stateless(NicKernel::Partition { .. }) => "partition",
             KernelState::Stateless(_) => "kernel",
-            KernelState::PreAgg { .. } => "pre-aggregate",
+            KernelState::Aggregate {
+                mode: AggMode::Partial { .. },
+                ..
+            } => "pre-aggregate",
+            KernelState::Aggregate { .. } => "merge-aggregate",
             KernelState::Count { .. } => "count",
         }
     }
@@ -131,9 +142,20 @@ impl NicPipeline {
                     }
                     partition = Some((columns, fanout));
                 }
-                NicKernel::PreAggregate(spec) => {
-                    states.push(KernelState::PreAgg { spec, agg: None })
-                }
+                NicKernel::PreAggregate(spec) => states.push(KernelState::Aggregate {
+                    mode: AggMode::Partial {
+                        max_groups: spec.max_groups,
+                    },
+                    spec,
+                    kernel: None,
+                }),
+                NicKernel::MergeAggregate(spec) => states.push(KernelState::Aggregate {
+                    mode: AggMode::Merge {
+                        max_groups: Some(spec.max_groups),
+                    },
+                    spec,
+                    kernel: None,
+                }),
                 NicKernel::Count { output } => states.push(KernelState::Count { output, count: 0 }),
                 other => states.push(KernelState::Stateless(other)),
             }
@@ -217,12 +239,8 @@ impl NicPipeline {
         let mut finished = Vec::new();
         for idx in 0..self.kernels.len() {
             let flushed = match &mut self.kernels[idx] {
-                KernelState::PreAgg { agg, .. } => match agg.as_mut() {
-                    Some(a) => {
-                        let out = a.finish().map_err(NetError::Storage)?;
-                        *agg = None;
-                        (!out.is_empty()).then_some(out)
-                    }
+                KernelState::Aggregate { kernel, .. } => match kernel.take() {
+                    Some(mut k) => k.finish()?.pop(),
                     None => None,
                 },
                 KernelState::Count { output, count } => {
@@ -288,19 +306,12 @@ impl NicPipeline {
                 Some(Batch::new(Schema::new(fields).into_ref(), columns_out)?)
             }
             KernelState::Stateless(_) => unreachable!("partition handled in fan_out"),
-            KernelState::PreAgg { spec, agg } => {
-                let aggregator = match agg {
-                    Some(a) => a,
-                    None => {
-                        PartialAggregator::output_schema(spec, batch.schema())
-                            .map_err(NetError::Storage)?;
-                        agg.get_or_insert_with(|| {
-                            PartialAggregator::new(spec.clone(), batch.schema())
-                        })
-                    }
+            KernelState::Aggregate { spec, mode, kernel } => {
+                let kernel = match kernel {
+                    Some(k) => k,
+                    None => kernel.insert(Box::new(spec.kernel(*mode, batch.schema())?)),
                 };
-                aggregator.consume(&batch).map_err(NetError::Storage)?;
-                aggregator.take_flush()
+                kernel.push(batch)?.pop()
             }
             KernelState::Count { count, .. } => {
                 *count += batch.rows() as i64;
@@ -337,7 +348,7 @@ impl NicPipeline {
 mod tests {
     use super::*;
     use df_data::batch::batch_of;
-    use df_storage::smart::AggFunc;
+    use df_storage::agg::AggFn;
     use df_storage::zonemap::CmpOp;
 
     fn sample(n: usize) -> Batch {
@@ -452,7 +463,7 @@ mod tests {
     fn preagg_kernel_reduces_stream() {
         let spec = PreAggSpec {
             group_by: vec!["grp".into()],
-            aggs: vec![(AggFunc::Sum, "v".into())],
+            aggs: vec![(AggFn::Sum, "v".into())],
             max_groups: 1024,
         };
         let mut nic = NicPipeline::new(vec![NicKernel::PreAggregate(spec)]).unwrap();
@@ -468,6 +479,80 @@ mod tests {
             .sum();
         let expect: i64 = (0..1000i64).map(|i| i * 2).sum();
         assert_eq!(total, expect);
+    }
+
+    #[test]
+    fn three_stage_cascade_keeps_exact_totals() {
+        // Figure 3's group-by cascade on NICs: a raw pre-aggregation, then
+        // two bounded merges of its partials. Rows come in runs of four per
+        // group, cycling over 5 groups: the first stage folds each run into
+        // one partial, the first two stages hold fewer slots than there are
+        // groups and flush, and the last holds all 5.
+        let spec = |max_groups| PreAggSpec {
+            group_by: vec!["grp".into()],
+            aggs: vec![
+                (AggFn::Count, "k".into()),
+                (AggFn::Sum, "v".into()),
+                (AggFn::Min, "v".into()),
+                (AggFn::Max, "v".into()),
+            ],
+            max_groups,
+        };
+        let stages = [
+            NicKernel::PreAggregate(spec(2)),
+            NicKernel::MergeAggregate(spec(3)),
+            NicKernel::MergeAggregate(spec(5)),
+        ];
+        let group_of = |i: i64| i / 4 % 5;
+        let batch = batch_of(vec![
+            ("k", Column::from_i64((0..1000).collect())),
+            (
+                "grp",
+                Column::from_strs(
+                    &(0..1000)
+                        .map(|i| format!("g{}", group_of(i)))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+            ("v", Column::from_i64((0..1000).map(|i| i * 2).collect())),
+        ]);
+        let mut stream = batch.split(64).unwrap();
+        let mut rows = Vec::new();
+        for kernel in stages {
+            let mut nic = NicPipeline::new(vec![kernel]).unwrap();
+            let mut next = Vec::new();
+            for batch in stream {
+                next.extend(nic.push(batch).unwrap().into_iter().map(|(_, b)| b));
+            }
+            next.extend(nic.finish().unwrap().into_iter().map(|(_, b)| b));
+            rows.push(next.iter().map(Batch::rows).sum::<usize>());
+            stream = next;
+        }
+        assert!(
+            rows[0] == 250 && rows[1] <= rows[0] && rows[1] > 5 && rows[2] == 5,
+            "{rows:?}"
+        );
+        let out = Batch::concat(&stream).unwrap();
+        let names: Vec<&str> = out
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(names, ["grp", "count_k", "sum_v", "min_v", "max_v"]);
+        assert_eq!(out.rows(), 5);
+        for g in 0..5 {
+            let v: Vec<i64> = (0..1000)
+                .filter(|&i| group_of(i) == g)
+                .map(|i| i * 2)
+                .collect();
+            assert_eq!(out.column(0).str_at(g as usize), format!("g{g}"));
+            let row = out.row(g as usize);
+            assert_eq!(row[1], df_data::Scalar::Int(200));
+            assert_eq!(row[2], df_data::Scalar::Int(v.iter().sum()));
+            assert_eq!(row[3], df_data::Scalar::Int(v[0]));
+            assert_eq!(row[4], df_data::Scalar::Int(v[199]));
+        }
     }
 
     #[test]
@@ -494,7 +579,7 @@ mod tests {
         // A flushed pre-agg result must flow through later kernels.
         let spec = PreAggSpec {
             group_by: vec!["grp".into()],
-            aggs: vec![(AggFunc::Count, "k".into())],
+            aggs: vec![(AggFn::Count, "k".into())],
             max_groups: 1024,
         };
         let mut nic = NicPipeline::new(vec![

@@ -16,13 +16,17 @@
 //!   pushdown predicate)
 //! - [`eval`] — the one column-at-a-time, three-valued predicate kernel
 //!   that storage, NIC, near-memory, host and device-VM filters all run
+//! - [`agg`] — the one hash-aggregation kernel (bounded partial, final and
+//!   merge modes) that storage, NIC and CPU group-bys all run
 //! - [`predicate`] — the self-contained predicate language the engine
 //!   pushes down to storage
 //! - [`smart`] — the smart-storage server: streaming, stateless, page-at-a-
 //!   time execution of projection, selection, LIKE, and bounded
-//!   pre-aggregation, with byte-level billing (bytes scanned vs returned)
+//!   pre-aggregation (on [`agg`]'s kernel), with byte-level billing (bytes
+//!   scanned vs returned)
 //! - [`table`] — multi-segment tables and their statistics
 
+pub mod agg;
 pub mod eval;
 pub mod object;
 pub mod partition;

@@ -5,59 +5,67 @@
 //!   before the next page is read, so no latency is added and nothing is
 //!   buffered beyond one page;
 //! - **mostly stateless**: selection, projection, and LIKE carry no state;
-//!   pre-aggregation uses a *bounded* table that flushes partial groups
+//!   pre-aggregation runs the aggregation kernel ([`crate::agg`]) in
+//!   `Partial` mode, a *bounded* table that flushes partial groups
 //!   downstream when full ("probably only to parts of the data rather than
 //!   to the entire data set");
 //! - **billing**: the server reports bytes scanned vs bytes returned, the
 //!   Query-As-A-Service cost model (§3.2).
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use df_codec::wire::{self, WireOptions};
-use df_data::{Batch, Column, ColumnBuilder, DataType, Field, Scalar, Schema, SchemaRef};
+use df_data::{Batch, Schema, SchemaRef};
 use df_sim::trace::{LaneId, LaneKind, Tracer};
 
+use crate::agg::{partial_schema, AggCall, AggFn, AggMode, HashAggOp};
 use crate::predicate::StoragePredicate;
 use crate::table::TableStore;
 use crate::zonemap::ZoneMap;
 use crate::{Result, StorageError};
 
-/// Aggregate functions the storage layer can pre-compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    /// Row count (of non-null inputs for a named column; `COUNT(*)` uses
-    /// the group key count — pass any non-null column).
-    Count,
-    /// Sum.
-    Sum,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-}
-
-impl AggFunc {
-    /// Column-name prefix for the output field.
-    pub fn prefix(self) -> &'static str {
-        match self {
-            AggFunc::Count => "count",
-            AggFunc::Sum => "sum",
-            AggFunc::Min => "min",
-            AggFunc::Max => "max",
-        }
-    }
-}
-
-/// Bounded pre-aggregation specification.
+/// Bounded pre-aggregation specification: the aggregation kernel's calls
+/// in storage's naming, plus its group-table bound.
 #[derive(Debug, Clone)]
 pub struct PreAggSpec {
     /// Group-by column names.
     pub group_by: Vec<String>,
-    /// `(function, input column)` pairs.
-    pub aggs: Vec<(AggFunc, String)>,
+    /// `(function, input column)` pairs, never AVG: the optimizer
+    /// decomposes it into SUM and COUNT. `COUNT(*)` counts any non-null
+    /// column.
+    pub aggs: Vec<(AggFn, String)>,
     /// Maximum distinct groups held before flushing partials downstream.
     pub max_groups: usize,
+}
+
+impl PreAggSpec {
+    /// One kernel call per pair, aliased by its column, so partial columns
+    /// are named `{fn}_{column}`.
+    fn calls(&self) -> Vec<AggCall> {
+        self.aggs
+            .iter()
+            .map(|(func, col)| AggCall::new(*func, col.clone(), col.clone()))
+            .collect()
+    }
+
+    /// The partial layout this spec's pre-aggregation emits over `input`.
+    pub fn output_schema(&self, input: &Schema) -> df_data::Result<SchemaRef> {
+        Ok(partial_schema(&self.group_by, &self.calls(), input)?.into_ref())
+    }
+
+    /// This spec's aggregation kernel: `AggMode::Partial` over raw rows, or
+    /// a bounded `AggMode::Merge` over the partial layout
+    /// ([`PreAggSpec::output_schema`]) that re-emits it.
+    pub fn kernel(&self, mode: AggMode, input: &SchemaRef) -> df_data::Result<HashAggOp> {
+        // Bounded stages emit the partial layout, so no final schema applies.
+        HashAggOp::new(
+            self.group_by.clone(),
+            self.calls(),
+            mode,
+            input,
+            input.clone(),
+        )
+    }
 }
 
 /// A pushed-down scan request — the "kernel" installed on the storage
@@ -206,10 +214,16 @@ impl SmartStorage {
             .map(|n| schema.index_of(n).map_err(StorageError::Data))
             .collect::<Result<Vec<_>>>()?;
 
-        let mut preagg_state = request
+        let mut preagg = request
             .preagg
             .as_ref()
-            .map(|spec| PartialAggregator::new(spec.clone(), &schema));
+            .map(|spec| {
+                let mode = AggMode::Partial {
+                    max_groups: spec.max_groups,
+                };
+                spec.kernel(mode, &schema)
+            })
+            .transpose()?;
         let mut emitted_rows = 0u64;
         let mut frame_counter = 0u64;
 
@@ -247,12 +261,11 @@ impl SmartStorage {
                     continue;
                 }
                 // Project or pre-aggregate, then emit.
-                let out = if let Some(state) = preagg_state.as_mut() {
-                    state.consume(&filtered)?;
-                    match state.take_flush() {
-                        Some(flushed) => flushed,
-                        None => continue,
-                    }
+                let out = if let Some(kernel) = preagg.as_mut() {
+                    let Some(flushed) = kernel.push(filtered)?.pop() else {
+                        continue;
+                    };
+                    flushed
                 } else {
                     let cols: Vec<&str> = projection_names.iter().map(String::as_str).collect();
                     filtered.project_names(&cols)?
@@ -271,9 +284,8 @@ impl SmartStorage {
             }
         }
         // Final pre-aggregation flush.
-        if let Some(state) = preagg_state.as_mut() {
-            let out = state.finish()?;
-            if !out.is_empty() {
+        if let Some(kernel) = preagg.as_mut() {
+            for out in kernel.finish()? {
                 let out = self.apply_limit(out, &mut emitted_rows, request.limit);
                 if !out.is_empty() {
                     stats.rows_returned += out.rows() as u64;
@@ -331,7 +343,7 @@ impl SmartStorage {
     pub fn output_schema(&self, table: &str, request: &ScanRequest) -> Result<SchemaRef> {
         let schema = self.tables.schema(table)?;
         if let Some(pre) = &request.preagg {
-            return Ok(PartialAggregator::output_schema(pre, &schema)?.into_ref());
+            return Ok(pre.output_schema(&schema)?);
         }
         match &request.projection {
             None => Ok(schema),
@@ -346,277 +358,14 @@ impl SmartStorage {
     }
 }
 
-// --------------------------------------------------------- pre-aggregation
-
-/// Merge *partial* aggregate batches (as produced by a bounded
-/// [`PreAggSpec`] stage) into final per-group results.
-///
-/// This is what a downstream pipeline stage — a receiving NIC, a switch, or
-/// the final CPU operator — runs to combine partials: counts and sums add,
-/// mins/maxes fold. The input batches must all have the partial output
-/// schema of `spec` (group columns then aggregate columns).
-pub fn merge_partial_aggregates(batches: &[Batch], spec: &PreAggSpec) -> Result<Batch> {
-    assert!(!batches.is_empty(), "nothing to merge");
-    let schema = batches[0].schema().clone();
-    // Partial columns merge with mapped functions: count -> sum of counts.
-    let merged_spec = PreAggSpec {
-        group_by: spec.group_by.clone(),
-        aggs: spec
-            .aggs
-            .iter()
-            .map(|(func, col)| {
-                let partial_col = format!("{}_{}", func.prefix(), col);
-                let merge_func = match func {
-                    AggFunc::Count | AggFunc::Sum => AggFunc::Sum,
-                    AggFunc::Min => AggFunc::Min,
-                    AggFunc::Max => AggFunc::Max,
-                };
-                (merge_func, partial_col)
-            })
-            .collect(),
-        max_groups: usize::MAX, // the final stage holds full state
-    };
-    let mut state = PartialAggregator::new(merged_spec, &schema);
-    for batch in batches {
-        state.consume(batch)?;
-    }
-    let merged = state.finish()?;
-    // Restore the original partial column names so repeated merges compose.
-    let fields = schema.fields().to_vec();
-    Batch::new(Schema::new(fields).into_ref(), merged.columns().to_vec())
-        .map_err(StorageError::Data)
-}
-
-/// Bounded partial aggregation state — the reusable kernel behind storage
-/// pre-aggregation, NIC pre-aggregation stages, and in-switch merging.
-pub struct PartialAggregator {
-    spec: PreAggSpec,
-    out_schema: SchemaRef,
-    /// group key bytes -> (group scalars, accumulators)
-    groups: HashMap<Vec<u8>, (Vec<Scalar>, Vec<Acc>)>,
-    flushed: Vec<Batch>,
-}
-
-#[derive(Debug, Clone)]
-enum Acc {
-    Count(i64),
-    SumInt(i64),
-    SumFloat(f64),
-    MinMax(Option<Scalar>, bool), // (current, is_min)
-}
-
-impl PartialAggregator {
-    /// The partial-output schema for `spec` over `input`.
-    pub fn output_schema(spec: &PreAggSpec, input: &SchemaRef) -> Result<Schema> {
-        let mut fields = Vec::new();
-        for g in &spec.group_by {
-            fields.push(input.field_by_name(g).map_err(StorageError::Data)?.clone());
-        }
-        for (func, col) in &spec.aggs {
-            let input_field = input.field_by_name(col).map_err(StorageError::Data)?;
-            let dtype = match func {
-                AggFunc::Count => DataType::Int64,
-                AggFunc::Sum | AggFunc::Min | AggFunc::Max => input_field.dtype,
-            };
-            fields.push(Field::nullable(format!("{}_{}", func.prefix(), col), dtype));
-        }
-        // Repeated (func, col) pairs are legal (e.g. AVG decomposed next to
-        // an explicit SUM): disambiguate positionally.
-        let mut seen = std::collections::HashSet::new();
-        for (i, f) in fields.iter_mut().enumerate() {
-            if !seen.insert(f.name.clone()) {
-                f.name = format!("{}__{i}", f.name);
-                seen.insert(f.name.clone());
-            }
-        }
-        Ok(Schema::new(fields))
-    }
-
-    /// A fresh aggregator. Panics if `spec` references unknown columns —
-    /// validate with [`PartialAggregator::output_schema`] first.
-    pub fn new(spec: PreAggSpec, input: &SchemaRef) -> PartialAggregator {
-        let out_schema = Self::output_schema(&spec, input)
-            .expect("caller validated columns")
-            .into_ref();
-        PartialAggregator {
-            spec,
-            out_schema,
-            groups: HashMap::new(),
-            flushed: Vec::new(),
-        }
-    }
-
-    fn key_bytes(scalars: &[Scalar]) -> Vec<u8> {
-        let mut key = Vec::with_capacity(scalars.len() * 9);
-        for s in scalars {
-            match s {
-                Scalar::Null => key.push(0),
-                Scalar::Int(v) => {
-                    key.push(1);
-                    key.extend_from_slice(&v.to_le_bytes());
-                }
-                Scalar::Float(v) => {
-                    key.push(2);
-                    key.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-                Scalar::Str(v) => {
-                    key.push(3);
-                    key.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                    key.extend_from_slice(v.as_bytes());
-                }
-                Scalar::Bool(v) => key.extend_from_slice(&[4, *v as u8]),
-            }
-        }
-        key
-    }
-
-    fn fresh_accs(&self) -> Vec<Acc> {
-        self.spec
-            .aggs
-            .iter()
-            .map(|(func, _)| match func {
-                AggFunc::Count => Acc::Count(0),
-                AggFunc::Sum => Acc::SumInt(0), // switches to float on demand
-                AggFunc::Min => Acc::MinMax(None, true),
-                AggFunc::Max => Acc::MinMax(None, false),
-            })
-            .collect()
-    }
-
-    /// Fold a filtered batch into the bounded group table, flushing
-    /// partials internally when `max_groups` is exceeded.
-    pub fn consume(&mut self, batch: &Batch) -> Result<()> {
-        let group_cols: Vec<&Column> = self
-            .spec
-            .group_by
-            .iter()
-            .map(|n| batch.column_by_name(n).map_err(StorageError::Data))
-            .collect::<Result<Vec<_>>>()?;
-        let agg_cols: Vec<&Column> = self
-            .spec
-            .aggs
-            .iter()
-            .map(|(_, n)| batch.column_by_name(n).map_err(StorageError::Data))
-            .collect::<Result<Vec<_>>>()?;
-        for row in 0..batch.rows() {
-            let key_scalars: Vec<Scalar> = group_cols.iter().map(|c| c.scalar_at(row)).collect();
-            let key = Self::key_bytes(&key_scalars);
-            if !self.groups.contains_key(&key) && self.groups.len() >= self.spec.max_groups {
-                // Bounded state: flush partials downstream and restart.
-                let flushed = self.drain_to_batch()?;
-                self.flushed.push(flushed);
-            }
-            let fresh = self.fresh_accs();
-            let accs = self
-                .groups
-                .entry(key)
-                .or_insert_with(|| (key_scalars, fresh));
-            for ((acc, (_, _)), col) in accs.1.iter_mut().zip(self.spec.aggs.iter()).zip(&agg_cols)
-            {
-                let value = col.scalar_at(row);
-                update_acc(acc, &value);
-            }
-        }
-        Ok(())
-    }
-
-    fn drain_to_batch(&mut self) -> Result<Batch> {
-        let mut builders: Vec<ColumnBuilder> = self
-            .out_schema
-            .fields()
-            .iter()
-            .map(|f| ColumnBuilder::new(f.dtype, self.groups.len()))
-            .collect();
-        // Deterministic output order: sort by key bytes.
-        let mut entries: Vec<_> = std::mem::take(&mut self.groups).into_iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        for (_, (scalars, accs)) in entries {
-            for (i, s) in scalars.iter().enumerate() {
-                builders[i].push(s.clone()).map_err(StorageError::Data)?;
-            }
-            for (i, acc) in accs.iter().enumerate() {
-                let value = finish_acc(acc);
-                builders[scalars.len() + i]
-                    .push(value)
-                    .map_err(StorageError::Data)?;
-            }
-        }
-        let columns = builders.into_iter().map(ColumnBuilder::finish).collect();
-        Batch::new(self.out_schema.clone(), columns).map_err(StorageError::Data)
-    }
-
-    /// Take any batches flushed due to the group bound (None if none).
-    pub fn take_flush(&mut self) -> Option<Batch> {
-        if self.flushed.is_empty() {
-            None
-        } else {
-            let parts = std::mem::take(&mut self.flushed);
-            Some(Batch::concat(&parts).expect("flush batches share schema"))
-        }
-    }
-
-    /// Drain all remaining groups (plus pending flushes) as one batch.
-    pub fn finish(&mut self) -> Result<Batch> {
-        let last = self.drain_to_batch()?;
-        self.flushed.push(last);
-        Ok(self.take_flush().expect("at least one batch"))
-    }
-}
-
-fn update_acc(acc: &mut Acc, value: &Scalar) {
-    match acc {
-        Acc::Count(n) => {
-            if !value.is_null() {
-                *n += 1;
-            }
-        }
-        Acc::SumInt(n) => match value {
-            Scalar::Int(v) => *n += v,
-            Scalar::Float(v) => *acc = Acc::SumFloat(*n as f64 + v),
-            _ => {}
-        },
-        Acc::SumFloat(n) => match value {
-            Scalar::Int(v) => *n += *v as f64,
-            Scalar::Float(v) => *n += v,
-            _ => {}
-        },
-        Acc::MinMax(current, is_min) => {
-            if value.is_null() {
-                return;
-            }
-            let better = match current {
-                None => true,
-                Some(c) => {
-                    let ord = value.total_cmp(c);
-                    if *is_min {
-                        ord == std::cmp::Ordering::Less
-                    } else {
-                        ord == std::cmp::Ordering::Greater
-                    }
-                }
-            };
-            if better {
-                *current = Some(value.clone());
-            }
-        }
-    }
-}
-
-fn finish_acc(acc: &Acc) -> Scalar {
-    match acc {
-        Acc::Count(n) => Scalar::Int(*n),
-        Acc::SumInt(n) => Scalar::Int(*n),
-        Acc::SumFloat(n) => Scalar::Float(*n),
-        Acc::MinMax(v, _) => v.clone().unwrap_or(Scalar::Null),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::object::MemObjectStore;
     use crate::zonemap::CmpOp;
     use df_data::batch::batch_of;
+    use df_data::Column;
+    use std::collections::BTreeMap;
 
     fn setup(n: usize) -> SmartStorage {
         let batch = batch_of(vec![
@@ -718,7 +467,7 @@ mod tests {
         let server = setup(1000);
         let request = ScanRequest::full().pre_aggregate(PreAggSpec {
             group_by: vec!["grp".into()],
-            aggs: vec![(AggFunc::Count, "id".into()), (AggFunc::Sum, "qty".into())],
+            aggs: vec![(AggFn::Count, "id".into()), (AggFn::Sum, "qty".into())],
             max_groups: 1024,
         });
         let (batches, stats) = server.scan("orders", &request).unwrap();
@@ -726,8 +475,8 @@ mod tests {
         // No flushing happened (4 groups < 1024), but pages emit per-page
         // partials only on overflow; with no overflow we still merge at end.
         // Merge partials by group to check totals.
-        let mut counts: HashMap<String, i64> = HashMap::new();
-        let mut sums: HashMap<String, i64> = HashMap::new();
+        let mut counts: BTreeMap<String, i64> = BTreeMap::new();
+        let mut sums: BTreeMap<String, i64> = BTreeMap::new();
         for row in 0..merged.rows() {
             let g = merged.column(0).str_at(row).to_string();
             let c = merged.column(1).scalar_at(row).as_int().unwrap();
@@ -752,7 +501,7 @@ mod tests {
         // Group by id: 1000 groups but only 16 slots -> must flush partials.
         let request = ScanRequest::full().pre_aggregate(PreAggSpec {
             group_by: vec!["id".into()],
-            aggs: vec![(AggFunc::Count, "qty".into())],
+            aggs: vec![(AggFn::Count, "qty".into())],
             max_groups: 16,
         });
         let (batches, _) = server.scan("orders", &request).unwrap();
@@ -784,7 +533,7 @@ mod tests {
 
         let agg_request = ScanRequest::full().pre_aggregate(PreAggSpec {
             group_by: vec!["grp".into()],
-            aggs: vec![(AggFunc::Max, "qty".into())],
+            aggs: vec![(AggFn::Max, "qty".into())],
             max_groups: 64,
         });
         let agg_schema = server.output_schema("orders", &agg_request).unwrap();
@@ -798,7 +547,7 @@ mod tests {
         let server = setup(1000);
         let request = ScanRequest::full().pre_aggregate(PreAggSpec {
             group_by: vec![],
-            aggs: vec![(AggFunc::Min, "id".into()), (AggFunc::Max, "id".into())],
+            aggs: vec![(AggFn::Min, "id".into()), (AggFn::Max, "id".into())],
             max_groups: 4,
         });
         let (batches, _) = server.scan("orders", &request).unwrap();
@@ -815,21 +564,35 @@ mod tests {
     }
 
     #[test]
-    fn merge_partials_restores_exact_totals() {
+    fn bounded_merges_restore_exact_totals() {
         let server = setup(1000);
         let spec = PreAggSpec {
             group_by: vec!["grp".into()],
             aggs: vec![
-                (AggFunc::Count, "id".into()),
-                (AggFunc::Sum, "qty".into()),
-                (AggFunc::Min, "qty".into()),
-                (AggFunc::Max, "qty".into()),
+                (AggFn::Count, "id".into()),
+                (AggFn::Sum, "qty".into()),
+                (AggFn::Min, "qty".into()),
+                (AggFn::Max, "qty".into()),
             ],
             max_groups: 2, // force lots of partial flushes
         };
         let request = ScanRequest::full().pre_aggregate(spec.clone());
         let (partials, _) = server.scan("orders", &request).unwrap();
-        let merged = merge_partial_aggregates(&partials, &spec).unwrap();
+        let layout = server.output_schema("orders", &request).unwrap();
+        let merge = |batches: Vec<Batch>| {
+            let mode = AggMode::Merge {
+                max_groups: Some(usize::MAX),
+            };
+            let mut kernel = spec.kernel(mode, &layout).unwrap();
+            let mut out = Vec::new();
+            for batch in batches {
+                out.extend(kernel.push(batch).unwrap());
+            }
+            out.extend(kernel.finish().unwrap());
+            Batch::concat(&out).unwrap()
+        };
+        let merged = merge(partials);
+        assert_eq!(merged.schema().as_ref(), layout.as_ref());
         assert_eq!(merged.rows(), 4);
         for row in 0..merged.rows() {
             let count = merged.column(1).scalar_at(row).as_int().unwrap();
@@ -840,8 +603,23 @@ mod tests {
             assert!((0..100).contains(&min));
         }
         // Staged merging composes: merging the merged result is a no-op.
-        let again = merge_partial_aggregates(std::slice::from_ref(&merged), &spec).unwrap();
+        let again = merge(vec![merged.clone()]);
         assert_eq!(merged.canonical_rows(), again.canonical_rows());
+    }
+
+    #[test]
+    fn preagg_of_no_rows_emits_nothing() {
+        let server = setup(100);
+        let request = ScanRequest::full()
+            .filter(StoragePredicate::cmp("qty", CmpOp::Lt, -1i64))
+            .pre_aggregate(PreAggSpec {
+                group_by: vec![],
+                aggs: vec![(AggFn::Count, "id".into())],
+                max_groups: 4,
+            });
+        let (batches, stats) = server.scan("orders", &request).unwrap();
+        assert!(batches.is_empty());
+        assert_eq!(stats.bytes_returned, 0);
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //! [`rheo::check`] harness (deterministic seeds, committed regressions
 //! replay first).
 
+use std::collections::BTreeMap;
+
 use rheo::check::{check, Gen};
 use rheo::codec::wire::{decode_batch, encode_batch, wire_size, WireOptions};
 use rheo::codec::{crypto, int, lz};
 use rheo::core::error::EngineError;
 use rheo::core::kernel::Program;
-use rheo::core::logical::{JoinType, LogicalPlan};
-use rheo::core::ops::{HashJoinOp, Operator};
+use rheo::core::logical::{AggCall, AggFn, JoinType, LogicalPlan};
+use rheo::core::ops::{AggMode, HashAggOp, HashJoinOp, Operator};
 use rheo::data::batch::batch_of;
 use rheo::data::partition::hash_row_seeded;
 use rheo::data::sort::{is_sorted, sort_batch, SortKey};
@@ -29,7 +31,10 @@ use rheo::fabric::OpClass;
 use rheo::mem::btree;
 use rheo::mem::region::{MemRegion, Placement};
 use rheo::net::nic::{NicKernel, NicPipeline};
+use rheo::storage::object::MemObjectStore;
 use rheo::storage::pattern::LikePattern;
+use rheo::storage::smart::{PreAggSpec, ScanRequest, SmartStorage};
+use rheo::storage::table::TableStore;
 use rheo::storage::zonemap::{CmpOp, ZoneMap};
 
 // ------------------------------------------------------------- generators
@@ -1315,6 +1320,381 @@ fn hash_join_output_matches_parent_digest() {
     // Pinned at the commit before the vectorized join: every output row,
     // its order, batch boundaries and validity layout must stay identical.
     assert_eq!((total, digest), (2_147_535, 1_786_946_923_278_352_115));
+}
+
+// ----------------------------------------------------- pre-aggregation
+
+/// One bounded NIC merge stage (`MergeAggregate`) over `spec`'s partial
+/// layout, holding at most `max_groups` groups.
+fn nic_merge_stage(spec: &PreAggSpec, max_groups: usize, stream: Vec<Batch>) -> Vec<Batch> {
+    let spec = PreAggSpec {
+        max_groups,
+        ..spec.clone()
+    };
+    let mut nic = NicPipeline::new(vec![NicKernel::MergeAggregate(spec)]).unwrap();
+    let mut out = Vec::new();
+    for batch in stream {
+        out.extend(nic.push(batch).unwrap().into_iter().map(|(_, b)| b));
+    }
+    out.extend(nic.finish().unwrap().into_iter().map(|(_, b)| b));
+    out
+}
+
+#[test]
+fn storage_preagg_output_matches_parent_digest() {
+    use rheo::bench::workload;
+    use rheo::core::physical::PhysNode;
+    use rheo::core::session::Session;
+
+    let session = Session::in_memory().unwrap();
+    session
+        .create_table("lineitem", &[workload::lineitem(20_000, 1)])
+        .unwrap();
+    let mut cases: Vec<(String, ScanRequest)> = [16, usize::MAX]
+        .into_iter()
+        .map(|max_groups| {
+            let spec = PreAggSpec {
+                group_by: vec!["l_quantity".into()],
+                aggs: vec![
+                    (AggFn::Count, "l_orderkey".into()),
+                    (AggFn::Sum, "l_orderkey".into()),
+                ],
+                max_groups,
+            };
+            (
+                "lineitem".to_string(),
+                ScanRequest::full().pre_aggregate(spec),
+            )
+        })
+        .collect();
+    // E10's full-dataflow variant pushes its pre-aggregation (AVG
+    // decomposed into SUM and COUNT) to storage.
+    let logical = session
+        .logical_plan(
+            "SELECT l_region, COUNT(*) AS n, SUM(l_price) AS revenue, \
+             AVG(l_discount) AS avg_discount FROM lineitem \
+             WHERE l_shipdate BETWEEN 100 AND 2000 GROUP BY l_region",
+        )
+        .unwrap();
+    let variants = session.variants(&logical).unwrap();
+    let full = variants
+        .iter()
+        .find(|v| v.plan.variant == "full-dataflow")
+        .expect("full-dataflow variant");
+    let mut stack = vec![&full.plan.root];
+    while let Some(node) = stack.pop() {
+        if let PhysNode::StorageScan {
+            table,
+            request,
+            schema,
+            ..
+        } = node
+        {
+            // The planner's scan schema is the layout storage emits.
+            let (batches, _) = session.storage().scan(table, request).unwrap();
+            assert!(batches
+                .iter()
+                .all(|b| b.schema().as_ref() == schema.as_ref()));
+            cases.push((table.clone(), request.clone()));
+        }
+        stack.extend(node.children());
+    }
+    assert_eq!(cases.len(), 3);
+
+    let mut outputs: Vec<Batch> = Vec::new();
+    let mut bytes_returned = 0u64;
+    for (table, request) in &cases {
+        let (partials, stats) = session.storage().scan(table, request).unwrap();
+        bytes_returned += stats.bytes_returned;
+        let spec = request.preagg.as_ref().unwrap();
+        let merged = nic_merge_stage(spec, 48, partials.clone());
+        outputs.extend(partials);
+        outputs.extend(merged);
+    }
+    let mut total = 0usize;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for batch in &outputs {
+        let frame = encode_batch(batch, &WireOptions::plain());
+        total += frame.len();
+        digest = fnv1a(digest, &frame);
+    }
+    // Pinned at the commit before storage and NIC pre-aggregation moved
+    // onto the shared aggregation kernel (merges then ran on the storage
+    // aggregator with counts rewritten to sums): every partial row, its
+    // order, batch boundaries and schema must stay identical. Re-pin only
+    // from the parent commit of a change that means to move them.
+    assert_eq!(
+        (bytes_returned, outputs.len(), total, digest),
+        (49_182, 17, 72_336, 10_878_662_154_299_243_026)
+    );
+}
+
+/// Group keys of the cascade corpus: each key type alone (a single Int64
+/// runs the table's fast path) and four two-column keys.
+const PREAGG_KEYS: [&[&str]; 8] = [
+    &["ki"],
+    &["kf"],
+    &["ks"],
+    &["kb"],
+    &["ks", "ki"],
+    &["ki", "kf"],
+    &["kb", "ks"],
+    &["kf", "kb"],
+];
+
+/// A group key as text: floats by their bits, everything else by `Debug`.
+fn key_text(key: &[Scalar]) -> String {
+    let parts: Vec<String> = key
+        .iter()
+        .map(|s| match s {
+            Scalar::Float(f) => format!("F{:016x}", f.to_bits()),
+            other => format!("{other:?}"),
+        })
+        .collect();
+    parts.join("|")
+}
+
+/// Rows with every key type — a nullable Int64 in -3..=3, a Float64 over
+/// [`FLOAT_KEYS`] plus a second NaN payload, a Utf8 of up to two chars
+/// (empty and multibyte included), a Bool — then a non-null row id, a
+/// nullable Float64 `x`, and an Int64 `v` that is NULL on ~25% of rows
+/// and on every row of about a third of the `group_by` groups.
+fn preagg_rows(g: &mut Gen, rows: usize, group_by: &[&str]) -> Batch {
+    let other_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+    let null_or = |g: &mut Gen, v: Scalar| {
+        if g.usize_in(0, 4) == 0 {
+            Scalar::Null
+        } else {
+            v
+        }
+    };
+    let float = |g: &mut Gen| {
+        if g.usize_in(0, 5) == 0 {
+            other_nan
+        } else {
+            *g.pick(&FLOAT_KEYS)
+        }
+    };
+    let mut keys: Vec<Vec<Scalar>> = vec![Vec::new(); 4];
+    let (mut x, mut v) = (Vec::new(), Vec::new());
+    for _ in 0..rows {
+        let ki = Scalar::Int(g.i64_in(-3, 3));
+        keys[0].push(null_or(g, ki));
+        let kf = Scalar::Float(float(g));
+        keys[1].push(null_or(g, kf));
+        let ks = Scalar::Str(g.string_from(&['a', 'é', '日'], 2));
+        keys[2].push(null_or(g, ks));
+        let kb = Scalar::Bool(g.bool());
+        keys[3].push(null_or(g, kb));
+        let xv = Scalar::Float(float(g));
+        x.push(null_or(g, xv));
+        let vv = Scalar::Int(g.i64_in(-20, 20));
+        v.push(null_or(g, vv));
+    }
+    let names = ["ki", "kf", "ks", "kb"];
+    let key_of = |r: usize| -> String {
+        let key: Vec<Scalar> = group_by
+            .iter()
+            .map(|k| keys[names.iter().position(|n| n == k).unwrap()][r].clone())
+            .collect();
+        key_text(&key)
+    };
+    let mut all_null: BTreeMap<String, bool> = BTreeMap::new();
+    for (r, value) in v.iter_mut().enumerate() {
+        if *all_null
+            .entry(key_of(r))
+            .or_insert_with(|| g.usize_in(0, 2) == 0)
+        {
+            *value = Scalar::Null;
+        }
+    }
+    let [ki, kf, ks, kb]: [Vec<Scalar>; 4] = keys.try_into().unwrap();
+    batch_of(vec![
+        ("id", Column::from_i64((0..rows as i64).collect())),
+        ("ki", scalar_column(DataType::Int64, ki)),
+        ("kf", scalar_column(DataType::Float64, kf)),
+        ("ks", scalar_column(DataType::Utf8, ks)),
+        ("kb", scalar_column(DataType::Bool, kb)),
+        ("x", scalar_column(DataType::Float64, x)),
+        ("v", scalar_column(DataType::Int64, v)),
+    ])
+}
+
+/// Plain-Rust per-group answers for [`preagg_cascade_matches_final`].
+#[derive(Default)]
+struct GroupExpect {
+    n: i64,
+    cv: i64,
+    sv: Option<i64>,
+    lo: Option<i64>,
+    hi: Option<i64>,
+    xlo: Option<f64>,
+    xhi: Option<f64>,
+}
+
+fn float_scalar(v: Option<f64>) -> Scalar {
+    v.map_or(Scalar::Null, Scalar::Float)
+}
+
+#[test]
+fn preagg_cascade_matches_final() {
+    check("preagg_cascade_matches_final", 48, |g| {
+        let group_by: Vec<String> = g.pick(&PREAGG_KEYS).iter().map(|k| k.to_string()).collect();
+        let keys: Vec<&str> = group_by.iter().map(String::as_str).collect();
+        let rows = g.usize_in(1, 80);
+        let batch = preagg_rows(g, rows, &keys);
+        let calls = vec![
+            AggCall::count_star("n"),
+            AggCall::new(AggFn::Count, "v", "cv"),
+            AggCall::new(AggFn::Sum, "v", "sv"),
+            AggCall::new(AggFn::Min, "v", "lo"),
+            AggCall::new(AggFn::Max, "v", "hi"),
+            AggCall::new(AggFn::Min, "x", "xlo"),
+            AggCall::new(AggFn::Max, "x", "xhi"),
+            AggCall::new(AggFn::Avg, "v", "av"),
+        ];
+        let final_schema = LogicalPlan::values(vec![batch.clone()])
+            .unwrap()
+            .aggregate(group_by.clone(), calls.clone())
+            .unwrap()
+            .schema();
+
+        // The cascade: storage pre-aggregates (COUNT(*) over the non-null
+        // id, AVG decomposed, as the optimizer pushes them), 0-3 bounded
+        // NIC merges follow, and the CPU merges what arrives.
+        let mut aggs = vec![(AggFn::Count, "id".to_string())];
+        for (func, column) in [
+            (AggFn::Count, "v"),
+            (AggFn::Sum, "v"),
+            (AggFn::Min, "v"),
+            (AggFn::Max, "v"),
+            (AggFn::Min, "x"),
+            (AggFn::Max, "x"),
+            (AggFn::Sum, "v"),
+            (AggFn::Count, "v"),
+        ] {
+            aggs.push((func, column.to_string()));
+        }
+        let spec = PreAggSpec {
+            group_by: group_by.clone(),
+            aggs,
+            max_groups: g.usize_in(1, 8),
+        };
+        let tables = TableStore::new(MemObjectStore::shared());
+        tables.create("t", batch.schema()).unwrap();
+        let page_rows = g.usize_in(4, 16);
+        tables
+            .append("t", std::slice::from_ref(&batch), 48, page_rows)
+            .unwrap();
+        let storage = SmartStorage::new(tables);
+        let request = ScanRequest::full().pre_aggregate(spec.clone());
+        let layout = storage.output_schema("t", &request).unwrap();
+        let (mut stream, _) = storage.scan("t", &request).unwrap();
+        for _ in 0..g.usize_in(0, 3) {
+            let bound = g.usize_in(1, 8);
+            stream = nic_merge_stage(&spec, bound, stream);
+        }
+        assert!(stream
+            .iter()
+            .all(|b| b.schema().as_ref() == layout.as_ref()));
+        let merge_mode = AggMode::Merge { max_groups: None };
+        let mut merge = HashAggOp::new(
+            group_by.clone(),
+            calls.clone(),
+            merge_mode,
+            &layout,
+            final_schema.clone(),
+        )
+        .unwrap();
+        for batch in stream {
+            assert!(merge.push(batch).unwrap().is_empty());
+        }
+        let cascade = Batch::concat(&merge.finish().unwrap()).unwrap();
+
+        let mut fin = HashAggOp::new(
+            group_by.clone(),
+            calls,
+            AggMode::Final,
+            batch.schema(),
+            final_schema,
+        )
+        .unwrap();
+        let pieces = g.usize_in(1, 4);
+        for piece in cut(g, &batch, pieces) {
+            assert!(fin.push(piece).unwrap().is_empty());
+        }
+        let direct = Batch::concat(&fin.finish().unwrap()).unwrap();
+
+        // Both drain in key-byte order: compare row by row, AVG (the last
+        // column) within 1e-9 and everything else exactly.
+        let nkeys = group_by.len();
+        let avg = nkeys + 7;
+        assert_eq!(cascade.rows(), direct.rows());
+        for r in 0..direct.rows() {
+            let (a, b) = (cascade.row(r), direct.row(r));
+            for c in 0..avg {
+                assert!(
+                    a[c].total_cmp(&b[c]).is_eq(),
+                    "row {r} col {c}: {a:?} vs {b:?}"
+                );
+            }
+            match (a[avg].as_float_lossy(), b[avg].as_float_lossy()) {
+                (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9, "avg {x} vs {y}"),
+                (x, y) => assert_eq!(x, y),
+            }
+        }
+
+        // The oracle: plain iteration over the rows.
+        let mut oracle: BTreeMap<String, GroupExpect> = BTreeMap::new();
+        let schema = batch.schema();
+        let key_idx: Vec<usize> = keys.iter().map(|k| schema.index_of(k).unwrap()).collect();
+        let (x_idx, v_idx) = (schema.index_of("x").unwrap(), schema.index_of("v").unwrap());
+        for r in 0..rows {
+            let row = batch.row(r);
+            let key: Vec<Scalar> = key_idx.iter().map(|&i| row[i].clone()).collect();
+            let e = oracle.entry(key_text(&key)).or_default();
+            e.n += 1;
+            if let Some(v) = row[v_idx].as_int() {
+                e.cv += 1;
+                e.sv = Some(e.sv.unwrap_or(0) + v);
+                e.lo = Some(e.lo.map_or(v, |lo| lo.min(v)));
+                e.hi = Some(e.hi.map_or(v, |hi| hi.max(v)));
+            }
+            if let Scalar::Float(x) = row[x_idx] {
+                e.xlo = Some(
+                    e.xlo
+                        .map_or(x, |lo| if x.total_cmp(&lo).is_lt() { x } else { lo }),
+                );
+                e.xhi = Some(
+                    e.xhi
+                        .map_or(x, |hi| if x.total_cmp(&hi).is_gt() { x } else { hi }),
+                );
+            }
+        }
+        assert_eq!(direct.rows(), oracle.len());
+        for r in 0..direct.rows() {
+            let row = direct.row(r);
+            let e = &oracle[&key_text(&row[..nkeys])];
+            let ints = |v: Option<i64>| v.map_or(Scalar::Null, Scalar::Int);
+            let want = [
+                Scalar::Int(e.n),
+                Scalar::Int(e.cv),
+                ints(e.sv),
+                ints(e.lo),
+                ints(e.hi),
+                float_scalar(e.xlo),
+                float_scalar(e.xhi),
+            ];
+            for (c, w) in want.iter().enumerate() {
+                assert!(row[nkeys + c].total_cmp(w).is_eq(), "{row:?} vs {w:?}");
+            }
+            let want_avg = e.sv.map(|s| s as f64 / e.cv as f64);
+            match (row[avg].as_float_lossy(), want_avg) {
+                (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9, "avg {x} vs {y}"),
+                (x, y) => assert_eq!(x, y),
+            }
+        }
+    });
 }
 
 // ----------------------------------------------------------- zone maps

@@ -3,9 +3,10 @@
 //! The [`rheo::check`] harness generates filter/aggregate queries; the
 //! expected answer is computed by plain Rust iteration over the raw rows
 //! (no engine code in the oracle path). Every query runs through the full
-//! stack — parser, rewrites, placement, smart storage, push executor —
-//! with the *best* variant the optimizer picked, so pushdown correctness
-//! is continuously cross-checked.
+//! stack — parser, rewrites, placement, smart storage, push executor. The
+//! aggregate queries run under *every* plan variant the optimizer builds
+//! (storage and NIC filters, storage pre-aggregation), not only the best,
+//! so pushdown correctness is continuously cross-checked.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -13,7 +14,7 @@ use std::sync::OnceLock;
 use rheo::check::{check, Gen};
 use rheo::core::session::Session;
 use rheo::data::batch::batch_of;
-use rheo::data::{Column, Scalar};
+use rheo::data::{Batch, Column, Scalar};
 
 const ROWS: usize = 777;
 
@@ -57,6 +58,28 @@ fn shared_session() -> &'static Session {
         session.create_table("t", &[batch]).expect("load");
         session
     })
+}
+
+/// Run `query` under every plan variant the optimizer builds for it and
+/// return each variant's name and answer.
+fn every_variant(query: &str) -> Vec<(String, Batch)> {
+    let session = shared_session();
+    let logical = session
+        .logical_plan(query)
+        .unwrap_or_else(|e| panic!("{query}: {e}"));
+    let variants = session
+        .variants(&logical)
+        .unwrap_or_else(|e| panic!("{query}: {e}"));
+    variants
+        .iter()
+        .map(|v| {
+            let name = v.plan.variant.clone();
+            let result = session
+                .execute_plan(&v.plan)
+                .unwrap_or_else(|e| panic!("{query} [{name}]: {e}"));
+            (name, result.batch)
+        })
+        .collect()
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -116,24 +139,22 @@ fn filtered_count_matches_oracle() {
     check("filtered_count_matches_oracle", 48, |g| {
         let p1 = WherePred::arbitrary(g);
         let p2 = WherePred::arbitrary(g);
-        let session = shared_session();
         let query = format!(
             "SELECT COUNT(*) AS n FROM t WHERE {} AND {}",
             p1.sql(),
             p2.sql()
         );
-        let result = session
-            .sql(&query)
-            .unwrap_or_else(|e| panic!("{query}: {e}"));
         let expected = raw_rows()
             .iter()
             .filter(|r| p1.matches(r) && p2.matches(r))
             .count() as i64;
-        assert_eq!(
-            result.batch.row(0)[0].clone(),
-            Scalar::Int(expected),
-            "{query}"
-        );
+        for (variant, batch) in every_variant(&query) {
+            assert_eq!(
+                batch.row(0)[0].clone(),
+                Scalar::Int(expected),
+                "{query} [{variant}]"
+            );
+        }
     });
 }
 
@@ -160,15 +181,11 @@ fn not_of_nullable_conjunction_matches_oracle() {
 fn grouped_aggregates_match_oracle() {
     check("grouped_aggregates_match_oracle", 48, |g| {
         let p = WherePred::arbitrary(g);
-        let session = shared_session();
         let query = format!(
             "SELECT g, COUNT(*) AS n, SUM(b) AS sb, MIN(a) AS lo, MAX(a) AS hi, \
              AVG(f) AS af FROM t WHERE {} GROUP BY g",
             p.sql()
         );
-        let result = session
-            .sql(&query)
-            .unwrap_or_else(|e| panic!("{query}: {e}"));
 
         // Oracle: group manually.
         #[derive(Default)]
@@ -193,34 +210,66 @@ fn grouped_aggregates_match_oracle() {
             acc.fcount += 1;
         }
 
-        assert_eq!(result.batch.rows(), groups.len(), "{query}");
-        for row_idx in 0..result.batch.rows() {
-            let row = result.batch.row(row_idx);
-            let g_name = row[0].as_str().expect("group name").to_string();
-            let acc = groups
-                .get(&g_name)
-                .unwrap_or_else(|| panic!("{query}: extra group {g_name}"));
-            assert_eq!(row[1].clone(), Scalar::Int(acc.n), "count for {g_name}");
-            let expect_sb = acc.sb.map_or(Scalar::Null, Scalar::Int);
-            assert_eq!(row[2].clone(), expect_sb, "sum for {g_name}");
-            assert_eq!(
-                row[3].clone(),
-                acc.lo.map_or(Scalar::Null, Scalar::Int),
-                "min"
-            );
-            assert_eq!(
-                row[4].clone(),
-                acc.hi.map_or(Scalar::Null, Scalar::Int),
-                "max"
-            );
-            let avg = row[5].as_float_lossy().expect("avg is numeric");
-            let expect_avg = acc.fsum / acc.fcount as f64;
-            assert!(
-                (avg - expect_avg).abs() < 1e-9,
-                "avg for {g_name}: {avg} vs {expect_avg}"
-            );
+        for (variant, batch) in every_variant(&query) {
+            let query = format!("{query} [{variant}]");
+            assert_eq!(batch.rows(), groups.len(), "{query}");
+            for row_idx in 0..batch.rows() {
+                let row = batch.row(row_idx);
+                let g_name = row[0].as_str().expect("group name").to_string();
+                let acc = groups
+                    .get(&g_name)
+                    .unwrap_or_else(|| panic!("{query}: extra group {g_name}"));
+                assert_eq!(row[1].clone(), Scalar::Int(acc.n), "count for {g_name}");
+                let expect_sb = acc.sb.map_or(Scalar::Null, Scalar::Int);
+                assert_eq!(row[2].clone(), expect_sb, "{query}: sum for {g_name}");
+                assert_eq!(
+                    row[3].clone(),
+                    acc.lo.map_or(Scalar::Null, Scalar::Int),
+                    "min"
+                );
+                assert_eq!(
+                    row[4].clone(),
+                    acc.hi.map_or(Scalar::Null, Scalar::Int),
+                    "max"
+                );
+                let avg = row[5].as_float_lossy().expect("avg is numeric");
+                let expect_avg = acc.fsum / acc.fcount as f64;
+                assert!(
+                    (avg - expect_avg).abs() < 1e-9,
+                    "avg for {g_name}: {avg} vs {expect_avg}"
+                );
+            }
         }
     });
+}
+
+/// The pinned case: the row with `a = 3` is group `g3`'s only match and its
+/// `b` is NULL, so `SUM(b)` is NULL. Storage pre-aggregation once started
+/// SUM at 0 with no "seen" flag, and `full-dataflow` answered 0.
+#[test]
+fn pushed_down_sum_of_only_nulls_is_null() {
+    let query = "SELECT g, SUM(b) AS sb FROM t WHERE a BETWEEN 3 AND 3 GROUP BY g";
+    let answers = every_variant(query);
+    let mut names: Vec<&str> = answers.iter().map(|(name, _)| name.as_str()).collect();
+    names.sort_unstable();
+    assert_eq!(
+        names,
+        [
+            "cpu-only",
+            "full-dataflow",
+            "near-mem-filter",
+            "nic-filter",
+            "storage-pushdown"
+        ]
+    );
+    for (variant, batch) in &answers {
+        assert_eq!(batch.rows(), 1, "{variant}");
+        assert_eq!(
+            batch.row(0),
+            [Scalar::Str("g3".into()), Scalar::Null],
+            "{variant}"
+        );
+    }
 }
 
 #[test]

@@ -536,7 +536,7 @@ mod streaming {
                 for p in &mut g.pipelines {
                     for op in &mut p.ops {
                         if let OperatorSpec::WindowAggregate { ts_col, mode, .. } = &mut op.spec {
-                            if !matches!(mode, AggMode::Merge) && !mutated {
+                            if !matches!(mode, AggMode::Merge { .. }) && !mutated {
                                 *ts_col = column.to_string();
                                 mutated = true;
                             }
