@@ -2,69 +2,77 @@
 //! distributed join), E6 (count-on-NIC), and ablations A4 (wire compression)
 //! and A5 (pre-aggregation stage count).
 
+use df_bench::experiments::e04_nic_pipeline::cascade_plan;
 use df_bench::microbench::Bench;
 use df_bench::workload;
 use df_codec::wire::WireOptions;
+use df_core::exec::push::{execute, ExecEnv};
 use df_core::logical::LogicalPlan;
 use df_core::scaleout::{exchange_hash_join, ScaleoutConfig};
-use df_net::nic::{NicKernel, NicPipeline};
-use df_storage::agg::AggFn;
+use df_data::{Batch, DataType, Field, HashPartitioner, Schema};
+use df_fabric::topology::{DisaggregatedConfig, Topology};
+use df_storage::agg::{AggCall, AggFn, AggMode, HashAggOp};
 use df_storage::predicate::StoragePredicate;
 use df_storage::smart::PreAggSpec;
 use df_storage::zonemap::CmpOp;
 
 const ROWS: usize = 50_000;
 
+/// Push every batch through an aggregation kernel and drain it.
+fn aggregate(mut kernel: HashAggOp, batches: &[Batch]) -> Vec<Batch> {
+    let mut out = Vec::new();
+    for batch in batches {
+        out.extend(kernel.push(batch.clone()).unwrap());
+    }
+    out.extend(kernel.finish().unwrap());
+    out
+}
+
 fn main() {
     let mut bench = Bench::from_env();
 
-    // E4 / Figure 3: individual NIC kernels at line-rate granularity.
+    // E4 / Figure 3: the kernels a NIC-placed plan runs per batch.
     {
         let fact = workload::lineitem(ROWS, 42);
         let batches = fact.split(8192).unwrap();
+        let schema = fact.schema();
         let mut group = bench.group("fig3_nic_kernels");
-        let programs: Vec<(&str, Vec<NicKernel>)> = vec![
-            (
-                "filter",
-                vec![NicKernel::Filter(StoragePredicate::cmp(
-                    "l_quantity",
-                    CmpOp::Lt,
-                    10i64,
-                ))],
-            ),
-            (
-                "hash",
-                vec![NicKernel::AppendHash {
-                    columns: vec!["l_partkey".into()],
-                    output: "h".into(),
-                }],
-            ),
-            (
-                "partition8",
-                vec![NicKernel::Partition {
-                    columns: vec!["l_partkey".into()],
-                    fanout: 8,
-                }],
-            ),
-            (
-                "preagg",
-                vec![NicKernel::PreAggregate(PreAggSpec {
-                    group_by: vec!["l_region".into()],
-                    aggs: vec![(AggFn::Sum, "l_quantity".into())],
-                    max_groups: 1024,
-                })],
-            ),
-            ("count", vec![NicKernel::Count { output: "n".into() }]),
-        ];
-        for (name, kernels) in programs {
-            group.bench(name, || {
-                let mut nic = NicPipeline::new(kernels.clone()).unwrap();
-                for batch in &batches {
-                    nic.push(batch.clone()).unwrap();
-                }
-                nic.finish().unwrap()
-            });
-        }
+        let predicate = StoragePredicate::cmp("l_quantity", CmpOp::Lt, 10i64);
+        group.bench("filter", || {
+            batches
+                .iter()
+                .map(|b| b.filter(&predicate.evaluate(b).unwrap()).unwrap())
+                .collect::<Vec<_>>()
+        });
+        let by_partkey = HashPartitioner::new(vec!["l_partkey".into()], 8).unwrap();
+        group.bench("hash", || {
+            batches
+                .iter()
+                .map(|b| by_partkey.assignments(b).unwrap())
+                .collect::<Vec<_>>()
+        });
+        group.bench("partition8", || {
+            batches
+                .iter()
+                .map(|b| by_partkey.partition(b).unwrap())
+                .collect::<Vec<_>>()
+        });
+        let preagg = PreAggSpec {
+            group_by: vec!["l_region".into()],
+            aggs: vec![(AggFn::Sum, "l_quantity".into())],
+            max_groups: 1024,
+        };
+        group.bench("preagg", || {
+            let mode = AggMode::Partial { max_groups: 1024 };
+            aggregate(preagg.kernel(mode, schema).unwrap(), &batches)
+        });
+        let count_schema = Schema::new(vec![Field::new("n", DataType::Int64)]).into_ref();
+        group.bench("count", || {
+            let count = vec![AggCall::count_star("n")];
+            let kernel =
+                HashAggOp::new(vec![], count, AggMode::Final, schema, count_schema.clone());
+            aggregate(kernel.unwrap(), &batches)
+        });
     }
 
     // E5 / Figure 4: the distributed partitioned hash join, smart vs host.
@@ -114,42 +122,21 @@ fn main() {
         }
     }
 
-    // A5 / E6: pre-aggregation stage count 0..3 (rows surviving to the CPU
-    // is measured in the figures harness; here we measure wall time of the
-    // kernels themselves).
+    // A5: E4's placed cascade with 0-3 group-by stages ahead of the CPU
+    // (rows reaching the CPU are measured in the figures harness; here we
+    // measure the wall time of whole plans through the push executor).
     {
-        let fact = workload::lineitem(ROWS, 42);
-        let batches = fact.split(4096).unwrap();
-        let spec = || PreAggSpec {
-            group_by: vec!["l_quantity".into()],
-            aggs: vec![(AggFn::Count, "l_orderkey".into())],
-            max_groups: 32,
+        let storage = workload::lineitem_storage(ROWS, 42);
+        let topology = Topology::disaggregated(&DisaggregatedConfig::default());
+        let env = ExecEnv {
+            storage: Some(&storage),
+            topology: Some(&topology),
+            ..ExecEnv::in_memory()
         };
         let mut group = bench.group("a5_preagg_stages");
         for stages in 0..=3usize {
-            group.bench(&stages.to_string(), || {
-                // A raw pre-aggregation, then bounded merges of its partials.
-                let mut pipes: Vec<NicPipeline> = (0..stages)
-                    .map(|i| {
-                        let kernel = if i == 0 {
-                            NicKernel::PreAggregate(spec())
-                        } else {
-                            NicKernel::MergeAggregate(spec())
-                        };
-                        NicPipeline::new(vec![kernel]).unwrap()
-                    })
-                    .collect();
-                let mut stream = batches.clone();
-                for nic in pipes.iter_mut() {
-                    let mut next = Vec::new();
-                    for batch in stream.drain(..) {
-                        next.extend(nic.push(batch).unwrap().into_iter().map(|(_, b)| b));
-                    }
-                    next.extend(nic.finish().unwrap().into_iter().map(|(_, b)| b));
-                    stream = next;
-                }
-                stream.iter().map(df_data::Batch::rows).sum::<usize>()
-            });
+            let plan = cascade_plan(&storage, &topology, stages);
+            group.bench(&stages.to_string(), || execute(&plan, &env).unwrap());
         }
     }
 }

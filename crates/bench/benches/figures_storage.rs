@@ -4,29 +4,19 @@
 use df_bench::microbench::Bench;
 use df_bench::workload;
 use df_core::kernel::regex::Regex;
-use df_storage::object::MemObjectStore;
 use df_storage::pattern::LikePattern;
 use df_storage::predicate::StoragePredicate;
-use df_storage::smart::{ScanRequest, SmartStorage};
-use df_storage::table::TableStore;
+use df_storage::smart::ScanRequest;
 use df_storage::zonemap::CmpOp;
 
 const ROWS: usize = 100_000;
-
-fn storage() -> SmartStorage {
-    let tables = TableStore::new(MemObjectStore::shared());
-    tables
-        .create_and_load("lineitem", &[workload::lineitem(ROWS, 42)])
-        .unwrap();
-    SmartStorage::new(tables)
-}
 
 fn main() {
     let mut bench = Bench::from_env();
 
     // E2: scan with selection+projection at storage vs shipping everything.
     {
-        let server = storage();
+        let server = workload::lineitem_storage(ROWS, 42);
         let mut group = bench.group("fig2_pushdown");
         for selectivity_cap in [250i64, 2500, 25000] {
             let pushdown = ScanRequest::full()
@@ -47,7 +37,7 @@ fn main() {
     // A3: zone-map pruning on a range predicate over the clustered column vs
     // the same predicate over an unclustered one (no pruning possible).
     {
-        let server = storage();
+        let server = workload::lineitem_storage(ROWS, 42);
         let mut group = bench.group("a3_zonemaps");
         // l_orderkey is clustered: zone maps prune almost every page.
         let pruned = ScanRequest::full()
@@ -83,7 +73,7 @@ fn main() {
         group.bench("regex_nfa", || {
             comments.iter().filter(|s| re.is_match(s)).count()
         });
-        let server = storage();
+        let server = workload::lineitem_storage(ROWS, 42);
         let pushed = ScanRequest::full()
             .filter(StoragePredicate::like("l_comment", "%urgent%"))
             .project(&["l_orderkey"]);

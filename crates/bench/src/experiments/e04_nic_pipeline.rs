@@ -8,54 +8,125 @@
 //!
 //! We run the cascade on real data with genuinely bounded group tables at
 //! every in-path stage (16 → 48 → 64 slots, straddling the 50-group
-//! cardinality, so upstream stages flush partials) and count the rows that reach
-//! each hop. Every stage runs the one aggregation kernel: storage
-//! pre-aggregates, the two NICs run bounded `MergeAggregate` kernels, and
-//! the CPU merges what is left. The Figure 3 hashing path (projection at
-//! storage, hashing at the receiving NIC) is exercised alongside.
+//! cardinality, so upstream stages flush partials). Each cascade is one
+//! plan placed on the disaggregated rack ([`cascade_plan`]) and driven by
+//! the push executor: storage pre-aggregates inside its scan, both NICs run
+//! bounded `Merge` aggregates, and the CPU merges what is left. The
+//! movement ledger counts the rows crossing each hop. The Figure 3 hashing
+//! path (projection at storage, hashing at the receiving NIC) is exercised
+//! alongside.
 
-use df_data::Batch;
-use df_net::nic::{NicKernel, NicPipeline};
-use df_storage::agg::{AggFn, AggMode};
-use df_storage::object::MemObjectStore;
+use std::sync::Arc;
+
+use df_core::exec::ledger::MovementLedger;
+use df_core::exec::push::{execute, ExecEnv};
+use df_core::logical::{AggCall, AggFn, LogicalPlan};
+use df_core::ops::AggMode;
+use df_core::physical::{PhysNode, PhysicalPlan};
+use df_core::scaleout::SHUFFLE_SEED;
+use df_data::{Batch, HashPartitioner};
+use df_fabric::topology::{DisaggregatedConfig, Topology};
+use df_sim::Tracer;
 use df_storage::smart::{PreAggSpec, ScanRequest, SmartStorage};
-use df_storage::table::TableStore;
 
 use crate::report::{fmt_util, ExpReport};
 use crate::workload;
 
 use super::Scale;
 
-/// Stream `stream` through a one-kernel NIC program and collect its output.
-fn nic_stage(kernel: NicKernel, stream: Vec<Batch>) -> Vec<Batch> {
-    let mut nic = NicPipeline::new(vec![kernel]).expect("nic program");
-    let mut out = Vec::new();
-    for batch in stream {
-        out.extend(
-            nic.push(batch)
-                .expect("nic stage")
-                .into_iter()
-                .map(|(_, b)| b),
-        );
+/// Storage's pre-aggregation: COUNT and SUM of `l_orderkey` by
+/// `l_quantity` (50 groups), holding at most `max_groups` groups. Integer
+/// aggregates, so staged merging is bit-exact regardless of accumulation
+/// order (float sums are not associative).
+fn spec(max_groups: usize) -> PreAggSpec {
+    PreAggSpec {
+        group_by: vec!["l_quantity".into()],
+        aggs: vec![
+            (AggFn::Count, "l_orderkey".into()),
+            (AggFn::Sum, "l_orderkey".into()),
+        ],
+        max_groups,
     }
-    out.extend(
-        nic.finish()
-            .expect("nic finish")
-            .into_iter()
-            .map(|(_, b)| b),
-    );
-    out
 }
 
-/// The final stage at the CPU: the same kernel, holding every group.
-fn cpu_stage(spec: &PreAggSpec, mode: AggMode, stream: Vec<Batch>) -> Batch {
-    let mut kernel = spec.kernel(mode, stream[0].schema()).expect("cpu kernel");
-    let mut out = Vec::new();
-    for batch in stream {
-        out.extend(kernel.push(batch).expect("cpu stage"));
+/// E4's cascade over `storage`'s `lineitem` as a plan placed on the
+/// disaggregated rack, with `stages` group-by stages ahead of the CPU:
+///
+/// - 0: storage.ssd ships `l_orderkey, l_quantity`; compute0.cpu runs a
+///   `Final` aggregate over the raw rows.
+/// - 1: storage.ssd pre-aggregates inside its scan (16 groups); the CPU
+///   merges the partials.
+/// - 2: the sending NIC (storage.nic) adds a 48-group `Merge`.
+/// - 3: the receiving NIC (compute0.nic) adds a 64-group `Merge`.
+pub fn cascade_plan(storage: &SmartStorage, topology: &Topology, stages: usize) -> PhysicalPlan {
+    let device = |name| Some(topology.expect_device(name));
+    let group_by = vec!["l_quantity".to_string()];
+    let calls = vec![
+        AggCall::new(AggFn::Count, "l_orderkey", "n"),
+        AggCall::new(AggFn::Sum, "l_orderkey", "orderkey_sum"),
+    ];
+    let raw = ScanRequest::full().project(&["l_orderkey", "l_quantity"]);
+    let raw_schema = storage.output_schema("lineitem", &raw).expect("lineitem");
+    let final_schema = LogicalPlan::scan("lineitem", raw_schema)
+        .aggregate(group_by.clone(), calls.clone())
+        .expect("aggregate plan")
+        .schema();
+    let request = if stages == 0 {
+        raw
+    } else {
+        ScanRequest::full().pre_aggregate(spec(16))
+    };
+    let mut node = PhysNode::StorageScan {
+        table: "lineitem".into(),
+        schema: storage
+            .output_schema("lineitem", &request)
+            .expect("lineitem"),
+        request,
+        device: device("storage.ssd"),
+    };
+    let nics = [(48, "storage.nic"), (64, "compute0.nic")];
+    for (max_groups, nic) in nics.into_iter().take(stages.saturating_sub(1)) {
+        node = PhysNode::Aggregate {
+            input: Box::new(node),
+            group_by: group_by.clone(),
+            aggs: calls.clone(),
+            mode: AggMode::Merge {
+                max_groups: Some(max_groups),
+            },
+            final_schema: final_schema.clone(),
+            device: device(nic),
+        };
     }
-    out.extend(kernel.finish().expect("cpu finish"));
-    Batch::concat(&out).expect("one layout")
+    let mode = if stages == 0 {
+        AggMode::Final
+    } else {
+        AggMode::Merge { max_groups: None }
+    };
+    PhysicalPlan::new(
+        PhysNode::Aggregate {
+            input: Box::new(node),
+            group_by,
+            aggs: calls,
+            mode,
+            final_schema,
+            device: device("compute0.cpu"),
+        },
+        "nic-cascade",
+    )
+}
+
+/// Ledger rows leaving storage.ssd and rows entering compute0.cpu.
+fn hop_rows(ledger: &MovementLedger, topology: &Topology) -> (u64, u64) {
+    let ssd = topology.expect_device("storage.ssd");
+    let cpu = topology.expect_device("compute0.cpu");
+    ledger
+        .edges()
+        .fold((0, 0), |(out, into), (&(from, to), stats)| {
+            (
+                out + if from == ssd { stats.rows } else { 0 },
+                into + if to == cpu { stats.rows } else { 0 },
+            )
+        })
 }
 
 /// Run E4.
@@ -75,81 +146,37 @@ pub fn run(scale: Scale) -> ExpReport {
         "groups correct",
     ]);
 
-    let tables = TableStore::new(MemObjectStore::shared());
-    let fact = workload::lineitem(scale.rows, scale.seed);
-    tables
-        .create_and_load("lineitem", std::slice::from_ref(&fact))
-        .expect("load");
-    let storage = SmartStorage::new(tables);
-
-    // Group by quantity (50 distinct groups). The cascade bounds straddle
-    // that cardinality — 16 < 48 < 64 — so the storage stage flushes
-    // constantly, the sending NIC still flushes, and the receiving NIC can
-    // hold the full group set: every stage visibly shrinks the stream.
-    let spec = |max_groups| PreAggSpec {
-        group_by: vec!["l_quantity".into()],
-        // Integer aggregates so staged merging is bit-exact regardless of
-        // accumulation order (float sums are not associative).
-        aggs: vec![
-            (AggFn::Count, "l_orderkey".into()),
-            (AggFn::Sum, "l_orderkey".into()),
-        ],
-        max_groups,
+    let storage = workload::lineitem_storage(scale.rows, scale.seed);
+    let topology = Topology::disaggregated(&DisaggregatedConfig::default());
+    let env = ExecEnv {
+        storage: Some(&storage),
+        topology: Some(&topology),
+        ..ExecEnv::in_memory()
     };
 
-    // Reference: exact group totals computed with unbounded state.
-    let (raw, _) = storage
+    // Reference: exact group totals, merged from one unbounded storage
+    // pre-aggregation.
+    let (partials, _) = storage
         .scan(
             "lineitem",
             &ScanRequest::full().pre_aggregate(spec(usize::MAX)),
         )
         .expect("reference scan");
-    let all_groups = AggMode::Merge {
-        max_groups: Some(usize::MAX),
-    };
-    let reference = cpu_stage(&spec(usize::MAX), all_groups, raw);
+    let mut merge = spec(usize::MAX)
+        .kernel(AggMode::Merge { max_groups: None }, partials[0].schema())
+        .expect("merge kernel");
+    for batch in partials {
+        merge.push(batch).expect("merge");
+    }
+    let reference = Batch::concat(&merge.finish().expect("merge"))
+        .expect("one layout")
+        .canonical_rows();
 
     let baseline_rows = scale.rows as u64;
     for stages in 0..=3usize {
-        // Stage 0 (storage): bounded pre-agg, or raw ship when stages == 0.
-        let (mut stream, into_network): (Vec<Batch>, u64) = if stages == 0 {
-            let (batches, _) = storage
-                .scan(
-                    "lineitem",
-                    &ScanRequest::full().project(&["l_orderkey", "l_quantity"]),
-                )
-                .expect("raw scan");
-            // With no cascade, raw rows enter the network; the CPU does the
-            // whole aggregation.
-            let rows: usize = batches.iter().map(Batch::rows).sum();
-            (batches, rows as u64)
-        } else {
-            let (partials, _) = storage
-                .scan("lineitem", &ScanRequest::full().pre_aggregate(spec(16)))
-                .expect("preagg scan");
-            let rows: usize = partials.iter().map(Batch::rows).sum();
-            (partials, rows as u64)
-        };
-        // Stage 1 (sending NIC) and stage 2 (receiving NIC): bounded merges.
-        if stages >= 2 {
-            stream = nic_stage(NicKernel::MergeAggregate(spec(48)), stream);
-        }
-        if stages >= 3 {
-            stream = nic_stage(NicKernel::MergeAggregate(spec(64)), stream);
-        }
-        let into_cpu: u64 = stream.iter().map(|b| b.rows() as u64).sum();
-
-        // Final stage at the CPU.
-        let final_result = if stages == 0 {
-            // CPU aggregates raw rows (count + sum per group).
-            let raw_rows = AggMode::Partial {
-                max_groups: usize::MAX,
-            };
-            cpu_stage(&spec(usize::MAX), raw_rows, stream)
-        } else {
-            cpu_stage(&spec(usize::MAX), all_groups, stream)
-        };
-        let correct = final_result.canonical_rows() == reference.canonical_rows();
+        let out = execute(&cascade_plan(&storage, &topology, stages), &env).expect("cascade runs");
+        let (into_network, into_cpu) = hop_rows(&out.ledger, &topology);
+        let correct = out.collect().expect("groups").canonical_rows() == reference;
 
         report.row(vec![
             match stages {
@@ -166,25 +193,20 @@ pub fn run(scale: Scale) -> ExpReport {
         assert!(correct, "cascade with {stages} stages corrupted totals");
     }
 
-    // Figure 3's hashing path: projection at storage, hashing at the
-    // receiving NIC, host CPU untouched.
+    // Figure 3's hashing path: projection at storage, then the partition
+    // hash a NIC-tip exchange computes (E5's), host CPU untouched.
     let (projected, scan_stats) = storage
         .scan(
             "lineitem",
             &ScanRequest::full().project(&["l_orderkey", "l_partkey"]),
         )
         .expect("projection at storage");
-    let mut nic = NicPipeline::new(vec![NicKernel::AppendHash {
-        columns: vec!["l_partkey".into()],
-        output: "h".into(),
-    }])
-    .expect("nic program");
-    let mut hashed_rows = 0usize;
-    for batch in projected {
-        for (_, out) in nic.push(batch).expect("hash kernel") {
-            hashed_rows += out.rows();
-        }
-    }
+    let partitioner = HashPartitioner::with_seed(vec!["l_partkey".into()], 4, SHUFFLE_SEED)
+        .expect("one key, four hosts");
+    let hashed_rows: usize = projected
+        .iter()
+        .map(|batch| partitioner.assignments(batch).expect("l_partkey").len())
+        .sum();
     report.observe(format!(
         "Figure 3 path: storage projected {} ({} of the table) and the \
          receiving NIC hashed all {hashed_rows} rows in-path — build-side \
@@ -201,9 +223,26 @@ pub fn run(scale: Scale) -> ExpReport {
     report
 }
 
+/// Trace E4's full cascade: the storage scan and both NIC merge stages
+/// feed fabric edges, so each runs on its own `exec.push.p<pid>` lane.
+pub fn trace_run(scale: Scale) -> Arc<Tracer> {
+    let tracer = Arc::new(Tracer::new());
+    let storage = workload::lineitem_storage(scale.rows, scale.seed);
+    let topology = Topology::disaggregated(&DisaggregatedConfig::default());
+    let env = ExecEnv {
+        storage: Some(&storage),
+        topology: Some(&topology),
+        tracer: Some(tracer.clone()),
+        ..ExecEnv::in_memory()
+    };
+    execute(&cascade_plan(&storage, &topology, 3), &env).expect("cascade runs");
+    tracer
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::tests::lane_spans;
 
     #[test]
     fn cascade_monotonically_reduces_cpu_work() {
@@ -218,6 +257,33 @@ mod tests {
         // Every cascade produced exact totals.
         for row in &report.rows {
             assert_eq!(row[4], "true");
+        }
+        // The cells `figures --exp e4 --quick` prints, pinned so that no
+        // executor change moves one unnoticed.
+        let hops: Vec<(&str, &str)> = report
+            .rows
+            .iter()
+            .map(|r| (r[1].as_str(), r[2].as_str()))
+            .collect();
+        assert_eq!(
+            hops,
+            [
+                ("20000", "20000"),
+                ("16336", "16336"),
+                ("16336", "5638"),
+                ("16336", "50")
+            ]
+        );
+    }
+
+    #[test]
+    fn trace_has_a_lane_per_nic_fed_producer() {
+        let tracer = trace_run(Scale::quick());
+        tracer.validate().unwrap();
+        // Scan → tx NIC → rx NIC → CPU: three fabric producers.
+        for pid in 0..3 {
+            let lane = format!("exec.push.p{pid}");
+            assert!(lane_spans(&tracer, &lane) > 0, "{lane}");
         }
     }
 }

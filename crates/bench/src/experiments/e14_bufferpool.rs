@@ -7,9 +7,7 @@
 //! migration agility, and elasticity (§5) need.
 
 use df_mem::bufferpool::BufferPool;
-use df_storage::object::MemObjectStore;
-use df_storage::smart::{ScanRequest, SmartStorage};
-use df_storage::table::TableStore;
+use df_storage::smart::ScanRequest;
 
 use crate::report::{fmt_util, ExpReport};
 use crate::workload;
@@ -34,10 +32,8 @@ pub fn run(scale: Scale) -> ExpReport {
         "streaming bytes fetched",
     ]);
 
-    let tables = TableStore::new(MemObjectStore::shared());
-    let fact = workload::lineitem(scale.rows, scale.seed);
-    tables.create_and_load("lineitem", &[fact]).expect("load");
-    let storage = SmartStorage::new(tables.clone());
+    let storage = workload::lineitem_storage(scale.rows, scale.seed);
+    let tables = storage.tables();
 
     // The "pages" both engines read: segment blocks of the id column.
     let readers = tables.open_segments("lineitem").expect("segments");

@@ -61,6 +61,8 @@ pub fn traceable() -> Vec<(&'static str, TraceFn)> {
     vec![
         ("E10", e10_full_pipeline::trace_flow),
         ("E1", e01_conventional::trace_run),
+        ("E4", e04_nic_pipeline::trace_run),
+        ("E6", e06_nic_count::trace_run),
     ]
 }
 
@@ -88,8 +90,21 @@ pub fn all() -> Vec<(&'static str, ExperimentFn)> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Spans recorded on the lane named `lane` (0 when absent), read from
+    /// the tracer's utilization summary.
+    pub(crate) fn lane_spans(tracer: &df_sim::Tracer, lane: &str) -> u64 {
+        tracer
+            .summary()
+            .lines()
+            .find_map(|line| {
+                let mut fields = line.split_whitespace();
+                (fields.next() == Some(lane)).then(|| fields.nth(1)?.parse().ok())?
+            })
+            .unwrap_or(0)
+    }
 
     /// Smoke: every experiment runs at quick scale and produces a table.
     /// (Heavier shape assertions live in each module and tests/.)

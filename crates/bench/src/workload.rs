@@ -15,6 +15,9 @@
 use df_data::batch::batch_of;
 use df_data::{Batch, Column};
 use df_sim::SimRng;
+use df_storage::object::MemObjectStore;
+use df_storage::smart::SmartStorage;
+use df_storage::table::TableStore;
 
 /// Regions used by the `l_region` / `o_region` dimension columns.
 pub const REGIONS: [&str; 5] = ["africa", "america", "asia", "europe", "oceania"];
@@ -76,6 +79,15 @@ pub fn lineitem(rows: usize, seed: u64) -> Batch {
         ("l_region", Column::from_strs(&region)),
         ("l_comment", Column::from_strs(&comment)),
     ])
+}
+
+/// [`lineitem`] loaded as table `lineitem` into a smart-storage server.
+pub fn lineitem_storage(rows: usize, seed: u64) -> SmartStorage {
+    let tables = TableStore::new(MemObjectStore::shared());
+    tables
+        .create_and_load("lineitem", &[lineitem(rows, seed)])
+        .expect("load lineitem");
+    SmartStorage::new(tables)
 }
 
 /// The matching dimension/owner table: one row per order.

@@ -497,6 +497,9 @@ pub fn decode_batch(frame: &[u8], key: Option<&Key>) -> Result<Batch> {
     let crc_bytes = frame
         .get(pos..pos + 4)
         .ok_or_else(|| CodecError::Corrupt("crc past end".into()))?;
+    if pos + 4 != frame.len() {
+        return Err(CodecError::Corrupt("trailing bytes after frame".into()));
+    }
     let expected = u32::from_le_bytes(crc_bytes.try_into().unwrap());
     let actual = crc32(&payload);
     if expected != actual {
@@ -687,6 +690,23 @@ mod tests {
             let _ = decode_batch(&frame[..cut], None);
         }
         let _ = decode_batch(&frame[..frame.len() - 1], None);
+    }
+
+    #[test]
+    fn trailing_bytes_after_a_frame_are_corrupt() {
+        let b = sample();
+        let mut wire = encode_batch(&b, &WireOptions::plain());
+        wire.extend_from_slice(&[0xAB; 4]);
+        assert!(matches!(
+            decode_batch(&wire, None),
+            Err(CodecError::Corrupt(_))
+        ));
+        let mut edge = crate::edge::encode(&b, crate::edge::EdgeEncoding::Plain);
+        edge.extend_from_slice(&[0xAB; 4]);
+        assert!(matches!(
+            crate::edge::decode(&edge),
+            Err(CodecError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -11,8 +11,6 @@ pub enum EngineError {
     Codec(df_codec::CodecError),
     /// Storage failure.
     Storage(df_storage::StorageError),
-    /// Network failure.
-    Net(df_net::NetError),
     /// Memory-substrate failure.
     Mem(df_mem::MemError),
     /// SQL syntax error with position info.
@@ -33,7 +31,6 @@ impl fmt::Display for EngineError {
             EngineError::Data(e) => write!(f, "data: {e}"),
             EngineError::Codec(e) => write!(f, "codec: {e}"),
             EngineError::Storage(e) => write!(f, "storage: {e}"),
-            EngineError::Net(e) => write!(f, "net: {e}"),
             EngineError::Mem(e) => write!(f, "mem: {e}"),
             EngineError::Parse(msg) => write!(f, "parse error: {msg}"),
             EngineError::Plan(msg) => write!(f, "plan error: {msg}"),
@@ -69,11 +66,6 @@ impl From<df_codec::CodecError> for EngineError {
 impl From<df_storage::StorageError> for EngineError {
     fn from(e: df_storage::StorageError) -> Self {
         EngineError::Storage(e)
-    }
-}
-impl From<df_net::NetError> for EngineError {
-    fn from(e: df_net::NetError) -> Self {
-        EngineError::Net(e)
     }
 }
 impl From<df_mem::MemError> for EngineError {

@@ -1472,6 +1472,117 @@ mod tests {
     }
 
     #[test]
+    fn three_stage_cascade_keeps_exact_totals() {
+        // Figure 3's group-by cascade as one placed plan: storage
+        // pre-aggregates, the sending and receiving NICs run bounded
+        // merges, and the CPU merges what arrives. Rows come in runs of
+        // four per group, cycling over 5 groups: storage (2 slots) folds
+        // each run into one partial, the sending NIC (4 slots) still
+        // flushes, and the receiving NIC (5 slots) holds every group.
+        let topo = df_fabric::Topology::disaggregated(&DisaggregatedConfig::default());
+        let device = |name| Some(topo.expect_device(name));
+        let group_of = |i: i64| format!("g{}", i / 4 % 5);
+        let batch = batch_of(vec![
+            ("k", Column::from_i64((0..1000).collect())),
+            (
+                "grp",
+                Column::from_strs(&(0..1000).map(group_of).collect::<Vec<_>>()),
+            ),
+            ("v", Column::from_i64((0..1000).map(|i| i * 2).collect())),
+        ]);
+        let ts = TableStore::new(MemObjectStore::shared());
+        ts.create("t", batch.schema()).unwrap();
+        ts.append("t", std::slice::from_ref(&batch), 100_000, 64)
+            .unwrap();
+        let storage = SmartStorage::new(ts);
+        let calls = vec![
+            AggCall::new(AggFn::Count, "k", "n"),
+            AggCall::new(AggFn::Sum, "v", "total"),
+            AggCall::new(AggFn::Min, "v", "lo"),
+            AggCall::new(AggFn::Max, "v", "hi"),
+        ];
+        let request = ScanRequest::full().pre_aggregate(PreAggSpec {
+            group_by: vec!["grp".into()],
+            aggs: vec![
+                (AggFn::Count, "k".into()),
+                (AggFn::Sum, "v".into()),
+                (AggFn::Min, "v".into()),
+                (AggFn::Max, "v".into()),
+            ],
+            max_groups: 2,
+        });
+        let final_schema = LogicalPlan::values(vec![batch.clone()])
+            .unwrap()
+            .aggregate(vec!["grp".into()], calls.clone())
+            .unwrap()
+            .schema();
+        let aggregate =
+            |input: PhysNode, mode: AggMode, device: Option<DeviceId>| PhysNode::Aggregate {
+                input: Box::new(input),
+                group_by: vec!["grp".into()],
+                aggs: calls.clone(),
+                mode,
+                final_schema: final_schema.clone(),
+                device,
+            };
+        let mut node = PhysNode::StorageScan {
+            table: "t".into(),
+            schema: storage.output_schema("t", &request).unwrap(),
+            request,
+            device: device("storage.ssd"),
+        };
+        for (max_groups, nic) in [(4, "storage.nic"), (5, "compute0.nic")] {
+            let mode = AggMode::Merge {
+                max_groups: Some(max_groups),
+            };
+            node = aggregate(node, mode, device(nic));
+        }
+        let merge = AggMode::Merge { max_groups: None };
+        let plan = PhysicalPlan::new(
+            aggregate(node, merge, device("compute0.cpu")),
+            "nic-cascade",
+        );
+        let env = ExecEnv {
+            storage: Some(&storage),
+            topology: Some(&topo),
+            ..ExecEnv::in_memory()
+        };
+        let out = execute(&plan, &env).unwrap();
+
+        // Exactly the groups one `Final` aggregate over the raw rows finds.
+        let values = PhysNode::Values {
+            schema: batch.schema().clone(),
+            batches: vec![batch],
+            device: None,
+        };
+        let direct = PhysicalPlan::new(aggregate(values, AggMode::Final, None), "final");
+        let direct = execute(&direct, &ExecEnv::in_memory()).unwrap();
+        let cascade = out.collect().unwrap();
+        assert_eq!(cascade.rows(), 5);
+        assert_eq!(
+            cascade.canonical_rows(),
+            direct.collect().unwrap().canonical_rows()
+        );
+        // Each hop carries fewer rows; only the groups reach the CPU.
+        let hops: Vec<(&str, &str, u64)> = out
+            .ledger
+            .edges()
+            .map(|(&(from, to), stats)| {
+                let name = |d| topo.device(d).name.as_str();
+                (name(from), name(to), stats.rows)
+            })
+            .collect();
+        assert_eq!(
+            hops,
+            [
+                ("storage.ssd", "storage.nic", 250),
+                ("storage.nic", "compute0.nic", 200),
+                ("compute0.nic", "compute0.cpu", 5),
+            ]
+        );
+    }
+
+    #[test]
     fn limit_truncates_stream() {
         let plan = PhysicalPlan::new(
             PhysNode::Limit {

@@ -117,44 +117,6 @@ pub fn compile(node: &PhysNode, storage: Option<&SmartStorage>) -> Result<Box<dy
 
 /// Run a plan to completion, assembling a batch (test/benchmark harness).
 pub fn execute(plan: &PhysicalPlan, storage: Option<&SmartStorage>) -> Result<Batch> {
-    execute_traced(plan, storage, None)
-}
-
-/// [`execute`] with optional tracing: the drive loop becomes one span on
-/// the `exec.volcano` wall lane (annotated with output rows), preceded by
-/// one instant per operator in the plan. Per-tuple spans would dwarf the
-/// work being measured — per-tuple overhead is the very thing this
-/// baseline exists to demonstrate — so the Volcano trace stays coarse.
-pub fn execute_traced(
-    plan: &PhysicalPlan,
-    storage: Option<&SmartStorage>,
-    tracer: Option<&std::sync::Arc<df_sim::Tracer>>,
-) -> Result<Batch> {
-    let trace = tracer.map(|t| (t, t.lane("exec.volcano", df_sim::LaneKind::Wall)));
-    if let Some((t, lane)) = trace {
-        fn visit(node: &PhysNode, t: &df_sim::Tracer, lane: df_sim::LaneId) {
-            let label = match node {
-                PhysNode::StorageScan { .. } => "op:storage-scan",
-                PhysNode::Values { .. } => "op:values",
-                PhysNode::Filter { .. } => "op:filter",
-                PhysNode::Project { .. } => "op:project",
-                PhysNode::Aggregate { .. } => "op:aggregate",
-                PhysNode::Sort { .. } => "op:sort",
-                PhysNode::Limit { .. } => "op:limit",
-                PhysNode::TopK { .. } => "op:topk",
-                PhysNode::HashJoin { .. } => "op:hash-join",
-                PhysNode::Exchange { .. } => "op:exchange",
-                PhysNode::StreamScan { .. } => "op:stream-scan",
-                PhysNode::WindowAggregate { .. } => "op:window-aggregate",
-            };
-            t.instant(lane, label);
-            for child in node.children() {
-                visit(child, t, lane);
-            }
-        }
-        visit(&plan.root, t, lane);
-    }
-    let mut span = trace.map(|(t, lane)| t.span(lane, &format!("query [{}]", plan.variant)));
     let mut iter = compile(&plan.root, storage)?;
     let schema = iter.schema();
     let mut builders: Vec<ColumnBuilder> = schema
@@ -162,15 +124,10 @@ pub fn execute_traced(
         .iter()
         .map(|f| ColumnBuilder::new(f.dtype, 1024))
         .collect();
-    let mut rows = 0u64;
     while let Some(row) = iter.next()? {
-        rows += 1;
         for (b, v) in builders.iter_mut().zip(row) {
             b.push(v)?;
         }
-    }
-    if let Some(span) = span.as_mut() {
-        span.annotate("rows", rows);
     }
     let columns = builders.into_iter().map(ColumnBuilder::finish).collect();
     Batch::new(schema, columns).map_err(EngineError::from)

@@ -22,7 +22,7 @@
 
 pub mod regex;
 
-use df_data::{Batch, Bitmap, Scalar, Schema};
+use df_data::{Batch, Bitmap, Scalar};
 use df_storage::eval::{self, Mask, Operand};
 use df_storage::pattern::LikePattern;
 use df_storage::predicate::StoragePredicate;
@@ -321,15 +321,6 @@ pub fn to_storage_predicate(expr: &Expr) -> Option<StoragePredicate> {
     }
 }
 
-/// Check that the lowered storage predicate's columns all exist in a schema
-/// (the validation the storage server would do at install time).
-pub fn validate_against(pred: &StoragePredicate, schema: &Schema) -> Result<()> {
-    for c in pred.columns() {
-        schema.field_by_name(&c)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,14 +440,5 @@ mod tests {
             let storage = pushed.evaluate(&batch).unwrap();
             assert_eq!(host, storage, "storage/host disagree for {expr}");
         }
-    }
-
-    #[test]
-    fn validate_checks_columns() {
-        let schema = sample().schema().clone();
-        let good = to_storage_predicate(&col("a").gt(lit(0))).unwrap();
-        assert!(validate_against(&good, &schema).is_ok());
-        let bad = to_storage_predicate(&col("ghost").gt(lit(0))).unwrap();
-        assert!(validate_against(&bad, &schema).is_err());
     }
 }

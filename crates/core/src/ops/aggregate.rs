@@ -1,7 +1,7 @@
 //! Hash aggregation on the CPU: the aggregation kernel
 //! ([`df_storage::agg`]) as a push operator.
 //!
-//! Storage pre-aggregation, the NIC's aggregate stages and this operator
+//! Storage pre-aggregation and this operator, placed on a NIC or a CPU,
 //! run the same [`HashAggOp`], so every device groups, flushes, merges and
 //! orders its output identically. The §4.4 cascade runs bounded `Partial`
 //! (and bounded `Merge`) stages along the data path and an unbounded

@@ -13,7 +13,6 @@
 use df_fabric::{DeviceId, OpClass, Topology};
 use df_sim::SimDuration;
 use df_storage::predicate::StoragePredicate;
-use df_storage::zonemap::CmpOp;
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
@@ -294,9 +293,14 @@ pub fn op_class_of(node: &PhysNode) -> OpClass {
             {
                 OpClass::Count
             } else {
+                // A bounded merge holds at most `max_groups` groups and
+                // flushes like a partial stage, so it places like one.
                 match mode {
-                    AggMode::Partial { .. } => OpClass::AggregatePartial,
-                    _ => OpClass::AggregateFinal,
+                    AggMode::Partial { .. }
+                    | AggMode::Merge {
+                        max_groups: Some(_),
+                    } => OpClass::AggregatePartial,
+                    AggMode::Final | AggMode::Merge { max_groups: None } => OpClass::AggregateFinal,
                 }
             }
         }
@@ -479,19 +483,13 @@ pub fn reduction_of(node: &PhysNode, profiles: &Profiles) -> f64 {
     }
 }
 
-/// Build a comparison predicate selectivity for tests.
-#[doc(hidden)]
-pub fn test_cmp_sel(column: &str, op: CmpOp, lit: i64, profile: &TableProfile) -> f64 {
-    storage_selectivity(&StoragePredicate::cmp(column, op, lit), Some(profile))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use df_data::{Column, DataType, Field, Schema};
     use df_fabric::topology::DisaggregatedConfig;
     use df_storage::smart::ScanRequest;
-    use df_storage::zonemap::ZoneMap;
+    use df_storage::zonemap::{CmpOp, ZoneMap};
 
     fn profile(rows: u64) -> TableProfile {
         let schema = Schema::new(vec![

@@ -593,11 +593,6 @@ impl PipelineEdge {
     pub fn crosses_devices(&self) -> bool {
         matches!(self.kind, EdgeKind::Fabric { .. })
     }
-
-    /// True when the edge carries a non-plain encoding with its codec pair.
-    pub fn has_codec(&self) -> bool {
-        !self.encoding.is_plain()
-    }
 }
 
 /// The compiled graph of placed pipelines.

@@ -419,11 +419,6 @@ impl WindowAggOp {
         self.frontier
     }
 
-    /// Open (not yet closed) windows.
-    pub fn open_windows(&self) -> usize {
-        self.windows.len()
-    }
-
     /// Total inner partial flushes so far.
     pub fn flush_count(&self) -> u64 {
         self.flushes

@@ -1,10 +1,10 @@
 //! Deterministic hash partitioning — the canonical partition function for
 //! every exchange in the system.
 //!
-//! The NIC partition kernel, the Exchange operator in the pipeline-graph
-//! IR, and partitioned storage all route rows with *this* function, so a
-//! row hashed on host 3's NIC lands in the same partition a storage node
-//! computed when it laid out the table. The hash is FNV-1a over the
+//! The Exchange operator in the pipeline-graph IR (whose producer may run
+//! on a NIC) and partitioned storage both route rows with *this* function,
+//! so a row hashed on host 3's NIC lands in the same partition a storage
+//! node computed when it laid out the table. The hash is FNV-1a over the
 //! type-tagged canonical bytes of the key scalars; a seed is XORed into
 //! the offset basis so independent exchanges in one plan decorrelate
 //! (seed 0 reproduces the historical unseeded function bit-for-bit).
@@ -159,10 +159,10 @@ mod tests {
 
     #[test]
     fn row_hashes_are_pinned() {
-        // Every exchange, storage layout and NIC partition kernel routes
-        // rows by this hash: a changed value moves partition assignments
-        // and with them every ledger byte. Pinned per row for the seed-0
-        // function and the scale-out shuffle seed.
+        // Every exchange, on a NIC or a CPU, and every storage layout
+        // routes rows by this hash: a changed value moves partition
+        // assignments and with them every ledger byte. Pinned per row for
+        // the seed-0 function and the scale-out shuffle seed.
         let batch = batch_of(vec![
             (
                 "i",

@@ -71,15 +71,6 @@ pub fn sort_batch(batch: &Batch, keys: &[SortKey]) -> Result<Batch> {
     Ok(batch.gather(&indices))
 }
 
-/// Merge two batches that are each sorted by `keys` into one sorted batch
-/// (the merge step of external / staged sorting).
-pub fn merge_sorted(left: &Batch, right: &Batch, keys: &[SortKey]) -> Result<Batch> {
-    let merged = Batch::concat(&[left.clone(), right.clone()])?;
-    // A real engine would do a linear merge; correctness and clarity win
-    // here, and the operators only merge bounded run counts.
-    sort_batch(&merged, keys)
-}
-
 /// Check whether `batch` is sorted under `keys` (test/debug helper and the
 /// property-test oracle).
 pub fn is_sorted(batch: &Batch, keys: &[SortKey]) -> bool {
@@ -136,16 +127,6 @@ mod tests {
         ]);
         let sorted = sort_batch(&b, &[SortKey::asc(0)]).unwrap();
         assert_eq!(sorted.column(1).i64_values().unwrap(), &[0, 1, 2]);
-    }
-
-    #[test]
-    fn merge_preserves_order() {
-        let keys = [SortKey::asc(0)];
-        let a = sort_batch(&sample(), &keys).unwrap();
-        let b = sort_batch(&sample(), &keys).unwrap();
-        let merged = merge_sorted(&a, &b, &keys).unwrap();
-        assert_eq!(merged.rows(), 8);
-        assert!(is_sorted(&merged, &keys));
     }
 
     #[test]

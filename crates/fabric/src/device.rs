@@ -142,7 +142,7 @@ pub enum DeviceKind {
     SmartStorage,
     /// Plain storage controller (no computation).
     PlainStorage,
-    /// Smart NIC / DPU with an installable kernel pipeline.
+    /// Smart NIC / DPU that hosts stateless and bounded-state operators.
     SmartNic,
     /// Plain NIC (moves bytes only).
     PlainNic,

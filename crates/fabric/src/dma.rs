@@ -1,94 +1,18 @@
-//! DMA-engine primitives: credit-based flow control and token-bucket rate
+//! DMA-engine primitives: the credit-message size and token-bucket rate
 //! limiting.
 //!
 //! §7.1: "What we envisage for data movement is a sequence of queues placed
 //! strategically in the pipeline that are connected via DMA engines ... This
 //! flow control method is called credit-based". §7.3 adds that the scheduler
 //! must be able to "rate limit the bandwidth used" by those DMA engines.
-//! [`CreditQueue`] and [`TokenBucket`] are those two mechanisms; the flow
-//! simulator composes them.
+//! The flow simulator keeps each stage's credit state itself and charges
+//! every returned credit [`CREDIT_MSG_BYTES`] of control traffic;
+//! [`TokenBucket`] is the rate limiter.
 
 use df_sim::{Bandwidth, SimDuration, SimTime};
 
-/// A bounded queue governed by credits.
-///
-/// The downstream stage owns the queue; the upstream producer may only send
-/// when it holds a credit. Credits return upstream as small control
-/// messages, which the queue counts so experiments can report the control
-/// overhead (E12 shows it is a tiny fraction of data traffic).
-#[derive(Debug, Clone)]
-pub struct CreditQueue {
-    capacity: usize,
-    occupied: usize,
-    high_watermark: usize,
-    credit_messages: u64,
-}
-
 /// Size in bytes of one credit-return control message (a header-only frame).
 pub const CREDIT_MSG_BYTES: u64 = 64;
-
-impl CreditQueue {
-    /// A queue with `capacity` slots, initially empty (all credits with the
-    /// producer).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "credit queue needs at least one slot");
-        CreditQueue {
-            capacity,
-            occupied: 0,
-            high_watermark: 0,
-            credit_messages: 0,
-        }
-    }
-
-    /// Slots configured.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Slots currently occupied.
-    pub fn occupied(&self) -> usize {
-        self.occupied
-    }
-
-    /// Whether the producer holds at least one credit.
-    pub fn can_accept(&self) -> bool {
-        self.occupied < self.capacity
-    }
-
-    /// Producer sends one chunk into the queue. Returns `false` (and does
-    /// nothing) if no credit is available.
-    pub fn accept(&mut self) -> bool {
-        if !self.can_accept() {
-            return false;
-        }
-        self.occupied += 1;
-        self.high_watermark = self.high_watermark.max(self.occupied);
-        true
-    }
-
-    /// Consumer drains one chunk, returning a credit upstream (counted as a
-    /// control message). Panics if the queue is empty — a protocol bug.
-    pub fn release(&mut self) {
-        assert!(self.occupied > 0, "release on empty credit queue");
-        self.occupied -= 1;
-        self.credit_messages += 1;
-    }
-
-    /// Largest occupancy observed.
-    pub fn high_watermark(&self) -> usize {
-        self.high_watermark
-    }
-
-    /// Number of credit-return messages sent upstream.
-    pub fn credit_messages(&self) -> u64 {
-        self.credit_messages
-    }
-
-    /// Total control traffic in bytes.
-    pub fn control_bytes(&self) -> u64 {
-        self.credit_messages * CREDIT_MSG_BYTES
-    }
-}
 
 /// A token-bucket bandwidth limiter for a DMA engine.
 ///
@@ -149,26 +73,6 @@ impl TokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn credits_bound_occupancy() {
-        let mut q = CreditQueue::new(2);
-        assert!(q.accept());
-        assert!(q.accept());
-        assert!(!q.accept());
-        assert_eq!(q.occupied(), 2);
-        assert_eq!(q.high_watermark(), 2);
-        q.release();
-        assert!(q.accept());
-        assert_eq!(q.credit_messages(), 1);
-        assert_eq!(q.control_bytes(), CREDIT_MSG_BYTES);
-    }
-
-    #[test]
-    #[should_panic(expected = "release on empty")]
-    fn release_empty_is_a_bug() {
-        CreditQueue::new(1).release();
-    }
 
     #[test]
     fn bucket_allows_burst_then_throttles() {

@@ -180,16 +180,6 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    /// Utilization of a link over the makespan (0..=1).
-    pub fn link_utilization(&self, link: LinkId) -> f64 {
-        let busy = self.link_busy.get(&link).map_or(0, |d| d.nanos());
-        if self.makespan.nanos() == 0 {
-            0.0
-        } else {
-            busy as f64 / self.makespan.nanos() as f64
-        }
-    }
-
     /// Credit-control traffic per tenant, in bytes. Untenanted pipelines
     /// are keyed under the empty string.
     pub fn control_bytes_by_tenant(&self) -> BTreeMap<String, u64> {

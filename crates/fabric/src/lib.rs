@@ -13,8 +13,8 @@
 //!   with bandwidth/latency figures
 //! - [`topology`] — the device/link graph, routing, and reference platform
 //!   builders (conventional server, disaggregated rack, CXL rack)
-//! - [`dma`] — credit queues and token-bucket rate limiters (the §7.1/§7.3
-//!   flow-control and scheduling primitives)
+//! - [`dma`] — the credit-message size and token-bucket rate limiters (the
+//!   §7.1/§7.3 flow-control and scheduling primitives)
 //! - [`flow`] — the discrete-event model of credit-based streaming
 //!   pipelines, including link/device contention between concurrent queries
 //! - [`coherence`] — hardware (cxl.cache, MESI directory) vs software

@@ -124,11 +124,6 @@ impl CacheModel {
             }
         }
     }
-
-    /// Number of cachelines `bytes` occupies.
-    pub fn lines_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.line)
-    }
 }
 
 #[cfg(test)]

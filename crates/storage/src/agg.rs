@@ -3,8 +3,8 @@
 //!
 //! §4.4's cascade runs the *same* bounded group-by stage at storage, on
 //! the sending NIC and on the receiving NIC, and the CPU finishes it.
-//! Smart-storage pre-aggregation ([`crate::smart::ScanRequest::preagg`]),
-//! the NIC's aggregate kernels and df-core's `HashAggOp` operator all run
+//! Smart-storage pre-aggregation ([`crate::smart::ScanRequest::preagg`])
+//! and df-core's aggregate operator, on a NIC or a CPU, both run
 //! [`HashAggOp`] here, so they cannot disagree.
 //!
 //! - [`AggMode::Partial`] folds raw rows into a bounded table and emits the

@@ -8,8 +8,8 @@
 //! function is persisted next to the data (`{table}/_partition`), so a
 //! scan planner that reopens the table routes with exactly the function
 //! the loader used. Hash partitioning routes with the canonical
-//! [`df_data::partition`] hash — the same function NIC partition kernels
-//! and Exchange edges use, which is what makes storage-side partitioning
+//! [`df_data::partition`] hash — the same function Exchange edges use,
+//! on a NIC or a CPU, which is what makes storage-side partitioning
 //! composable with in-path shuffles (§4.4: the reduction can happen at
 //! whichever device already owns the rows).
 

@@ -14,7 +14,6 @@
 //! - [`sim`] — discrete-event simulation kernel
 //! - [`fabric`] — hardware topology, links, flow control, coherence
 //! - [`storage`] — columnar segments, zone maps, smart-storage pushdown
-//! - [`net`] — smart NICs with installable kernel pipelines
 //! - [`mem`] — buffer pool, cache model, near-memory accelerator
 //! - [`core`] — expressions, plans, optimizer, dataflow executor
 //! - [`mod@bench`] — workload generators and the experiment harness
@@ -35,7 +34,6 @@ pub use df_core as core;
 pub use df_data as data;
 pub use df_fabric as fabric;
 pub use df_mem as mem;
-pub use df_net as net;
 pub use df_serve as serve;
 pub use df_sim as sim;
 pub use df_storage as storage;

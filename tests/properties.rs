@@ -30,7 +30,6 @@ use rheo::fabric::topology::{DisaggregatedConfig, Topology};
 use rheo::fabric::OpClass;
 use rheo::mem::btree;
 use rheo::mem::region::{MemRegion, Placement};
-use rheo::net::nic::{NicKernel, NicPipeline};
 use rheo::storage::object::MemObjectStore;
 use rheo::storage::pattern::LikePattern;
 use rheo::storage::smart::{PreAggSpec, ScanRequest, SmartStorage};
@@ -770,36 +769,28 @@ fn partitioning_is_a_permutation() {
         let keys = g.vec_of(len, Gen::i64);
         let fanout = g.usize_in(1, 7);
         let batch = batch_of(vec![("k", Column::from_i64(keys.clone()))]);
-        let mut nic = NicPipeline::new(vec![NicKernel::Partition {
-            columns: vec!["k".into()],
-            fanout,
-        }])
-        .unwrap();
-        let outs = nic.push(batch).unwrap();
+        let partitioner = HashPartitioner::new(vec!["k".into()], fanout).unwrap();
+        let outs = partitioner.partition(&batch).unwrap();
         // Union of partitions is the input multiset.
         let mut got: Vec<i64> = outs
             .iter()
-            .flat_map(|(_, b)| b.column(0).i64_values().unwrap().to_vec())
+            .flat_map(|b| b.column(0).i64_values().unwrap().to_vec())
             .collect();
         let mut want = keys.clone();
         got.sort_unstable();
         want.sort_unstable();
         assert_eq!(got, want);
         // Determinism: same key -> same partition across separate runs.
-        let mut nic2 = NicPipeline::new(vec![NicKernel::Partition {
-            columns: vec!["k".into()],
-            fanout,
-        }])
-        .unwrap();
+        let partitioner2 = HashPartitioner::new(vec!["k".into()], fanout).unwrap();
         let batch2 = batch_of(vec![("k", Column::from_i64(keys))]);
-        let outs2 = nic2.push(batch2).unwrap();
-        let assignment = |outs: &[(usize, Batch)]| {
+        let outs2 = partitioner2.partition(&batch2).unwrap();
+        let assignment = |outs: &[Batch]| {
             let mut map = std::collections::HashMap::new();
-            for (p, b) in outs {
+            for (p, b) in outs.iter().enumerate() {
                 for &k in b.column(0).i64_values().unwrap() {
-                    let prev = map.insert(k, *p);
+                    let prev = map.insert(k, p);
                     if let Some(prev) = prev {
-                        assert_eq!(prev, *p, "key {k} split across partitions");
+                        assert_eq!(prev, p, "key {k} split across partitions");
                     }
                 }
             }
@@ -1324,19 +1315,22 @@ fn hash_join_output_matches_parent_digest() {
 
 // ----------------------------------------------------- pre-aggregation
 
-/// One bounded NIC merge stage (`MergeAggregate`) over `spec`'s partial
-/// layout, holding at most `max_groups` groups.
+/// One bounded NIC merge stage over `spec`'s partial layout, holding at
+/// most `max_groups` groups: the kernel a NIC-placed bounded `Merge`
+/// aggregate runs.
 fn nic_merge_stage(spec: &PreAggSpec, max_groups: usize, stream: Vec<Batch>) -> Vec<Batch> {
-    let spec = PreAggSpec {
-        max_groups,
-        ..spec.clone()
+    let mode = AggMode::Merge {
+        max_groups: Some(max_groups),
     };
-    let mut nic = NicPipeline::new(vec![NicKernel::MergeAggregate(spec)]).unwrap();
+    let Some(first) = stream.first() else {
+        return stream;
+    };
+    let mut kernel = spec.kernel(mode, first.schema()).unwrap();
     let mut out = Vec::new();
     for batch in stream {
-        out.extend(nic.push(batch).unwrap().into_iter().map(|(_, b)| b));
+        out.extend(kernel.push(batch).unwrap());
     }
-    out.extend(nic.finish().unwrap().into_iter().map(|(_, b)| b));
+    out.extend(kernel.finish().unwrap());
     out
 }
 
