@@ -11,15 +11,35 @@
 //! (baseline). Results are identical; the table shows the host-partitioned
 //! bytes collapsing to zero on the smart path.
 
+use std::sync::Arc;
 use std::time::Instant;
 
+use df_core::exec::push::{execute, ExecEnv};
 use df_core::logical::LogicalPlan;
-use df_core::scaleout::{exchange_broadcast_join, exchange_hash_join, ScaleoutConfig};
+use df_core::physical::PhysicalPlan;
+use df_core::scaleout::{
+    cluster_hash_join_plan, exchange_broadcast_join, exchange_hash_join, split_round_robin,
+    ScaleoutConfig,
+};
+use df_data::{Batch, SchemaRef};
+use df_fabric::Topology;
+use df_sim::Tracer;
 
 use crate::report::{fmt_util, ExpReport};
 use crate::workload;
 
 use super::Scale;
+
+/// The join key: orders' key against lineitem's foreign key.
+const ON: (&str, &str) = ("o_orderkey", "l_orderkey");
+
+fn join_schema(orders: &Batch, fact: &Batch) -> SchemaRef {
+    LogicalPlan::values(vec![orders.clone()])
+        .unwrap()
+        .join(LogicalPlan::values(vec![fact.clone()]).unwrap(), vec![ON])
+        .unwrap()
+        .schema()
+}
 
 /// Run E5.
 pub fn run(scale: Scale) -> ExpReport {
@@ -42,14 +62,7 @@ pub fn run(scale: Scale) -> ExpReport {
 
     let orders = workload::orders(scale.rows / 4, scale.seed);
     let fact = workload::lineitem(scale.rows, scale.seed);
-    let join_schema = LogicalPlan::values(vec![orders.clone()])
-        .unwrap()
-        .join(
-            LogicalPlan::values(vec![fact.clone()]).unwrap(),
-            vec![("o_orderkey", "l_orderkey")],
-        )
-        .unwrap()
-        .schema();
+    let join_schema = join_schema(&orders, &fact);
 
     let mut reference: Option<Vec<Vec<df_data::Scalar>>> = None;
     for nodes in [2usize, 4, 8] {
@@ -60,14 +73,9 @@ pub fn run(scale: Scale) -> ExpReport {
                 ..ScaleoutConfig::default()
             };
             let t = Instant::now();
-            let (result, stats) = exchange_hash_join(
-                &orders,
-                &fact,
-                ("o_orderkey", "l_orderkey"),
-                join_schema.clone(),
-                &config,
-            )
-            .expect("scale-out join");
+            let (result, stats) =
+                exchange_hash_join(&orders, &fact, ON, join_schema.clone(), &config)
+                    .expect("scale-out join");
             let wall = t.elapsed();
             let rows = result.canonical_rows();
             match &reference {
@@ -94,7 +102,7 @@ pub fn run(scale: Scale) -> ExpReport {
     let (broadcast_result, bc) = exchange_broadcast_join(
         &orders,
         &fact,
-        ("o_orderkey", "l_orderkey"),
+        ON,
         join_schema.clone(),
         &ScaleoutConfig {
             hosts: 4,
@@ -116,7 +124,7 @@ pub fn run(scale: Scale) -> ExpReport {
             let (_, partitioned) = exchange_hash_join(
                 &orders,
                 &fact,
-                ("o_orderkey", "l_orderkey"),
+                ON,
                 join_schema.clone(),
                 &ScaleoutConfig {
                     hosts: 4,
@@ -142,9 +150,46 @@ pub fn run(scale: Scale) -> ExpReport {
     report
 }
 
+/// E5's 4-host smart-NIC partitioned join (the default
+/// [`ScaleoutConfig`]) over `topology`, with the tables `run` joins.
+fn smart_join_plan(scale: Scale, topology: &Topology, config: &ScaleoutConfig) -> PhysicalPlan {
+    let orders = workload::orders(scale.rows / 4, scale.seed);
+    let fact = workload::lineitem(scale.rows, scale.seed);
+    cluster_hash_join_plan(
+        topology,
+        &split_round_robin(&orders, config.hosts),
+        orders.schema().clone(),
+        &split_round_robin(&fact, config.hosts),
+        fact.schema().clone(),
+        ON,
+        join_schema(&orders, &fact),
+        config.smart_exchange,
+    )
+    .expect("cluster plan")
+}
+
+/// Trace E5's 4-host smart-NIC join: every exchange producer (the build
+/// and probe leaves on the NICs, the join fragments feeding the gather)
+/// runs on its own `exec.push.p<pid>` lane.
+pub fn trace_run(scale: Scale) -> Arc<Tracer> {
+    let tracer = Arc::new(Tracer::new());
+    let config = ScaleoutConfig::default();
+    let topology = Topology::cluster(config.hosts as u32, &config.cluster);
+    let env = ExecEnv {
+        topology: Some(&topology),
+        wire: Some(config.wire),
+        tracer: Some(tracer.clone()),
+        ..ExecEnv::in_memory()
+    };
+    execute(&smart_join_plan(scale, &topology, &config), &env).expect("scale-out join");
+    tracer
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_core::pipeline::{PipelineGraph, DEFAULT_QUEUE_CAPACITY};
+    use std::collections::BTreeMap;
 
     #[test]
     fn smart_rows_have_zero_host_bytes() {
@@ -159,5 +204,38 @@ mod tests {
         // Same result cardinality everywhere.
         let rows: Vec<&String> = report.rows.iter().map(|r| &r[2]).collect();
         assert!(rows.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn trace_has_a_lane_per_exchange_producer() {
+        let tracer = trace_run(Scale::quick());
+        tracer.validate().unwrap();
+        // `exchange-producer` spans per lane, read from the export (a
+        // lane's `tid` is its index in creation order).
+        let lanes = tracer.lane_names();
+        let mut spans: BTreeMap<String, usize> = BTreeMap::new();
+        for line in tracer.chrome_trace_json().lines() {
+            if line.contains(r#""ph":"B""#) && line.contains(r#""name":"exchange-producer""#) {
+                let tid = line
+                    .split(r#""tid":"#)
+                    .nth(1)
+                    .and_then(|t| t.split(',').next());
+                let tid: usize = tid.and_then(|t| t.parse().ok()).expect("tid");
+                *spans.entry(lanes[tid].clone()).or_default() += 1;
+            }
+        }
+        let config = ScaleoutConfig::default();
+        let topology = Topology::cluster(config.hosts as u32, &config.cluster);
+        let plan = smart_join_plan(Scale::quick(), &topology, &config);
+        let graph = PipelineGraph::compile(&plan, None, Some(&topology), DEFAULT_QUEUE_CAPACITY);
+        // 4 build leaves, 4 probe leaves, 4 join fragments.
+        let want: BTreeMap<String, usize> = graph
+            .exchanges
+            .iter()
+            .flat_map(|x| &x.producers)
+            .map(|pid| (format!("exec.push.p{pid}"), 1))
+            .collect();
+        assert_eq!(want.len(), 12);
+        assert_eq!(spans, want);
     }
 }

@@ -62,6 +62,7 @@ pub fn traceable() -> Vec<(&'static str, TraceFn)> {
         ("E10", e10_full_pipeline::trace_flow),
         ("E1", e01_conventional::trace_run),
         ("E4", e04_nic_pipeline::trace_run),
+        ("E5", e05_scatter_join::trace_run),
         ("E6", e06_nic_count::trace_run),
     ]
 }

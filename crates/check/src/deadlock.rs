@@ -1,25 +1,25 @@
 //! Credit-flow deadlock analysis for compiled pipeline graphs.
 //!
-//! The push executor materializes every [`EdgeKind::Fabric`] edge as a
-//! `sync_channel(queue_capacity)` with the producer pipeline on its own
-//! thread, while [`EdgeKind::Local`] edges run the producer inline on the
-//! consumer's thread. Exchange shuffle edges are different in both
-//! directions at once: every exchange *producer* runs on its own thread
-//! regardless of device placement (the first-draining consumer spawns
-//! them), and all producers of one exchange share a *single*
-//! `sync_channel` per consumer part, with the credit budget scaled by the
-//! producer count. This module reconstructs that threading statically:
+//! The push executor runs every hop in the graph's channel table
+//! ([`PipelineGraph::channels`]) on one threading rule: each channel
+//! producer pipeline runs on its own thread and sends over its pair edges
+//! into the channel's part queues, `sync_channel`s holding the table's
+//! credits, shared by every producer of the channel. A fabric edge is a
+//! channel with one producer and one part; an exchange has its producer ×
+//! part matrix, whatever the placement of its pair edges. Every other
+//! edge is [`EdgeKind::Local`] and runs its producer inline on the
+//! consumer's thread. This module reconstructs that threading statically
+//! from the same table:
 //!
 //! 1. **Collapse** local edges with a union-find — pipelines joined by
 //!    local edges share one OS thread, exactly as in the executor.
-//!    Shuffle edges never collapse: their producers are always threads.
-//! 2. **Wait graph** — each channel induces the two blocking waits of the
-//!    credit protocol: the producer thread can block sending into it (out
-//!    of credits) and the consumer thread can block receiving from it (no
-//!    data). A deadlock requires a cycle of threads all blocked on each
-//!    other, so a channel graph that is a DAG with all capacities ≥ 1 is
-//!    deadlock-free; a capacity-0 channel or a wait cycle is rejected
-//!    statically.
+//! 2. **Wait graph** — each pair edge induces the two blocking waits of
+//!    the credit protocol: the producer thread can block sending into its
+//!    queue (out of credits) and the consumer thread can block receiving
+//!    from it (no data). A deadlock requires a cycle of threads all
+//!    blocked on each other, so a channel graph that is a DAG with all
+//!    capacities ≥ 1 is deadlock-free; a capacity-0 pair edge or a wait
+//!    cycle is rejected statically.
 //! 3. **Model check with partial-order reduction** — the credit protocol
 //!    is abstracted to a [`ChannelSystem`] — chunk counts and blocking
 //!    behavior only — and explored with dynamic partial-order reduction
@@ -30,18 +30,17 @@
 //!    static analysis is clean gets model-checked; if the budget runs
 //!    out the report says so ([`DeadlockReport::budget_exceeded`])
 //!    instead of silently downgrading to static-only.
-//!    Join consumers drain their build channels to completion before
+//!    Join consumers drain their build queues to completion before
 //!    streaming their input (the executor's build-before-probe order,
 //!    which also covers exchange-fed build sides), breaker tips consume
-//!    all input before emitting, and exchange producers scatter one chunk
-//!    to every part channel per round.
+//!    all input before emitting, and producers send one chunk to every
+//!    part queue of their channel per round.
 //!
-//! [`EdgeKind::Fabric`]: df_core::pipeline::EdgeKind::Fabric
 //! [`EdgeKind::Local`]: df_core::pipeline::EdgeKind::Local
 
 use std::fmt;
 
-use df_core::pipeline::{EdgeRole, PipelineEdge, PipelineGraph, PipelineSource};
+use df_core::pipeline::{Channel, EdgeRole, PipelineEdge, PipelineGraph};
 
 use crate::model::{Budget, ChanOp, ChannelSystem, ReductionStats, Verdict};
 
@@ -53,10 +52,10 @@ const MODEL_CHUNKS: usize = 2;
 /// One deadlock-analysis failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeadlockFinding {
-    /// A channel with zero credits: its producer can never complete a
+    /// A pair edge with zero credits: its producer can never complete a
     /// send, so the first chunk wedges the producer thread forever.
     ZeroCapacity {
-        /// The fabric edge backing the channel.
+        /// The pair edge.
         edge: usize,
     },
     /// The blocking-wait graph contains a cycle of threads that can all
@@ -109,7 +108,8 @@ pub struct DeadlockReport {
     /// Number of OS threads the executor would use (pipelines collapsed
     /// over local edges).
     pub threads: usize,
-    /// Number of credit-bounded channels (fabric edges).
+    /// Number of credit-bounded pair edges: one per fabric edge, one per
+    /// exchange producer × part.
     pub channels: usize,
     /// States the model checker explored to a verdict; `None` when the
     /// model check did not run to completion (static findings preempted
@@ -174,24 +174,32 @@ impl Dsu {
     }
 }
 
-/// The executor's threading of a graph: threads (collapsed pipelines) and
-/// the fabric channels between them.
+/// The executor's threading of a graph: threads (pipelines collapsed over
+/// local edges) and the channel table's pair edges between them.
 struct ThreadGraph<'g> {
     /// Thread id (dense) of each pipeline.
     thread_of: Vec<usize>,
     threads: usize,
-    /// `(edge, producer thread, consumer thread)` per fabric edge.
-    channels: Vec<(&'g PipelineEdge, usize, usize)>,
+    /// The graph's channel table ([`PipelineGraph::channels`]).
+    table: Vec<Channel>,
+    /// `(pair edge, producer thread, consumer thread)` per channel pair
+    /// edge, in edge order.
+    pairs: Vec<(&'g PipelineEdge, usize, usize)>,
 }
 
 fn thread_graph(graph: &PipelineGraph) -> ThreadGraph<'_> {
     let n = graph.pipelines.len();
+    let table = graph.channels();
+    let mut paired = vec![false; graph.edges.len()];
+    for &eid in table.iter().flat_map(|ch| &ch.edges) {
+        if let Some(slot) = paired.get_mut(eid) {
+            *slot = true;
+        }
+    }
     let mut dsu = Dsu::new(n);
-    for edge in &graph.edges {
-        if !edge.crosses_devices() && edge.role != EdgeRole::Shuffle {
+    for (edge, &paired) in graph.edges.iter().zip(&paired) {
+        if !paired {
             // Local edge: producer runs inline on the consumer's thread.
-            // Shuffle edges are excluded even same-device: exchange
-            // producers always run on their own threads.
             dsu.union(edge.from, edge.to);
         }
     }
@@ -207,20 +215,22 @@ fn thread_graph(graph: &PipelineGraph) -> ThreadGraph<'_> {
             t
         });
     }
-    let channels = graph
+    let pairs = graph
         .edges
         .iter()
-        .filter(|e| e.crosses_devices() || e.role == EdgeRole::Shuffle)
-        .map(|e| (e, thread_of[e.from], thread_of[e.to]))
+        .zip(&paired)
+        .filter(|(_, &paired)| paired)
+        .map(|(e, _)| (e, thread_of[e.from], thread_of[e.to]))
         .collect();
     ThreadGraph {
         thread_of,
         threads,
-        channels,
+        table,
+        pairs,
     }
 }
 
-/// Detect a cycle in the thread-level channel graph; returns the threads
+/// Detect a cycle in the thread-level pair-edge graph; returns the threads
 /// on one cycle if present.
 fn find_wait_cycle(
     threads: usize,
@@ -265,201 +275,139 @@ fn find_wait_cycle(
     None
 }
 
-/// Abstract the graph's credit protocol into a [`ChannelSystem`].
+/// The queues one thread receives from, by drain phase, and the queues it
+/// sends into. Each receive entry is `(queue, chunks)`.
+#[derive(Clone, Default)]
+struct ThreadQueues {
+    /// Fabric join-build queues.
+    builds: Vec<(usize, usize)>,
+    /// Fabric input queues.
+    inputs: Vec<(usize, usize)>,
+    /// Exchange parts feeding a join build on the same thread.
+    x_builds: Vec<(usize, usize)>,
+    /// Other exchange parts.
+    x_inputs: Vec<(usize, usize)>,
+    /// Every part queue of the channel this thread produces into.
+    outs: Vec<usize>,
+    /// The punctuated ones among `outs`.
+    puncts: Vec<usize>,
+}
+
+/// Abstract the graph's credit protocol into a [`ChannelSystem`]: one
+/// model channel per channel-table queue, in table order, holding that
+/// queue's credits.
 ///
 /// Each thread's script reproduces the executor's blocking structure for
-/// [`MODEL_CHUNKS`] chunks per source:
+/// [`MODEL_CHUNKS`] chunks per producer and pair edge:
 ///
-/// - a consumer drains every incoming join-build channel (fabric or
+/// - a consumer drains every incoming join-build queue (fabric or
 ///   exchange-fed) to completion before touching its streaming input
 ///   (build-before-probe);
 /// - a thread whose tip is a breaker receives its whole input before
 ///   sending anything downstream;
 /// - a streaming thread interleaves receives with send rounds;
-/// - an exchange producer's send round scatters one chunk to *every*
-///   part channel (the partition loop), and each (exchange, part) pair
-///   is one shared channel — exactly the executor's `sync_channel` per
-///   consumer part with `queue_capacity × producers` credits;
+/// - a producer's send round sends one chunk to *every* part queue of its
+///   channel (the partition loop; a fabric edge has one part), and all
+///   producers of a channel share its part queues;
 /// - sources only send, the root only receives;
-/// - a thread sourcing an unbounded/bounded [`PipelineSource::Stream`]
-///   behaves like any other source, plus one extra send round for the
-///   punctuation markers that ride the same credit-bounded channels as
-///   data (`EdgeMsg::Punct` in the executor). Streams are modeled over
-///   finitely many chunks — deadlock here is a property of the blocking
-///   structure per round, not of stream length.
+/// - a punctuated pair edge (fed by a stream source) carries
+///   one trailing frontier marker on top of its data chunks, as
+///   `EdgeMsg::Punct` rides the same queue in the executor. Streams are
+///   modeled over finitely many chunks — deadlock here is a property of
+///   the blocking structure per round, not of stream length.
 fn to_channel_system(graph: &PipelineGraph, tg: &ThreadGraph<'_>) -> ChannelSystem {
-    let mut capacities = Vec::with_capacity(tg.channels.len());
-    // chan index per point-to-point fabric edge id (shuffle edges share
-    // the per-part exchange channels below instead).
-    let mut chan_of_edge = vec![usize::MAX; graph.edges.len()];
-    for (edge, _, _) in tg.channels.iter() {
-        if edge.role == EdgeRole::Shuffle {
-            continue;
-        }
-        chan_of_edge[edge.id] = capacities.len();
-        capacities.push(edge.queue_capacity);
-    }
-    // One channel per (exchange, part), mirroring drain_exchange's credit
-    // budget.
-    let mut chan_of_part: Vec<Vec<usize>> = Vec::with_capacity(graph.exchanges.len());
-    for ex in &graph.exchanges {
-        let mut parts = Vec::with_capacity(ex.parts);
-        for _ in 0..ex.parts {
-            parts.push(capacities.len());
-            capacities.push(graph.queue_capacity.max(1) * ex.producers.len().max(1));
-        }
-        chan_of_part.push(parts);
-    }
-
-    let mut scripts: Vec<Vec<ChanOp>> = vec![Vec::new(); tg.threads];
-    #[allow(clippy::needless_range_loop)] // `t` also filters tg.channels
-    for t in 0..tg.threads {
-        // Incoming point-to-point channels, split by role. A punctuated
-        // (stream-fed) channel carries one trailing frontier marker on
-        // top of its data chunks — `EdgeMsg::Punct` shares the channel.
-        let chunks_of = |e: &PipelineEdge| MODEL_CHUNKS + usize::from(e.punctuated);
-        let builds: Vec<(usize, usize)> = tg
-            .channels
-            .iter()
-            .filter(|(e, _, to)| *to == t && e.role == EdgeRole::JoinBuild)
-            .map(|(e, _, _)| (chan_of_edge[e.id], chunks_of(e)))
-            .collect();
-        let mut inputs: Vec<(usize, usize)> = tg
-            .channels
-            .iter()
-            .filter(|(e, _, to)| *to == t && e.role == EdgeRole::Input)
-            .map(|(e, _, _)| (chan_of_edge[e.id], chunks_of(e)))
-            .collect();
-        // A collapsed thread can own several fabric input channels (one
-        // per merged pipeline); the graph driver drains nested producers
-        // to completion before the outermost stream, so all but the last
-        // behave like build channels here.
-        let input: Option<(usize, usize)> = inputs.pop();
-        let early_inputs = inputs;
-        // Exchange-fed pipelines on this thread: `(channel, recv count)`.
-        // One feeding a same-thread join-build edge drains inline before
-        // the stream (the executor's build-before-probe order); otherwise
-        // the last one found is the thread's streaming input.
-        let mut streaming_x: Vec<(usize, usize)> = Vec::new();
-        let mut early_x: Vec<(usize, usize)> = Vec::new();
-        for (pid, p) in graph.pipelines.iter().enumerate() {
-            if tg.thread_of[pid] != t {
-                continue;
-            }
-            let PipelineSource::Exchange {
-                exchange, index, ..
-            } = &p.source
-            else {
-                continue;
-            };
-            let ex = &graph.exchanges[*exchange];
-            let chan = chan_of_part[*exchange][*index];
-            let recvs = ex.producers.len() * MODEL_CHUNKS;
-            let build_like = graph
-                .edges
-                .iter()
-                .any(|e| e.from == pid && e.role == EdgeRole::JoinBuild && tg.thread_of[e.to] == t);
-            if build_like {
-                early_x.push((chan, recvs));
-            } else {
-                streaming_x.push((chan, recvs));
-            }
-        }
-        let stream_x = if input.is_none() {
-            streaming_x.pop()
-        } else {
-            None
+    let mut capacities = Vec::new();
+    let mut queues = vec![ThreadQueues::default(); tg.threads];
+    for ch in &tg.table {
+        let first = capacities.len();
+        capacities.extend(&ch.credits);
+        // The pair edge of producer `i` into part `j` (None in a malformed
+        // exchange matrix, which the verifier reports).
+        let pair = |i: usize, j: usize| {
+            let eid = ch.edges.get(i * ch.parts + j)?;
+            graph.edges.get(*eid)
         };
-        early_x.extend(streaming_x);
-
-        // Outgoing channels: the point-to-point fabric output (a tree has
-        // at most one) plus every part channel of each exchange this
-        // thread produces into. One send round = one chunk to each. A
-        // punctuated output additionally carries the trailing frontier
-        // marker; exchange producers drop punctuation, so part channels
-        // never do.
-        let out_edge = tg
-            .channels
-            .iter()
-            .find(|(e, from, _)| *from == t && e.role != EdgeRole::Shuffle)
-            .map(|(e, _, _)| *e);
-        let punct_out: Option<usize> = out_edge
-            .filter(|e| e.punctuated)
-            .map(|e| chan_of_edge[e.id]);
-        let mut outs: Vec<usize> = out_edge.map(|e| chan_of_edge[e.id]).into_iter().collect();
-        for (x, ex) in graph.exchanges.iter().enumerate() {
-            for &ppid in &ex.producers {
-                if tg.thread_of[ppid] == t {
-                    outs.extend(chan_of_part[x].iter().copied());
+        for j in 0..ch.parts {
+            let recvs = (0..ch.producers.len())
+                .filter_map(|i| pair(i, j))
+                .map(|e| MODEL_CHUNKS + usize::from(e.punctuated))
+                .sum();
+            let Some(edge) = pair(0, j) else { continue };
+            let t = tg.thread_of[edge.to];
+            let builds_here = |pid: usize| {
+                graph.edges.iter().any(|e| {
+                    e.from == pid && e.role == EdgeRole::JoinBuild && tg.thread_of[e.to] == t
+                })
+            };
+            let q = &mut queues[t];
+            let list = match ch.exchange {
+                None if edge.role == EdgeRole::JoinBuild => &mut q.builds,
+                None => &mut q.inputs,
+                Some(_) if builds_here(edge.to) => &mut q.x_builds,
+                Some(_) => &mut q.x_inputs,
+            };
+            list.push((first + j, recvs));
+        }
+        for (i, &pid) in ch.producers.iter().enumerate() {
+            let q = &mut queues[tg.thread_of[pid]];
+            for j in 0..ch.parts {
+                q.outs.push(first + j);
+                if pair(i, j).is_some_and(|e| e.punctuated) {
+                    q.puncts.push(first + j);
                 }
             }
         }
+    }
+
+    let mut scripts = Vec::with_capacity(tg.threads);
+    for (t, q) in queues.into_iter().enumerate() {
+        let ThreadQueues {
+            builds,
+            mut inputs,
+            x_builds,
+            mut x_inputs,
+            outs,
+            puncts,
+        } = q;
+        // A collapsed thread can own several input queues (one per merged
+        // pipeline); the graph driver drains nested producers to
+        // completion before the outermost stream, so all but the last
+        // behave like build queues here. A fabric input is the stream
+        // when there is one.
+        let (stream, recvs) = if inputs.is_empty() {
+            x_inputs.pop()
+        } else {
+            inputs.pop()
+        }
+        .unwrap_or((usize::MAX, 0));
+        let mut script: Vec<ChanOp> = builds
+            .into_iter()
+            .chain(inputs)
+            .chain(x_builds)
+            .chain(x_inputs)
+            .flat_map(|(c, n)| std::iter::repeat_n(ChanOp::Recv(c), n))
+            .collect();
         // Does any pipeline on this thread end in a breaker? Then the
-        // thread's output is only produced after its input is drained.
+        // thread's output is only produced after its input is drained;
+        // otherwise the send rounds spread through the receives, so
+        // mid-stream backpressure is modeled.
         let breaker_tip = graph
             .pipelines
             .iter()
             .enumerate()
             .filter(|(pid, _)| tg.thread_of[*pid] == t)
             .any(|(_, p)| p.ops.last().is_some_and(|op| op.spec.is_breaker()));
-
-        let script = &mut scripts[t];
-        // Build channels (and nested extra inputs) drain fully first, in
-        // edge order.
-        for (c, recvs) in builds.into_iter().chain(early_inputs).chain(early_x) {
-            for _ in 0..recvs {
-                script.push(ChanOp::Recv(c));
-            }
+        for round in 0..MODEL_CHUNKS {
+            let n = match (breaker_tip, round) {
+                (true, 0) => recvs,
+                (true, _) => 0,
+                (false, _) => recvs / MODEL_CHUNKS + usize::from(round < recvs % MODEL_CHUNKS),
+            };
+            script.extend(std::iter::repeat_n(ChanOp::Recv(stream), n));
+            script.extend(outs.iter().map(|&o| ChanOp::Send(o)));
         }
-        let stream: Option<(usize, usize)> = input.or(stream_x);
-        match (stream, outs.is_empty()) {
-            (Some((i, recvs)), false) if breaker_tip => {
-                for _ in 0..recvs {
-                    script.push(ChanOp::Recv(i));
-                }
-                for _ in 0..MODEL_CHUNKS {
-                    for &o in &outs {
-                        script.push(ChanOp::Send(o));
-                    }
-                }
-                if let Some(c) = punct_out {
-                    script.push(ChanOp::Send(c));
-                }
-            }
-            (Some((i, recvs)), false) => {
-                // Stream: spread the send rounds through the receives so
-                // mid-stream backpressure is modeled.
-                let base = recvs / MODEL_CHUNKS;
-                let rem = recvs % MODEL_CHUNKS;
-                for round in 0..MODEL_CHUNKS {
-                    for _ in 0..base + usize::from(round < rem) {
-                        script.push(ChanOp::Recv(i));
-                    }
-                    for &o in &outs {
-                        script.push(ChanOp::Send(o));
-                    }
-                }
-                if let Some(c) = punct_out {
-                    script.push(ChanOp::Send(c));
-                }
-            }
-            (Some((i, recvs)), true) => {
-                for _ in 0..recvs {
-                    script.push(ChanOp::Recv(i));
-                }
-            }
-            (None, false) => {
-                for _ in 0..MODEL_CHUNKS {
-                    for &o in &outs {
-                        script.push(ChanOp::Send(o));
-                    }
-                }
-                if let Some(c) = punct_out {
-                    script.push(ChanOp::Send(c));
-                }
-            }
-            (None, true) => {}
-        }
+        script.extend(puncts.into_iter().map(ChanOp::Send));
+        scripts.push(script);
     }
     ChannelSystem {
         capacities,
@@ -479,12 +427,12 @@ pub fn analyze(graph: &PipelineGraph) -> DeadlockReport {
 pub fn analyze_with(graph: &PipelineGraph, budget: &Budget) -> DeadlockReport {
     let tg = thread_graph(graph);
     let mut findings = Vec::new();
-    for (edge, _, _) in &tg.channels {
+    for (edge, _, _) in &tg.pairs {
         if edge.queue_capacity == 0 {
             findings.push(DeadlockFinding::ZeroCapacity { edge: edge.id });
         }
     }
-    if let Some(threads) = find_wait_cycle(tg.threads, &tg.channels) {
+    if let Some(threads) = find_wait_cycle(tg.threads, &tg.pairs) {
         findings.push(DeadlockFinding::WaitCycle { threads });
     }
     let mut model_states = None;
@@ -508,21 +456,12 @@ pub fn analyze_with(graph: &PipelineGraph, budget: &Budget) -> DeadlockReport {
     }
     DeadlockReport {
         threads: tg.threads,
-        channels: tg.channels.len(),
+        channels: tg.pairs.len(),
         model_states,
         reduction,
         budget_exceeded,
         findings,
     }
-}
-
-/// Model-check an arbitrary graph's credit-protocol abstraction directly
-/// (tests / offline audits), bypassing the static analysis.
-pub fn model_check(graph: &PipelineGraph) -> Verdict {
-    let tg = thread_graph(graph);
-    to_channel_system(graph, &tg)
-        .check_reduced(&Budget::default())
-        .0
 }
 
 #[cfg(test)]

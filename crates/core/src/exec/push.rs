@@ -11,26 +11,34 @@
 //!   pipeline) to the next is charged to the [`MovementLedger`], at its
 //!   wire-encoded size when the move crosses devices and wire options are
 //!   set;
-//! - **fabric edges** — an edge whose endpoints sit on different devices
-//!   runs its producer pipeline on its own thread and moves batches through
-//!   a credit-bounded channel (`queue_capacity` chunks, §7.1), so
-//!   backpressure exists in real execution: a producer that outruns its
-//!   consumer blocks in a `credit-wait` span;
-//! - **edge codecs** — a fabric edge that carries an [`EdgeEncoding`]
-//!   (compiled onto the graph, or cost-selected under
-//!   [`CodecPolicy::Auto`]) encodes each batch into a self-describing
-//!   frame at the producer tip, charges the ledger the **encoded** bytes,
-//!   and decodes on the consumer side. The tip handoff charge moves from
-//!   the operator chain to the edge so each crossing is still charged
-//!   exactly once.
+//! - **channels** — every hop in [`PipelineGraph::channels`] runs on one
+//!   runtime. A channel's producer pipelines each run on their own thread
+//!   and send over their pair edges into `parts` credit-bounded queues
+//!   (§7.1), so backpressure exists in real execution: a producer that
+//!   outruns a consumer blocks in a `credit-wait` span. A fabric edge is a
+//!   channel with one producer and one part (a `fabric-edge` span); an
+//!   exchange hash-partitions, broadcasts or gathers each tip batch across
+//!   its parts (an `exchange-producer` span). The first consumer to drain a
+//!   channel creates its queues and starts its producers;
+//! - **edge codecs** — every channel producer's tip batch is charged at
+//!   its pair edge, the single charge and encode site. A pair edge compiled
+//!   with an [`EdgeEncoding`], or any pair edge under
+//!   [`CodecPolicy::Auto`], encodes each batch into a self-describing
+//!   frame, charges the ledger the **encoded** bytes, and is decoded on
+//!   the consumer side; every other pair edge moves raw batches;
+//! - **failure** — a producer that fails records its error before its
+//!   senders drop, so every consumer of the channel fails too: the first
+//!   with the producer's own typed error, the rest with an internal error
+//!   naming it. A consumer that fails hangs up its queue; a producer stops
+//!   once every part has hung up and leaves the consumers' errors to win;
 //! - **local edges** — same-placement handoffs stay plain function calls
 //!   and execute inline, preserving the exact single-threaded behavior.
 //! - **punctuation** — a [`PipelineSource::Stream`] emits a frontier
 //!   marker every `punct_every` batches; markers flow through the same
-//!   sinks and channels as data (in band, so FIFO order is preserved
-//!   across Local and Fabric edges alike), advance every window
-//!   operator's frontier, and are never ledger-charged — they carry no
-//!   payload bytes.
+//!   sinks and queues as data (in band, so FIFO order is preserved
+//!   across local edges and punctuated pair edges alike), advance every
+//!   window operator's frontier, and are never ledger-charged — they
+//!   carry no payload bytes.
 //!
 //! Positional partial-aggregate contract: a `Merge`-mode aggregate consumes
 //! batches laid out as group columns followed by one partial column per
@@ -53,8 +61,8 @@ use crate::exec::ledger::MovementLedger;
 use crate::exec::source;
 use crate::physical::PhysicalPlan;
 use crate::pipeline::{
-    EdgeKind, ExchangeKind, PipelineEdge, PipelineGraph, PipelineOp, PipelineSource, RuntimeOp,
-    DEFAULT_QUEUE_CAPACITY,
+    Channel, EdgeKind, ExchangeKind, PipelineEdge, PipelineGraph, PipelineOp, PipelineSource,
+    RuntimeOp, DEFAULT_QUEUE_CAPACITY,
 };
 use crate::streaming::StreamGen;
 
@@ -74,14 +82,15 @@ pub trait ExecGate: Send + Sync {
     fn acquire(&self, pipeline: usize) -> Result<()>;
 }
 
-/// How the executor picks the wire encoding of each fabric edge.
+/// How the executor picks the wire encoding of each channel pair edge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CodecPolicy {
-    /// Honor the encodings compiled onto the graph (`Plain` edges move
-    /// raw batches, exactly as before codecs existed). The default.
+    /// Honor the encodings compiled onto the graph: `Plain` pair edges,
+    /// fabric edges and exchange pairs alike, move raw batches, make no
+    /// codec decision and price no candidate. The default.
     #[default]
     AsCompiled,
-    /// Cost-select a codec per fabric edge that was compiled `Plain`:
+    /// Cost-select a codec per pair edge that was compiled `Plain`:
     /// sample the edge's first batch, price each candidate encoding
     /// against the devices' Compress/Decompress rates and the route's
     /// bottleneck bandwidth, and keep the cheapest (falling back to
@@ -110,7 +119,7 @@ pub struct ExecEnv<'a> {
     /// Cross-query scheduling gate, consulted at every batch boundary.
     /// `None` (single-query execution) costs one branch per source batch.
     pub gate: Option<Arc<dyn ExecGate>>,
-    /// Fabric-edge codec policy. [`CodecPolicy::AsCompiled`] (the
+    /// Pair-edge codec policy. [`CodecPolicy::AsCompiled`] (the
     /// default) keeps plain edges byte-identical to pre-codec behavior.
     pub codec: CodecPolicy,
 }
@@ -129,7 +138,7 @@ impl<'a> ExecEnv<'a> {
     }
 }
 
-/// What one fabric edge decided about its wire encoding, sampled from the
+/// What one pair edge decided about its wire encoding, sampled from the
 /// edge's first batch. Collected in edge-id order, so same-seed runs log
 /// byte-identical decisions.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,8 +178,9 @@ pub struct ExecOutcome {
     pub ledger: MovementLedger,
     /// Stats of every storage scan in the plan.
     pub scan_stats: Vec<ScanStats>,
-    /// Per-edge codec decisions, in edge-id order (empty when no fabric
-    /// edge went through codec handling).
+    /// Per-edge codec decisions, in edge-id order (empty when no pair
+    /// edge was compiled with a codec and the policy is
+    /// [`CodecPolicy::AsCompiled`]).
     pub codec_decisions: Vec<CodecDecision>,
     /// Punctuation sequences observed per pipeline, in pipeline order
     /// (pipelines that saw no punctuation are omitted). Each sequence is
@@ -237,7 +247,7 @@ enum Flow {
 
 type Sink<'s> = dyn FnMut(Flow) -> Result<()> + 's;
 
-/// What moves through a fabric-edge channel: raw batches on plain edges,
+/// What moves through a channel queue: raw batches on plain edges,
 /// encoded frames on codec edges, frontier markers on punctuated edges.
 enum EdgeMsg {
     Plain(Batch),
@@ -286,17 +296,24 @@ struct Account {
     window_lags: Vec<i64>,
 }
 
-/// Channel state of one in-flight exchange, created by the first consumer
-/// fragment to start draining (which also spawns every producer thread).
-/// Later consumers just take their receiver.
-struct ExchangeState {
-    receivers: Vec<Option<Receiver<EdgeMsg>>>,
+/// Run-time state of one channel.
+#[derive(Default)]
+struct ChannelState {
+    /// One receiver per part, created by the first consumer to drain the
+    /// channel (which also starts every producer); each consumer takes
+    /// its own.
+    receivers: Option<Vec<Option<Receiver<EdgeMsg>>>>,
+    /// The first producer failure, recorded *before* that producer's
+    /// senders drop, so every consumer's end of stream happens after it:
+    /// the typed error, which the first consumer to see it takes, and its
+    /// message, which the other consumers report.
+    failure: Option<(Option<EngineError>, String)>,
 }
 
-/// Lock a mutex, tolerating poisoning: a poisoned exchange lock means a
+/// Lock a mutex, tolerating poisoning: a poisoned channel lock means a
 /// producer thread panicked, and that panic is re-raised at scope join —
-/// the state behind these locks (channel handles, error strings) stays
-/// valid either way.
+/// the state behind these locks (channel handles, errors) stays valid
+/// either way.
 fn lock_tolerant<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
@@ -304,79 +321,72 @@ fn lock_tolerant<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-/// How one exchange producer splits a tip batch across consumers.
+/// How a channel producer splits a tip batch across the parts.
 enum Splitter {
     Hash(HashPartitioner),
     Broadcast(usize),
     Gather,
 }
 
+impl Splitter {
+    /// The `(part, batch)` pairs one tip batch becomes; a hash split
+    /// skips empty partitions.
+    fn split(&self, batch: Batch) -> Result<Vec<(usize, Batch)>> {
+        Ok(match self {
+            Splitter::Hash(partitioner) => partitioner
+                .partition(&batch)?
+                .into_iter()
+                .enumerate()
+                .filter(|(_, part)| part.rows() > 0)
+                .collect(),
+            Splitter::Broadcast(parts) => (0..*parts).map(|j| (j, batch.clone())).collect(),
+            Splitter::Gather => vec![(0, batch)],
+        })
+    }
+}
+
 struct Runner<'a, 'b> {
     graph: &'b PipelineGraph,
     env: &'b ExecEnv<'a>,
     accounts: Vec<Mutex<Account>>,
-    /// Wall lane of each fabric-producer pipeline (None = runs inline on
-    /// its consumer's lane).
+    /// Wall lane of each channel producer (None = runs inline on its
+    /// consumer's lane).
     lanes: Vec<Option<LaneId>>,
     root_lane: Option<LaneId>,
-    /// Per pipeline: true when its tip handoff is charged at its outgoing
-    /// fabric edge (codec edges) instead of inside the operator chain.
-    tip_handled: Vec<bool>,
+    /// Per pipeline: true for channel producers, whose tip handoff is
+    /// charged at their pair edges instead of inside the operator chain.
+    tip_at_edge: Vec<bool>,
     /// Per edge: the codec decision, made on the edge's first batch.
     decisions: Vec<Mutex<Option<CodecDecision>>>,
-    /// Per exchange: lazily created channel state (None until the first
-    /// consumer fragment drains).
-    exchanges: Vec<Mutex<Option<ExchangeState>>>,
-    /// Per exchange: failure messages from producer threads, recorded
-    /// *before* their senders drop so each consumer's end-of-stream
-    /// happens-after the record.
-    exchange_errors: Vec<Mutex<Vec<String>>>,
+    /// The graph's channel table.
+    channels: Vec<Channel>,
+    /// Per edge: the channel and part it feeds (None for local edges).
+    part_of_edge: Vec<Option<(usize, usize)>>,
+    /// Per channel: its queues and failure record.
+    states: Vec<Mutex<ChannelState>>,
 }
 
 impl<'a, 'b> Runner<'a, 'b> {
     fn new(graph: &'b PipelineGraph, env: &'b ExecEnv<'a>) -> Runner<'a, 'b> {
         // Lanes are created up front, in deterministic order: the root
-        // lane first, then one lane per fabric-producer pipeline.
+        // lane first, then one lane per channel producer, in table order.
         let root_lane = env
             .tracer
             .as_ref()
             .map(|t| t.lane("exec.push", LaneKind::Wall));
+        let channels = graph.channels();
         let mut lanes = vec![None; graph.pipelines.len()];
-        if let Some(t) = env.tracer.as_ref() {
-            for edge in &graph.edges {
-                if matches!(edge.kind, EdgeKind::Fabric { .. }) {
-                    lanes[edge.from] =
-                        Some(t.lane(&format!("exec.push.p{}", edge.from), LaneKind::Wall));
+        let mut tip_at_edge = vec![false; graph.pipelines.len()];
+        let mut part_of_edge = vec![None; graph.edges.len()];
+        for (cid, ch) in channels.iter().enumerate() {
+            for &pid in &ch.producers {
+                tip_at_edge[pid] = true;
+                if let Some(t) = env.tracer.as_ref() {
+                    lanes[pid] = Some(t.lane(&format!("exec.push.p{pid}"), LaneKind::Wall));
                 }
             }
-            // Exchange producers always run on their own threads, so they
-            // always get their own lane (even when every pair edge is
-            // device-local).
-            for ex in &graph.exchanges {
-                for &ppid in &ex.producers {
-                    if lanes[ppid].is_none() {
-                        lanes[ppid] = Some(t.lane(&format!("exec.push.p{ppid}"), LaneKind::Wall));
-                    }
-                }
-            }
-        }
-        // A pipeline's tip charge moves to its outgoing fabric edge when
-        // that edge carries (or may carry, under Auto) a codec; plain
-        // edges under the default policy keep the pre-codec charge path.
-        let auto = env.codec == CodecPolicy::Auto;
-        let mut tip_handled = vec![false; graph.pipelines.len()];
-        for edge in &graph.edges {
-            if edge.crosses_devices() && (auto || !edge.encoding.is_plain()) {
-                tip_handled[edge.from] = true;
-            }
-        }
-        // Exchange producers split each tip batch across consumers, so the
-        // whole-batch tip charge inside the chain is always wrong for
-        // them; the per-partition charge happens at each pair edge's
-        // [`Runner::edge_message`] call instead.
-        for ex in &graph.exchanges {
-            for &ppid in &ex.producers {
-                tip_handled[ppid] = true;
+            for (k, &eid) in ch.edges.iter().enumerate() {
+                part_of_edge[eid] = Some((cid, k % ch.parts));
             }
         }
         Runner {
@@ -385,10 +395,11 @@ impl<'a, 'b> Runner<'a, 'b> {
             accounts: graph.pipelines.iter().map(|_| Mutex::default()).collect(),
             lanes,
             root_lane,
-            tip_handled,
+            tip_at_edge,
             decisions: graph.edges.iter().map(|_| Mutex::default()).collect(),
-            exchanges: graph.exchanges.iter().map(|_| Mutex::default()).collect(),
-            exchange_errors: graph.exchanges.iter().map(|_| Mutex::default()).collect(),
+            states: channels.iter().map(|_| Mutex::default()).collect(),
+            channels,
+            part_of_edge,
         }
     }
 
@@ -443,7 +454,7 @@ impl<'a, 'b> Runner<'a, 'b> {
     }
 
     /// Like [`Runner::charge`] but skips the producer-tip handoff of
-    /// pipelines whose outgoing edge charges at the edge itself.
+    /// channel producers, which charge at their pair edges.
     fn charge_handoff(
         &self,
         pid: usize,
@@ -452,7 +463,7 @@ impl<'a, 'b> Runner<'a, 'b> {
         batch: &Batch,
         is_tip: bool,
     ) {
-        if is_tip && self.tip_handled[pid] {
+        if is_tip && self.tip_at_edge[pid] {
             return;
         }
         self.charge(pid, from, to, batch);
@@ -484,13 +495,18 @@ impl<'a, 'b> Runner<'a, 'b> {
             .charge(from, to, bytes, rows);
     }
 
-    /// Turn one producer-tip batch into the message its fabric edge
+    /// Turn one producer-tip batch into the message its pair edge
     /// carries, charging the ledger what actually crosses: raw bytes for
-    /// plain decisions, the encoded frame size for codec decisions. The
-    /// single edge-encode site.
+    /// plain edges, the encoded frame size for codec decisions. The single
+    /// charge and edge-encode site. Only an edge compiled with a codec, or
+    /// any edge under [`CodecPolicy::Auto`], decides an encoding.
     fn edge_message(&self, eid: usize, batch: Batch) -> EdgeMsg {
         let edge = &self.graph.edges[eid];
-        let encoding = self.edge_encoding(eid, &batch);
+        let encoding = if edge.encoding.is_plain() && self.env.codec == CodecPolicy::AsCompiled {
+            EdgeEncoding::Plain
+        } else {
+            self.edge_encoding(eid, &batch)
+        };
         if encoding.is_plain() {
             self.charge(edge.from, edge.from_device, edge.to_device, &batch);
             return EdgeMsg::Plain(batch);
@@ -726,9 +742,18 @@ impl<'a, 'b> Runner<'a, 'b> {
                     )?;
                 }
             }
-            PipelineSource::Edge { edge } => {
+            PipelineSource::Edge { .. } | PipelineSource::Exchange { .. } => {
+                // An exchange fragment drains its part through the pair
+                // edge from the exchange's first producer.
+                let edge = match p.source {
+                    PipelineSource::Exchange {
+                        exchange, index, ..
+                    } => self.graph.exchanges[exchange].edge(0, index),
+                    PipelineSource::Edge { edge } => edge,
+                    _ => unreachable!("matched edge-fed sources"),
+                };
                 let ops = &mut ops;
-                self.drain_edge(scope, *edge, trace, &mut |flow| match flow {
+                self.drain_edge(scope, edge, trace, &mut |flow| match flow {
                     Flow::Data(batch) => self.feed(
                         pid,
                         ops.as_mut_slice(),
@@ -747,25 +772,6 @@ impl<'a, 'b> Runner<'a, 'b> {
                         frontier,
                         sink,
                     ),
-                })?;
-            }
-            PipelineSource::Exchange {
-                exchange, index, ..
-            } => {
-                let ops = &mut ops;
-                self.drain_exchange(scope, *exchange, *index, &mut |flow| match flow {
-                    Flow::Data(batch) => self.feed(
-                        pid,
-                        ops.as_mut_slice(),
-                        specs,
-                        parent_dev,
-                        trace,
-                        batch,
-                        sink,
-                    ),
-                    // Exchange producers drop punctuation (the verifier
-                    // keeps unbounded streams out of exchanges).
-                    Flow::Punct(_) => Ok(()),
                 })?;
             }
         }
@@ -878,8 +884,8 @@ impl<'a, 'b> Runner<'a, 'b> {
 
     /// Drain one inter-pipeline edge into `sink` — the single site where
     /// edges move batches. Local edges run their producer inline on the
-    /// consumer's lane; fabric edges run it on its own thread behind a
-    /// credit-bounded channel.
+    /// consumer's lane; every other edge is a pair edge of a channel, and
+    /// the consumer drains that pair's part queue.
     fn drain_edge<'env, 'scope>(
         &'env self,
         scope: &'scope Scope<'scope, 'env>,
@@ -887,285 +893,170 @@ impl<'a, 'b> Runner<'a, 'b> {
         consumer_trace: Trace<'env>,
         sink: &mut Sink,
     ) -> Result<()> {
-        let edge = &self.graph.edges[eid];
-        match edge.kind {
-            EdgeKind::Local => {
+        match self.part_of_edge[eid] {
+            Some((cid, part)) => self.drain_channel(scope, cid, part, sink),
+            None => {
+                let edge = &self.graph.edges[eid];
                 self.run_pipeline(scope, edge.from, consumer_trace, edge.to_device, sink)
-            }
-            EdgeKind::Fabric { .. } => {
-                let credits = edge.queue_capacity.max(1);
-                let from = edge.from;
-                let to_device = edge.to_device;
-                let handled = self.tip_handled[from];
-                let (tx, rx) = sync_channel::<EdgeMsg>(credits);
-                let producer = scope.spawn(move || -> Result<()> {
-                    let trace = self.trace(self.lanes[from]);
-                    let mut chunks = 0u64;
-                    let mut credit_waits = 0u64;
-                    let mut hung_up = false;
-                    let mut edge_span =
-                        open_span(trace, "fabric-edge", &[("credits", credits as u64)]);
-                    let result = self.run_pipeline(scope, from, trace, to_device, &mut |flow| {
-                        // On codec edges the tip charge was suppressed in
-                        // the chain; encode and charge here instead.
-                        // Punctuation rides the same channel so frontier
-                        // markers keep FIFO order with the data they trail.
-                        let msg = match flow {
-                            Flow::Data(batch) => {
-                                if handled {
-                                    self.edge_message(eid, batch)
-                                } else {
-                                    EdgeMsg::Plain(batch)
-                                }
-                            }
-                            Flow::Punct(frontier) => EdgeMsg::Punct(frontier),
-                        };
-                        match tx.try_send(msg) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(msg)) => {
-                                // Out of credits: block until the
-                                // consumer frees a slot (§7.1).
-                                credit_waits += 1;
-                                let _wait = open_span(trace, "credit-wait", &[]);
-                                if tx.send(msg).is_err() {
-                                    hung_up = true;
-                                    return Err(hangup());
-                                }
-                            }
-                            Err(TrySendError::Disconnected(_)) => {
-                                hung_up = true;
-                                return Err(hangup());
-                            }
-                        }
-                        chunks += 1;
-                        Ok(())
-                    });
-                    if let Some(span) = edge_span.as_mut() {
-                        span.annotate("chunks", chunks);
-                        span.annotate("credit_waits", credit_waits);
-                    }
-                    drop(edge_span);
-                    // A hang-up means the consumer failed; its error is
-                    // the one worth reporting, so the producer exits clean.
-                    if hung_up {
-                        Ok(())
-                    } else {
-                        result
-                    }
-                });
-                let mut consumer_err: Option<EngineError> = None;
-                for msg in rx.iter() {
-                    let flow = match msg {
-                        EdgeMsg::Plain(batch) => Flow::Data(batch),
-                        EdgeMsg::Frame(frame) => match edge_codec::decode(&frame) {
-                            Ok(batch) => Flow::Data(batch),
-                            Err(e) => {
-                                consumer_err = Some(EngineError::Codec(e));
-                                break;
-                            }
-                        },
-                        EdgeMsg::Punct(frontier) => Flow::Punct(frontier),
-                    };
-                    if let Err(e) = sink(flow) {
-                        consumer_err = Some(e);
-                        break;
-                    }
-                }
-                drop(rx); // producer's next send observes the hang-up
-                let produced = producer
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                match consumer_err {
-                    Some(e) => Err(e),
-                    None => produced,
-                }
             }
         }
     }
 
-    /// Drain one consumer fragment's share of an exchange into `sink`.
+    /// Drain part `part` of channel `cid` into `sink`.
     ///
-    /// The first fragment to arrive creates every consumer's channel and
-    /// spawns every producer thread, so all N×M pair streams start at
-    /// once; later fragments just take their receiver. This relies on the
-    /// consumer fragments of a multi-part exchange themselves running
-    /// concurrently (as producer threads of a downstream exchange) —
-    /// which is how the compiler lays out scale-out plans, and what the
-    /// df-check deadlock pass model-checks.
-    fn drain_exchange<'env, 'scope>(
+    /// The first consumer to arrive creates every part's queue and starts
+    /// every producer thread, so all pair streams start at once; later
+    /// consumers just take their receiver. A multi-part channel relies on
+    /// its consumers themselves running concurrently (as producers of a
+    /// downstream channel) — which is how the compiler lays out scale-out
+    /// plans, and what the df-check deadlock pass model-checks.
+    fn drain_channel<'env, 'scope>(
         &'env self,
         scope: &'scope Scope<'scope, 'env>,
-        xid: usize,
-        index: usize,
+        cid: usize,
+        part: usize,
         sink: &mut Sink,
     ) -> Result<()> {
-        let ex = &self.graph.exchanges[xid];
         let rx = {
-            let mut slot = lock_tolerant(&self.exchanges[xid]);
-            let state = match slot.as_mut() {
-                Some(state) => state,
-                None => {
-                    // Credits are per producer per consumer channel, so a
-                    // slow consumer stalls producers only after each has
-                    // banked its usual queue depth toward it (§7.1).
-                    let credits = self.graph.queue_capacity.max(1) * ex.producers.len().max(1);
-                    let mut txs = Vec::with_capacity(ex.parts);
-                    let mut rxs = Vec::with_capacity(ex.parts);
-                    for _ in 0..ex.parts {
-                        let (tx, rx) = sync_channel::<EdgeMsg>(credits);
-                        txs.push(tx);
-                        rxs.push(Some(rx));
-                    }
-                    for producer in 0..ex.producers.len() {
-                        let senders = txs.clone();
-                        scope.spawn(move || {
-                            self.run_exchange_producer(scope, xid, producer, senders)
-                        });
-                    }
-                    slot.insert(ExchangeState { receivers: rxs })
+            let mut state = lock_tolerant(&self.states[cid]);
+            let receivers = state.receivers.get_or_insert_with(|| {
+                let ch = &self.channels[cid];
+                let (txs, rxs): (Vec<_>, Vec<_>) = ch
+                    .credits
+                    .iter()
+                    .map(|&credits| sync_channel::<EdgeMsg>(credits))
+                    .unzip();
+                for producer in 0..ch.producers.len() {
+                    let senders = txs.clone();
+                    scope.spawn(move || self.run_producer(scope, cid, producer, senders));
                 }
-            };
-            state.receivers[index].take()
+                rxs.into_iter().map(Some).collect()
+            });
+            receivers[part].take()
         };
         let Some(rx) = rx else {
             return Err(EngineError::Internal(format!(
-                "exchange {xid} consumer {index} drained twice"
+                "channel {cid} part {part} drained twice"
             )));
         };
-        let mut consumer_err: Option<EngineError> = None;
+        // An early return drops `rx`: the producers' next send toward this
+        // part observes the hang-up.
         for msg in rx.iter() {
-            let batch = match msg {
-                EdgeMsg::Plain(batch) => batch,
-                EdgeMsg::Frame(frame) => match edge_codec::decode(&frame) {
-                    Ok(batch) => batch,
-                    Err(e) => {
-                        consumer_err = Some(EngineError::Codec(e));
-                        break;
-                    }
-                },
-                // Exchanges interleave producers, so a per-producer
-                // frontier is meaningless downstream; drop it.
-                EdgeMsg::Punct(_) => continue,
-            };
-            if let Err(e) = sink(Flow::Data(batch)) {
-                consumer_err = Some(e);
-                break;
-            }
+            sink(match msg {
+                EdgeMsg::Plain(batch) => Flow::Data(batch),
+                EdgeMsg::Frame(frame) => Flow::Data(edge_codec::decode(&frame)?),
+                EdgeMsg::Punct(frontier) => Flow::Punct(frontier),
+            })?;
         }
-        drop(rx); // producers' next send toward this part observes the hang-up
-        if let Some(e) = consumer_err {
-            return Err(e);
-        }
-        // Clean end-of-stream means every producer dropped its senders,
-        // which happens-after any failure record; surface those here.
-        let errors = lock_tolerant(&self.exchange_errors[xid]);
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(EngineError::Internal(format!(
-                "exchange {xid} producer failed: {}",
-                errors.join("; ")
-            )))
+        // Clean end of stream means every producer dropped its senders,
+        // which happens after any failure record.
+        match lock_tolerant(&self.states[cid]).failure.as_mut() {
+            None => Ok(()),
+            Some((typed, message)) => Err(typed.take().unwrap_or_else(|| {
+                EngineError::Internal(format!("channel {cid} producer failed: {message}"))
+            })),
         }
     }
 
-    /// Body of one exchange-producer thread: run the producer pipeline,
-    /// split every tip batch into per-consumer partitions, and ship each
-    /// non-empty partition over its own pair edge (preserving the single
-    /// charge/encode sites in [`Runner::edge_message`]). A consumer that
-    /// hung up just stops receiving its share — the others keep
-    /// streaming; the producer aborts only once every consumer is gone,
-    /// and then exits clean because the consumers' own errors win.
-    fn run_exchange_producer<'env, 'scope>(
+    /// Body of one producer thread: run the producer pipeline, split every
+    /// tip batch across the channel's parts (the whole batch for a fabric
+    /// edge; hash, broadcast or gather for an exchange), and ship each part
+    /// through [`Runner::edge_message`] over its own pair edge. Frontier
+    /// markers ride only punctuated pair edges. A part whose consumer hung
+    /// up just stops receiving its share; the producer aborts once every
+    /// part is gone, and then exits clean because the consumers' own
+    /// errors win.
+    fn run_producer<'env, 'scope>(
         &'env self,
         scope: &'scope Scope<'scope, 'env>,
-        xid: usize,
+        cid: usize,
         producer: usize,
         senders: Vec<SyncSender<EdgeMsg>>,
     ) {
-        let ex = &self.graph.exchanges[xid];
-        let ppid = ex.producers[producer];
-        let trace = self.trace(self.lanes[ppid]);
+        let ch = &self.channels[cid];
+        let pid = ch.producers[producer];
+        let trace = self.trace(self.lanes[pid]);
         let mut txs: Vec<Option<SyncSender<EdgeMsg>>> = senders.into_iter().map(Some).collect();
-        let splitter = match &ex.kind {
-            ExchangeKind::Hash { keys, seed } => {
-                match HashPartitioner::with_seed(keys.clone(), ex.parts, *seed) {
-                    Ok(p) => Splitter::Hash(p),
-                    Err(e) => {
-                        lock_tolerant(&self.exchange_errors[xid])
-                            .push(EngineError::Data(e).to_string());
-                        return;
-                    }
-                }
-            }
-            ExchangeKind::Broadcast => Splitter::Broadcast(ex.parts),
-            ExchangeKind::Gather => Splitter::Gather,
+        let mut span = match ch.exchange {
+            None => open_span(trace, "fabric-edge", &[("credits", ch.credits[0] as u64)]),
+            Some(x) => open_span(
+                trace,
+                "exchange-producer",
+                &[("exchange", x as u64), ("parts", ch.parts as u64)],
+            ),
         };
         let mut chunks = 0u64;
         let mut credit_waits = 0u64;
-        let mut span = open_span(
-            trace,
-            "exchange-producer",
-            &[("exchange", xid as u64), ("parts", ex.parts as u64)],
-        );
-        let result = self.run_pipeline(scope, ppid, trace, None, &mut |flow| {
-            let batch = match flow {
-                Flow::Data(batch) => batch,
-                // The verifier keeps unbounded streams out of exchanges;
-                // markers from bounded ones carry no window to gate.
-                Flow::Punct(_) => return Ok(()),
-            };
-            let parts: Vec<(usize, Batch)> = match &splitter {
-                Splitter::Hash(partitioner) => partitioner
-                    .partition(&batch)?
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, part)| part.rows() > 0)
-                    .collect(),
-                Splitter::Broadcast(n) => (0..*n).map(|j| (j, batch.clone())).collect(),
-                Splitter::Gather => vec![(0, batch)],
-            };
-            for (j, part) in parts {
-                let Some(tx) = txs[j].as_ref() else { continue };
-                let msg = self.edge_message(ex.edge(producer, j), part);
-                match tx.try_send(msg) {
-                    Ok(()) => chunks += 1,
-                    Err(TrySendError::Full(msg)) => {
-                        // Out of credits: block until consumer `j` frees a
-                        // slot (§7.1).
-                        credit_waits += 1;
-                        let _wait = open_span(trace, "credit-wait", &[]);
-                        if tx.send(msg).is_ok() {
-                            chunks += 1;
-                        } else {
-                            txs[j] = None;
+        let splitter = match ch.exchange.map(|x| &self.graph.exchanges[x].kind) {
+            Some(ExchangeKind::Hash { keys, seed }) => {
+                HashPartitioner::with_seed(keys.clone(), ch.parts, *seed).map(Splitter::Hash)
+            }
+            Some(ExchangeKind::Broadcast) => Ok(Splitter::Broadcast(ch.parts)),
+            _ => Ok(Splitter::Gather),
+        };
+        let result = splitter.map_err(EngineError::Data).and_then(|splitter| {
+            self.run_pipeline(scope, pid, trace, None, &mut |flow| {
+                let parts: Vec<(usize, Flow)> = match flow {
+                    Flow::Data(batch) => splitter
+                        .split(batch)?
+                        .into_iter()
+                        .map(|(j, part)| (j, Flow::Data(part)))
+                        .collect(),
+                    Flow::Punct(frontier) => (0..ch.parts)
+                        .filter(|&j| self.graph.edges[ch.edge(producer, j)].punctuated)
+                        .map(|j| (j, Flow::Punct(frontier)))
+                        .collect(),
+                };
+                for (j, part) in parts {
+                    let Some(tx) = txs[j].as_ref() else { continue };
+                    let msg = match part {
+                        Flow::Data(batch) => self.edge_message(ch.edge(producer, j), batch),
+                        Flow::Punct(frontier) => EdgeMsg::Punct(frontier),
+                    };
+                    match tx.try_send(msg) {
+                        Ok(()) => chunks += 1,
+                        Err(TrySendError::Full(msg)) => {
+                            // Out of credits: block until consumer `j`
+                            // frees a slot (§7.1).
+                            credit_waits += 1;
+                            let _wait = open_span(trace, "credit-wait", &[]);
+                            if tx.send(msg).is_ok() {
+                                chunks += 1;
+                            } else {
+                                txs[j] = None;
+                            }
                         }
+                        Err(TrySendError::Disconnected(_)) => txs[j] = None,
                     }
-                    Err(TrySendError::Disconnected(_)) => txs[j] = None,
                 }
-            }
-            if txs.iter().all(Option::is_none) {
-                return Err(hangup());
-            }
-            Ok(())
+                if txs.iter().all(Option::is_none) {
+                    return Err(hangup());
+                }
+                Ok(())
+            })
         });
         if let Some(span) = span.as_mut() {
             span.annotate("chunks", chunks);
             span.annotate("credit_waits", credit_waits);
         }
         drop(span);
-        // Record genuine failures before `txs` drops; every-consumer-gone
-        // hang-ups stay silent — the consumers' own errors win.
+        // Record a genuine failure before `txs` drops; a hang-up of every
+        // part stays silent — the consumers' own errors win.
         if let Err(e) = result {
-            if !txs.iter().all(Option::is_none) {
-                lock_tolerant(&self.exchange_errors[xid]).push(e.to_string());
+            if txs.iter().any(Option::is_some) {
+                lock_tolerant(&self.states[cid])
+                    .failure
+                    .get_or_insert_with(|| {
+                        let message = e.to_string();
+                        (Some(e), message)
+                    });
             }
         }
     }
 }
 
 fn hangup() -> EngineError {
-    EngineError::Internal("fabric-edge consumer disconnected".into())
+    EngineError::Internal("every channel consumer disconnected".into())
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
-//! Cardinality and selectivity estimation.
+//! Table statistics and selectivity estimation.
 //!
 //! The cost model's inputs: table profiles built from segment footers (row
 //! counts and whole-table zone maps — the statistics cloud-native engines
 //! actually have, §3.1), plus standard selectivity heuristics with zone-map
-//! range interpolation.
+//! range interpolation. Plans are priced on physical nodes, by
+//! [`estimate_node`](crate::optimizer::cost::estimate_node).
 
 use std::collections::HashMap;
 
@@ -12,7 +13,6 @@ use df_storage::table::TableStats;
 use df_storage::zonemap::{CmpOp, ZoneMap};
 
 use crate::expr::Expr;
-use crate::logical::LogicalPlan;
 
 /// Statistics for one table.
 #[derive(Debug, Clone)]
@@ -178,112 +178,8 @@ fn default_for_op(op: CmpOp) -> f64 {
     }
 }
 
-/// Estimated rows and bytes of a plan node's output.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Estimate {
-    /// Output rows.
-    pub rows: f64,
-    /// Output bytes (in-memory batch size).
-    pub bytes: f64,
-}
-
 /// Table profiles by name.
 pub type Profiles = HashMap<String, TableProfile>;
-
-/// Estimate a logical plan's output cardinality bottom-up.
-pub fn estimate(plan: &LogicalPlan, profiles: &Profiles) -> Estimate {
-    match plan {
-        LogicalPlan::Scan { table, schema, .. } => {
-            let rows = profiles.get(table).map_or(10_000.0, |p| p.rows as f64);
-            Estimate {
-                rows,
-                bytes: rows * avg_row_width(schema) as f64,
-            }
-        }
-        LogicalPlan::Values { batches, schema } => {
-            let rows: usize = batches.iter().map(df_data::Batch::rows).sum();
-            Estimate {
-                rows: rows as f64,
-                bytes: rows as f64 * avg_row_width(schema) as f64,
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let inp = estimate(input, profiles);
-            let profile = scan_profile_of(input, profiles);
-            let sel = selectivity(predicate, profile);
-            Estimate {
-                rows: inp.rows * sel,
-                bytes: inp.bytes * sel,
-            }
-        }
-        LogicalPlan::Project { input, schema, .. } => {
-            let inp = estimate(input, profiles);
-            let in_width = avg_row_width(&input.schema()) as f64;
-            let out_width = avg_row_width(schema) as f64;
-            Estimate {
-                rows: inp.rows,
-                bytes: inp.bytes * (out_width / in_width).min(1.5),
-            }
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            schema,
-            ..
-        } => {
-            let inp = estimate(input, profiles);
-            let groups = if group_by.is_empty() {
-                1.0
-            } else {
-                // Square-root rule per key, capped by input.
-                inp.rows.sqrt().max(1.0).min(inp.rows)
-            };
-            Estimate {
-                rows: groups,
-                bytes: groups * avg_row_width(schema) as f64,
-            }
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            schema,
-            ..
-        } => {
-            let l = estimate(left, profiles);
-            let r = estimate(right, profiles);
-            // FK-join heuristic: output ≈ the larger side.
-            let rows = l.rows.max(r.rows);
-            Estimate {
-                rows,
-                bytes: rows * avg_row_width(schema) as f64,
-            }
-        }
-        LogicalPlan::Sort { input, .. } => estimate(input, profiles),
-        LogicalPlan::Limit { input, n } => {
-            let inp = estimate(input, profiles);
-            let rows = inp.rows.min(*n as f64);
-            let frac = if inp.rows > 0.0 { rows / inp.rows } else { 1.0 };
-            Estimate {
-                rows,
-                bytes: inp.bytes * frac,
-            }
-        }
-    }
-}
-
-/// The profile of the underlying scan, if the subtree bottoms out in one
-/// table (used to ground filter selectivities in zone maps).
-pub fn scan_profile_of<'a>(plan: &LogicalPlan, profiles: &'a Profiles) -> Option<&'a TableProfile> {
-    match plan {
-        LogicalPlan::Scan { table, .. } => profiles.get(table),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::Aggregate { input, .. } => scan_profile_of(input, profiles),
-        _ => None,
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -353,37 +249,6 @@ mod tests {
         let prefix = selectivity(&col("name").like("abc%"), None);
         let contains = selectivity(&col("name").like("%abc%"), None);
         assert!(prefix < contains);
-    }
-
-    #[test]
-    fn plan_estimation_composes() {
-        let schema = Schema::new(vec![
-            Field::new("id", DataType::Int64),
-            Field::new("name", DataType::Utf8),
-        ])
-        .into_ref();
-        let mut profiles = Profiles::new();
-        profiles.insert("t".to_string(), profile(10_000, 0, 9_999));
-        let plan = LogicalPlan::scan("t", schema)
-            .filter(col("id").lt(lit(1_000)))
-            .unwrap()
-            .aggregate(
-                vec!["name".into()],
-                vec![crate::logical::AggCall::count_star("n")],
-            )
-            .unwrap();
-        let est = estimate(&plan, &profiles);
-        // filter ≈ 1000 rows; groups ≈ sqrt(1000) ≈ 32.
-        assert!(est.rows > 10.0 && est.rows < 100.0, "rows={}", est.rows);
-    }
-
-    #[test]
-    fn limit_caps_rows() {
-        let schema = Schema::new(vec![Field::new("id", DataType::Int64)]).into_ref();
-        let mut profiles = Profiles::new();
-        profiles.insert("t".to_string(), profile(10_000, 0, 9_999));
-        let plan = LogicalPlan::scan("t", schema).limit(5);
-        assert_eq!(estimate(&plan, &profiles).rows, 5.0);
     }
 
     #[test]

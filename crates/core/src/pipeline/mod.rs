@@ -8,10 +8,13 @@
 //! [`OperatorSpec`], the fabric [`OpClass`] it maps to, and the cost
 //! model's estimated selectivity. Edges are typed: a [`EdgeKind::Local`]
 //! handoff stays a function call inside one driver, while a
-//! [`EdgeKind::Fabric`] edge crosses devices — real execution moves
-//! batches through a credit-bounded channel (`queue_capacity` chunks,
-//! §7.1) and the flow simulator replays the same stage chain in simulated
-//! time via [`PipelineGraph::to_flow_specs`].
+//! [`EdgeKind::Fabric`] edge crosses devices and the flow simulator
+//! replays the same stage chain in simulated time via
+//! [`PipelineGraph::to_flow_specs`]. Real execution moves batches over
+//! every fabric edge and every [`Exchange`] through one mechanism, a
+//! [`Channel`] of credit-bounded queues (§7.1); [`PipelineGraph::channels`]
+//! is the one table that decides which edges form channels and how many
+//! credits each queue holds.
 //!
 //! The push executor, the serving layer's admission control and the bench
 //! experiments all consume this graph instead of re-walking `PhysNode`
@@ -533,6 +536,37 @@ impl Exchange {
     }
 }
 
+/// One credit-bounded hop (§7.1): producer pipelines, each on its own
+/// thread, sending over *pair edges* into `parts` bounded consumer queues.
+/// A fabric edge outside an exchange is a channel with one producer and
+/// one part; an [`Exchange`] is a channel with its producer × part matrix.
+/// [`PipelineGraph::channels`] lists them; the push executor runs exactly
+/// these channels and `df-check` models exactly these queues.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Channel {
+    /// The exchange this channel runs (None for a fabric edge, which
+    /// gathers its one producer into its one part).
+    pub exchange: Option<usize>,
+    /// Producer pipeline ids.
+    pub producers: Vec<usize>,
+    /// Number of consumer queues.
+    pub parts: usize,
+    /// Pair edge ids, row-major: `edges[i * parts + j]` carries producer
+    /// `i`'s share of part `j`.
+    pub edges: Vec<usize>,
+    /// Credits of each part's queue, in chunks: the sum of its pair edges'
+    /// `queue_capacity`, so a slow consumer stalls a producer only after
+    /// every producer has banked its own queue depth toward it.
+    pub credits: Vec<usize>,
+}
+
+impl Channel {
+    /// The pair edge carrying producer `i`'s share of part `j`.
+    pub fn edge(&self, producer: usize, part: usize) -> usize {
+        self.edges[producer * self.parts + part]
+    }
+}
+
 /// One half of an edge's codec pair: where the encode (or decode) runs
 /// and the byte ratio the cost model prices it at.
 ///
@@ -566,7 +600,8 @@ pub struct PipelineEdge {
     pub kind: EdgeKind,
     /// Input stream or join build.
     pub role: EdgeRole,
-    /// Credit budget in chunks (§7.1) for fabric edges.
+    /// Credit budget in chunks (§7.1) this edge adds to its channel's
+    /// queue (see [`Channel::credits`]).
     pub queue_capacity: usize,
     /// Producer tip placement.
     pub from_device: Option<DeviceId>,
@@ -1114,6 +1149,41 @@ impl PipelineGraph {
                 ratio,
             });
         }
+    }
+
+    /// The channel table: every fabric edge outside an exchange, in edge
+    /// order, then every exchange, in order. Every other edge is local and
+    /// runs its producer inline on the consumer's thread.
+    pub fn channels(&self) -> Vec<Channel> {
+        let capacity = |eid: usize| self.edges.get(eid).map_or(0, |e| e.queue_capacity);
+        let fabric = self
+            .edges
+            .iter()
+            .filter(|e| e.crosses_devices() && e.role != EdgeRole::Shuffle)
+            .map(|e| Channel {
+                exchange: None,
+                producers: vec![e.from],
+                parts: 1,
+                edges: vec![e.id],
+                credits: vec![e.queue_capacity],
+            });
+        let exchanges = self.exchanges.iter().map(|ex| Channel {
+            exchange: Some(ex.id),
+            producers: ex.producers.clone(),
+            parts: ex.parts,
+            edges: ex.edges.clone(),
+            credits: (0..ex.parts)
+                .map(|j| {
+                    ex.edges
+                        .iter()
+                        .skip(j)
+                        .step_by(ex.parts)
+                        .map(|&e| capacity(e))
+                        .sum()
+                })
+                .collect(),
+        });
+        fabric.chain(exchanges).collect()
     }
 
     /// The spine of pipeline `tip`: the chain of pipelines connected by
