@@ -1,39 +1,42 @@
 //! Benches for the memory substrate: E7 (Figure 5, near-memory filter),
 //! E8 (pointer chasing), E9 (transposition), E14 (buffer pool).
 
+use df_bench::experiments::e07_near_memory::{at_most, decompress_graph, filter_plan};
 use df_bench::microbench::Bench;
 use df_bench::workload;
+use df_core::exec::push::{execute, execute_graph, ExecEnv};
+use df_fabric::topology::{DisaggregatedConfig, Topology};
 use df_mem::accel::NearMemAccelerator;
 use df_mem::btree;
 use df_mem::bufferpool::BufferPool;
 use df_mem::region::{MemRegion, Placement};
-use df_storage::predicate::StoragePredicate;
-use df_storage::zonemap::CmpOp;
 
 const ROWS: usize = 50_000;
 
 fn main() {
     let mut bench = Bench::from_env();
 
-    // E7 / Figure 5: the filter functional unit across selectivities.
+    // E7 / Figure 5: E7's placed plans, filtering on the near-memory
+    // accelerator across selectivities, and decompress-on-demand (the CPU
+    // encodes, the accelerator decodes and filters).
     {
         let batch = workload::lineitem(ROWS, 42)
             .project_names(&["l_orderkey", "l_quantity", "l_price"])
             .unwrap();
+        let topology = Topology::disaggregated(&DisaggregatedConfig::default());
+        let mem = topology.expect_device("compute0.mem");
+        let env = ExecEnv {
+            topology: Some(&topology),
+            ..ExecEnv::in_memory()
+        };
         let mut group = bench.group("fig5_near_memory_filter");
         for bound in [1i64, 25, 50] {
-            let predicate = StoragePredicate::cmp("l_quantity", CmpOp::Le, bound);
-            group.bench(&bound.to_string(), || {
-                let mut accel = NearMemAccelerator::new();
-                accel.filter(&batch, &predicate).unwrap()
-            });
+            let plan = filter_plan(&topology, &batch, at_most(bound), mem, mem);
+            group.bench(&bound.to_string(), || execute(&plan, &env).unwrap());
         }
-        // Decompress-on-demand path.
-        let mut accel = NearMemAccelerator::new();
-        let frame = accel.compress(&batch);
+        let graph = decompress_graph(&topology, &batch, at_most(5));
         group.bench("decompress_on_demand", || {
-            let mut accel = NearMemAccelerator::new();
-            accel.decompress(std::slice::from_ref(&frame)).unwrap()
+            execute_graph(&graph, &env, "decompress-on-demand").unwrap()
         });
     }
 

@@ -98,9 +98,9 @@ fn host_batch(schema: &SchemaRef, rows: usize, host: usize) -> Batch {
     Batch::new(schema.clone(), cols).expect("host batch")
 }
 
-/// Identity projection pinned to `device` — moves the stream onto the
-/// exchange-tip device without changing it.
-fn reshape_on(input: PhysNode, schema: &SchemaRef, device: DeviceId) -> PhysNode {
+/// Identity projection pinned to `device` — moves the stream onto that
+/// device (an exchange tip, E7's CPU) without changing it.
+pub(crate) fn reshape_on(input: PhysNode, schema: &SchemaRef, device: DeviceId) -> PhysNode {
     PhysNode::Project {
         exprs: schema
             .fields()

@@ -64,6 +64,7 @@ pub fn traceable() -> Vec<(&'static str, TraceFn)> {
         ("E4", e04_nic_pipeline::trace_run),
         ("E5", e05_scatter_join::trace_run),
         ("E6", e06_nic_count::trace_run),
+        ("E7", e07_near_memory::trace_run),
     ]
 }
 

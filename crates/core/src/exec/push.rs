@@ -30,7 +30,11 @@
 //!   senders drop, so every consumer of the channel fails too: the first
 //!   with the producer's own typed error, the rest with an internal error
 //!   naming it. A consumer that fails hangs up its queue; a producer stops
-//!   once every part has hung up and leaves the consumers' errors to win;
+//!   once every part has hung up and leaves the consumers' errors to win.
+//!   Either failure, or one of the root pipeline, aborts the query: every
+//!   part queue no consumer has taken yet hangs up, so no producer waits
+//!   on a part whose consumer will never come, and no channel starts
+//!   after that;
 //! - **local edges** — same-placement handoffs stay plain function calls
 //!   and execute inline, preserving the exact single-threaded behavior.
 //! - **punctuation** — a [`PipelineSource::Stream`] emits a frontier
@@ -47,7 +51,7 @@
 //! layout, so partials from any device merge interchangeably.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::Scope;
 
 use df_codec::edge::{self as edge_codec, EdgeEncoding};
@@ -226,12 +230,14 @@ pub fn execute_graph(graph: &PipelineGraph, env: &ExecEnv, variant: &str) -> Res
         let trace = runner.trace(runner.root_lane);
         let _query = open_span(trace, &format!("query [{variant}]"), &[]);
         std::thread::scope(|scope| {
-            runner.run_pipeline(scope, graph.root, trace, None, &mut |flow| {
-                if let Flow::Data(b) = flow {
-                    batches.push(b);
-                }
-                Ok(())
-            })
+            runner
+                .run_pipeline(scope, graph.root, trace, None, &mut |flow| {
+                    if let Flow::Data(b) = flow {
+                        batches.push(b);
+                    }
+                    Ok(())
+                })
+                .inspect_err(|e| runner.abort(e.to_string()))
         })?;
     }
     Ok(runner.into_outcome(batches))
@@ -364,6 +370,8 @@ struct Runner<'a, 'b> {
     part_of_edge: Vec<Option<(usize, usize)>>,
     /// Per channel: its queues and failure record.
     states: Vec<Mutex<ChannelState>>,
+    /// The message of the failure that aborted the query, once one has.
+    aborted: OnceLock<String>,
 }
 
 impl<'a, 'b> Runner<'a, 'b> {
@@ -400,6 +408,20 @@ impl<'a, 'b> Runner<'a, 'b> {
             states: channels.iter().map(|_| Mutex::default()).collect(),
             channels,
             part_of_edge,
+            aborted: OnceLock::new(),
+        }
+    }
+
+    /// End the query after the failure `cause`: every part queue no
+    /// consumer has taken hangs up, waking the producers blocked on it, and
+    /// no channel starts from here on. Surviving fragments still drain the
+    /// parts they hold to the end of their streams.
+    fn abort(&self, cause: String) {
+        let _ = self.aborted.set(cause);
+        for state in &self.states {
+            if let Some(receivers) = lock_tolerant(state).receivers.as_mut() {
+                receivers.iter_mut().for_each(|rx| *rx = None);
+            }
         }
     }
 
@@ -919,6 +941,9 @@ impl<'a, 'b> Runner<'a, 'b> {
     ) -> Result<()> {
         let rx = {
             let mut state = lock_tolerant(&self.states[cid]);
+            if let Some(cause) = self.aborted.get() {
+                return Err(EngineError::Internal(format!("query aborted: {cause}")));
+            }
             let receivers = state.receivers.get_or_insert_with(|| {
                 let ch = &self.channels[cid];
                 let (txs, rxs): (Vec<_>, Vec<_>) = ch
@@ -1040,16 +1065,17 @@ impl<'a, 'b> Runner<'a, 'b> {
             span.annotate("credit_waits", credit_waits);
         }
         drop(span);
-        // Record a genuine failure before `txs` drops; a hang-up of every
-        // part stays silent — the consumers' own errors win.
+        // Record a genuine failure before `txs` drops, and only then abort
+        // the query, so no error the abort causes can be recorded ahead of
+        // it; a hang-up of every part stays silent — the consumers' own
+        // errors win.
         if let Err(e) = result {
             if txs.iter().any(Option::is_some) {
+                let message = e.to_string();
                 lock_tolerant(&self.states[cid])
                     .failure
-                    .get_or_insert_with(|| {
-                        let message = e.to_string();
-                        (Some(e), message)
-                    });
+                    .get_or_insert_with(|| (Some(e), message.clone()));
+                self.abort(message);
             }
         }
     }

@@ -1,12 +1,18 @@
-//! The near-memory accelerator and its functional units (§5.2, §5.4).
+//! The near-memory accelerator's structural functional units (§5.2, §5.4).
 //!
 //! §5.4 asks: "What kind of hardware functional units should a near-memory
-//! accelerator carry?" and answers with a list. Each item is a unit here:
+//! accelerator carry?" and answers with a list. Its first two items are
+//! not units here but placements in the pipeline-graph IR, run by the push
+//! executor like any other plan:
 //!
-//! - **filter** by value/range/function — [`NearMemAccelerator::filter`]
-//!   (the Figure 5 data path: only filtered data proceeds to the caches)
-//! - **decompress on demand** — [`NearMemAccelerator::decompress`] ("keeping
-//!   data in memory compressed and having the accelerator decompress")
+//! - **filter** by value/range/function is a `Filter` placed on the
+//!   accelerator's device (`compute0.mem`), so only filtered data crosses
+//!   to the CPU (the Figure 5 data path);
+//! - **decompress on demand** is a compressed edge into that device, which
+//!   its `Decompress` rate decodes in-path.
+//!
+//! The rest walk memory structures and are units here:
+//!
 //! - **pointer chasing** — [`NearMemAccelerator::chase`] /
 //!   [`NearMemAccelerator::chase_range`] ("traverse a hierarchical
 //!   structure and only send leaf data blocks up the pipeline")
@@ -20,12 +26,7 @@
 //! is the difference between `stats().bytes_in` (what it touched) and
 //! `stats().bytes_out` (what it sent up the pipeline toward the CPU).
 
-use std::sync::Arc;
-
-use df_codec::wire::{decode_batch, encode_batch, WireOptions};
 use df_data::{Batch, RowPage};
-use df_sim::trace::{LaneId, LaneKind, Tracer};
-use df_storage::predicate::StoragePredicate;
 
 use crate::btree::{self, BTree};
 use crate::region::MemRegion;
@@ -42,22 +43,10 @@ pub struct AccelStats {
     pub ops: u64,
 }
 
-impl AccelStats {
-    /// Reduction achieved before data reaches the CPU.
-    pub fn reduction_factor(&self) -> f64 {
-        if self.bytes_out == 0 {
-            f64::INFINITY
-        } else {
-            self.bytes_in as f64 / self.bytes_out as f64
-        }
-    }
-}
-
 /// An M7 DAX-style near-memory accelerator.
 #[derive(Debug, Default)]
 pub struct NearMemAccelerator {
     stats: AccelStats,
-    trace: Option<(Arc<Tracer>, LaneId)>,
 }
 
 impl NearMemAccelerator {
@@ -66,85 +55,13 @@ impl NearMemAccelerator {
         NearMemAccelerator::default()
     }
 
-    /// Attach a tracer; each functional-unit invocation records a span on
-    /// `lane` annotated with the bytes it read and forwarded.
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>, lane: &str) -> Self {
-        let lane = tracer.lane(lane, LaneKind::Wall);
-        self.trace = Some((tracer, lane));
-        self
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> AccelStats {
         self.stats
     }
 
-    /// Reset statistics between experiment phases.
-    pub fn reset_stats(&mut self) {
-        self.stats = AccelStats::default();
-    }
-
-    /// Filter a memory-resident batch by value, range, or function — the
-    /// predicate language doubles as the "provided filtering function"
-    /// (§5.4). Only the survivors count as output.
-    pub fn filter(&mut self, batch: &Batch, predicate: &StoragePredicate) -> Result<Batch> {
-        let trace = self.trace.clone();
-        let mut _span = trace.as_ref().map(|(t, lane)| {
-            t.span_with(*lane, "filter", &[("bytes_in", batch.byte_size() as u64)])
-        });
-        self.stats.ops += 1;
-        self.stats.bytes_in += batch.byte_size() as u64;
-        let selection = predicate.evaluate(batch)?;
-        let out = if selection.all_set() {
-            batch.clone()
-        } else {
-            batch.filter(&selection)?
-        };
-        self.stats.bytes_out += out.byte_size() as u64;
-        if let Some(span) = _span.as_mut() {
-            span.annotate("bytes_out", out.byte_size() as u64);
-        }
-        Ok(out)
-    }
-
-    /// Decompress wire frames on demand: data stays compressed in memory;
-    /// the rest of the pipeline sees only decoded batches (§5.4).
-    pub fn decompress(&mut self, frames: &[Vec<u8>]) -> Result<Vec<Batch>> {
-        let trace = self.trace.clone();
-        let _span = trace
-            .as_ref()
-            .map(|(t, lane)| t.span_with(*lane, "decompress", &[("frames", frames.len() as u64)]));
-        let mut out = Vec::with_capacity(frames.len());
-        for frame in frames {
-            self.stats.ops += 1;
-            self.stats.bytes_in += frame.len() as u64;
-            let batch = decode_batch(frame, None)?;
-            self.stats.bytes_out += batch.byte_size() as u64;
-            out.push(batch);
-        }
-        Ok(out)
-    }
-
-    /// Compress a batch for storage in memory (the write side of
-    /// decompress-on-demand).
-    pub fn compress(&mut self, batch: &Batch) -> Vec<u8> {
-        let trace = self.trace.clone();
-        let _span = trace.as_ref().map(|(t, lane)| {
-            t.span_with(*lane, "compress", &[("bytes_in", batch.byte_size() as u64)])
-        });
-        self.stats.ops += 1;
-        self.stats.bytes_in += batch.byte_size() as u64;
-        let frame = encode_batch(batch, &WireOptions::compressed());
-        self.stats.bytes_out += frame.len() as u64;
-        frame
-    }
-
     /// Transpose a row page to columns (recent → historical format, §5.4).
     pub fn transpose_to_columns(&mut self, page: &RowPage) -> Result<Batch> {
-        let trace = self.trace.clone();
-        let _span = trace
-            .as_ref()
-            .map(|(t, lane)| t.span(*lane, "transpose-to-columns"));
         self.stats.ops += 1;
         self.stats.bytes_in += page.byte_size() as u64;
         let batch = page.to_batch()?;
@@ -154,10 +71,6 @@ impl NearMemAccelerator {
 
     /// Transpose columns to a row page (or "virtually reverse" the layout).
     pub fn transpose_to_rows(&mut self, batch: &Batch) -> Result<RowPage> {
-        let trace = self.trace.clone();
-        let _span = trace
-            .as_ref()
-            .map(|(t, lane)| t.span(*lane, "transpose-to-rows"));
         self.stats.ops += 1;
         self.stats.bytes_in += batch.byte_size() as u64;
         let page = RowPage::from_batch(batch)?;
@@ -174,10 +87,6 @@ impl NearMemAccelerator {
         tree: &BTree,
         keys: &[i64],
     ) -> Result<Vec<Option<i64>>> {
-        let trace = self.trace.clone();
-        let mut _span = trace
-            .as_ref()
-            .map(|(t, lane)| t.span_with(*lane, "chase", &[("keys", keys.len() as u64)]));
         let before = region.stats().bytes_read;
         let mut out = Vec::with_capacity(keys.len());
         for &key in keys {
@@ -186,9 +95,6 @@ impl NearMemAccelerator {
         }
         self.stats.bytes_in += region.stats().bytes_read - before;
         self.stats.bytes_out += (out.len() * 9) as u64; // option + value
-        if let Some(span) = _span.as_mut() {
-            span.annotate("bytes_in", region.stats().bytes_read - before);
-        }
         Ok(out)
     }
 
@@ -201,8 +107,6 @@ impl NearMemAccelerator {
         lo: i64,
         hi: i64,
     ) -> Result<Vec<(i64, i64)>> {
-        let trace = self.trace.clone();
-        let _span = trace.as_ref().map(|(t, lane)| t.span(*lane, "chase-range"));
         let before = region.stats().bytes_read;
         self.stats.ops += 1;
         let out = btree::range(region, tree, lo, hi)?;
@@ -220,8 +124,6 @@ impl NearMemAccelerator {
         head: Option<u64>,
         keep: &dyn Fn(&[u8]) -> bool,
     ) -> Result<(Option<u64>, u64)> {
-        let trace = self.trace.clone();
-        let mut _span = trace.as_ref().map(|(t, lane)| t.span(*lane, "sweep-list"));
         let mut removed = 0u64;
         let mut new_head: Option<u64> = None;
         let mut prev: Option<u64> = None;
@@ -248,9 +150,6 @@ impl NearMemAccelerator {
         if let Some(p) = prev {
             let (_, payload) = read_list_node(region, p)?;
             write_list_node(region, p, None, &payload)?;
-        }
-        if let Some(span) = _span.as_mut() {
-            span.annotate("removed", removed);
         }
         Ok((new_head, removed))
     }
@@ -324,33 +223,12 @@ mod tests {
     use crate::region::Placement;
     use df_data::batch::batch_of;
     use df_data::Column;
-    use df_storage::zonemap::CmpOp;
 
     fn sample(n: usize) -> Batch {
         batch_of(vec![
             ("k", Column::from_i64((0..n as i64).collect())),
             ("v", Column::from_f64((0..n).map(|i| i as f64).collect())),
         ])
-    }
-
-    #[test]
-    fn filter_reduces_before_cpu() {
-        let mut accel = NearMemAccelerator::new();
-        let out = accel
-            .filter(&sample(1000), &StoragePredicate::cmp("k", CmpOp::Lt, 10i64))
-            .unwrap();
-        assert_eq!(out.rows(), 10);
-        assert!(accel.stats().reduction_factor() > 50.0);
-    }
-
-    #[test]
-    fn compress_decompress_roundtrip() {
-        let mut accel = NearMemAccelerator::new();
-        let batch = sample(5000);
-        let frame = accel.compress(&batch);
-        assert!(frame.len() < batch.byte_size());
-        let back = accel.decompress(&[frame]).unwrap();
-        assert_eq!(back[0].canonical_rows(), batch.canonical_rows());
     }
 
     #[test]

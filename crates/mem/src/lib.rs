@@ -15,9 +15,11 @@
 //!   placeable locally or on a disaggregated memory node
 //! - [`btree`] — a page-based B-tree stored in a region (the hierarchical
 //!   structure of the pointer-chasing scenario, §5.4)
-//! - [`accel`] — the near-memory accelerator and its functional units:
-//!   filter, decompress-on-demand, transpose, pointer-chase, and list
-//!   primitives — the M7 DAX-style unit of Figure 5
+//! - [`accel`] — the near-memory accelerator's structural functional
+//!   units: transpose, pointer-chase, and list primitives. Its filter and
+//!   decompress-on-demand (Figure 5) are not here: they are a `Filter`
+//!   placed on the accelerator's device and a compressed edge into it,
+//!   which df-core's push executor runs like any other placed plan
 
 pub mod accel;
 pub mod btree;
@@ -36,12 +38,8 @@ pub enum MemError {
     PoolExhausted,
     /// Structure bytes are malformed.
     Corrupt(String),
-    /// Codec failure (decompress-on-demand).
-    Codec(df_codec::CodecError),
     /// Data-model failure.
     Data(df_data::DataError),
-    /// Storage-predicate failure in a filter unit.
-    Storage(df_storage::StorageError),
 }
 
 impl fmt::Display for MemError {
@@ -50,30 +48,16 @@ impl fmt::Display for MemError {
             MemError::BadPage(p) => write!(f, "bad page {p}"),
             MemError::PoolExhausted => write!(f, "buffer pool exhausted (all pinned)"),
             MemError::Corrupt(msg) => write!(f, "corrupt structure: {msg}"),
-            MemError::Codec(e) => write!(f, "codec: {e}"),
             MemError::Data(e) => write!(f, "data: {e}"),
-            MemError::Storage(e) => write!(f, "storage: {e}"),
         }
     }
 }
 
 impl std::error::Error for MemError {}
 
-impl From<df_codec::CodecError> for MemError {
-    fn from(e: df_codec::CodecError) -> Self {
-        MemError::Codec(e)
-    }
-}
-
 impl From<df_data::DataError> for MemError {
     fn from(e: df_data::DataError) -> Self {
         MemError::Data(e)
-    }
-}
-
-impl From<df_storage::StorageError> for MemError {
-    fn from(e: df_storage::StorageError) -> Self {
-        MemError::Storage(e)
     }
 }
 

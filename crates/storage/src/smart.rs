@@ -121,7 +121,7 @@ pub struct ScanStats {
     pub pages_pruned: u64,
     /// Bytes of blocks actually read from the object store.
     pub bytes_scanned: u64,
-    /// Bytes of output shipped to the client (wire-encoded size).
+    /// Bytes of output shipped to the client (plain wire-frame size).
     pub bytes_returned: u64,
     /// Rows read (after pruning, before filtering).
     pub rows_scanned: u64,
@@ -143,20 +143,16 @@ impl ScanStats {
 /// The smart-storage server for one table store.
 pub struct SmartStorage {
     tables: TableStore,
-    /// Wire options for encoding results (compression on the return path).
-    pub wire: WireOptions,
     /// Optional tracer; scans record a wall span on the storage lane.
     /// `OnceLock` keeps the disabled fast path lock-free.
     trace: OnceLock<(Arc<Tracer>, LaneId)>,
 }
 
 impl SmartStorage {
-    /// A server over the given table store, returning plain (uncompressed)
-    /// frames.
+    /// A server over the given table store.
     pub fn new(tables: TableStore) -> Self {
         SmartStorage {
             tables,
-            wire: WireOptions::plain(),
             trace: OnceLock::new(),
         }
     }
@@ -225,7 +221,6 @@ impl SmartStorage {
             })
             .transpose()?;
         let mut emitted_rows = 0u64;
-        let mut frame_counter = 0u64;
 
         'segments: for reader in &readers {
             for page in 0..reader.n_pages() {
@@ -273,7 +268,7 @@ impl SmartStorage {
                 let out = self.apply_limit(out, &mut emitted_rows, request.limit);
                 if !out.is_empty() {
                     stats.rows_returned += out.rows() as u64;
-                    stats.bytes_returned += self.encoded_size(&out, &mut frame_counter) as u64;
+                    stats.bytes_returned += wire::wire_size(&out, &WireOptions::plain()) as u64;
                     sink(out);
                 }
                 if let Some(limit) = request.limit {
@@ -289,7 +284,7 @@ impl SmartStorage {
                 let out = self.apply_limit(out, &mut emitted_rows, request.limit);
                 if !out.is_empty() {
                     stats.rows_returned += out.rows() as u64;
-                    stats.bytes_returned += self.encoded_size(&out, &mut frame_counter) as u64;
+                    stats.bytes_returned += wire::wire_size(&out, &WireOptions::plain()) as u64;
                     sink(out);
                 }
             }
@@ -328,15 +323,6 @@ impl SmartStorage {
                 }
             }
         }
-    }
-
-    fn encoded_size(&self, batch: &Batch, counter: &mut u64) -> usize {
-        let mut opts = self.wire;
-        if let Some((_, c)) = opts.encrypt.as_mut() {
-            *c = *counter;
-        }
-        *counter += 1;
-        wire::wire_size(batch, &opts)
     }
 
     /// The schema a request's output batches will have.

@@ -1,18 +1,21 @@
 //! §5's near-memory functional units working together on an HTAP-flavoured
 //! scenario: fresh rows land in row pages, the transposition unit converts
-//! them to columns, the filter unit reduces them before the caches, and the
-//! pointer-chasing unit serves index lookups at the memory controller.
+//! them to columns, a filter placed on the accelerator reduces them before
+//! the caches, and the pointer-chasing unit serves index lookups at the
+//! memory controller.
 //!
 //! ```text
 //! cargo run --release --example near_memory_htap
 //! ```
 
+use rheo::bench::experiments::e07_near_memory::{bytes_into, filter_plan};
 use rheo::bench::workload;
+use rheo::core::exec::push::{execute, ExecEnv};
+use rheo::core::expr::{col, lit};
+use rheo::fabric::topology::{DisaggregatedConfig, Topology};
 use rheo::mem::accel::NearMemAccelerator;
 use rheo::mem::btree;
 use rheo::mem::region::{MemRegion, Placement};
-use rheo::storage::predicate::StoragePredicate;
-use rheo::storage::zonemap::CmpOp;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut accel = NearMemAccelerator::new();
@@ -32,21 +35,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(columns.canonical_rows(), fresh.canonical_rows());
     println!("transposed back to columnar — bit-exact roundtrip");
 
-    // 3. Analytical filter along the DRAM→cache path (Figure 5): only
-    //    high-priority rows proceed toward the cores.
-    let hot = accel.filter(
-        &columns,
-        &StoragePredicate::cmp("o_priority", CmpOp::Eq, 4i64),
-    )?;
-    let stats = accel.stats();
+    // 3. Analytical filter along the DRAM→cache path (Figure 5): the
+    //    filter is placed on the accelerator, so only high-priority rows
+    //    cross to the cores.
+    let topology = Topology::disaggregated(&DisaggregatedConfig::default());
+    let mem = topology.expect_device("compute0.mem");
+    let cpu = topology.expect_device("compute0.cpu");
+    let plan = filter_plan(&topology, &columns, col("o_priority").eq(lit(4)), mem, mem);
+    let env = ExecEnv {
+        topology: Some(&topology),
+        ..ExecEnv::in_memory()
+    };
+    let hot = execute(&plan, &env)?;
     println!(
         "near-memory filter: {} of {} rows proceed to the caches \
-         ({} bytes in, {} bytes out, {:.1}x reduction so far across units)",
+         ({} of {} bytes cross to the CPU)",
         hot.rows(),
         columns.rows(),
-        stats.bytes_in,
-        stats.bytes_out,
-        stats.reduction_factor()
+        bytes_into(&hot.ledger, cpu),
+        columns.byte_size()
     );
 
     // 4. Index lookups via the pointer-chasing unit: the B-tree lives in a

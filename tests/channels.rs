@@ -2,8 +2,9 @@
 //! kind of credit-bounded channel ([`PipelineGraph::channels`]). These
 //! tests pin what that one runtime guarantees on exchange plans: a codec
 //! decision only where a codec was compiled or [`CodecPolicy::Auto`] asks
-//! for one, and a producer failure that reaches every consumer of its
-//! channel, typed, without hanging.
+//! for one, a producer failure that reaches every consumer of its
+//! channel, typed, without hanging, and a consumer's own failure that ends
+//! the query.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -54,6 +55,15 @@ fn cluster_join(
         true,
     )
     .expect("cluster plan")
+}
+
+/// `batch` in `rows`-row pieces, dealt alternately to two hosts.
+fn deal(batch: &Batch, rows: usize) -> Vec<Vec<Batch>> {
+    let mut parts = vec![Vec::new(), Vec::new()];
+    for (i, piece) in batch.split(rows).unwrap().into_iter().enumerate() {
+        parts[i % 2].push(piece);
+    }
+    parts
 }
 
 fn env<'a>(topology: &'a Topology, codec: CodecPolicy) -> ExecEnv<'a> {
@@ -193,4 +203,44 @@ fn failing_build_producer_fails_every_join_fragment() {
         .expect("query returns within 20 s")
         .expect_err("a failed build producer fails the query");
     assert!(err.to_string().contains("device lost mid-query"), "{err}");
+}
+
+#[test]
+fn failing_join_fragment_ends_the_query() {
+    // The same two-exchange join, but the failure is a consumer's own:
+    // host 0's build side runs `o_orderkey AND o_orderkey`, a type error
+    // at its first batch. Host 0 never drains its probe part, so the probe
+    // producers block on it unless the failure aborts the whole query.
+    let topology = Topology::cluster(2, &ClusterConfig::default());
+    let orders = workload::orders(2000, 1);
+    let lineitem = workload::lineitem(8000, 1);
+    let mut plan = cluster_join(
+        &topology,
+        &orders,
+        &deal(&orders, 50),
+        &lineitem,
+        &deal(&lineitem, 200),
+    );
+    let PhysNode::Exchange { inputs, .. } = &mut plan.root else {
+        panic!("the plan gathers its join fragments");
+    };
+    let PhysNode::HashJoin { build, device, .. } = &mut inputs[0] else {
+        panic!("host 0 runs a join fragment");
+    };
+    **build = PhysNode::Filter {
+        input: build.clone(),
+        predicate: col("o_orderkey").and(col("o_orderkey")),
+        device: *device,
+        use_kernel: false,
+    };
+    let (done, result) = mpsc::channel();
+    std::thread::spawn(move || {
+        let env = env(&topology, CodecPolicy::AsCompiled);
+        let _ = done.send(execute(&plan, &env).map(|o| o.rows()));
+    });
+    let err = result
+        .recv_timeout(Duration::from_secs(10))
+        .expect("query returns within 10 s")
+        .expect_err("a failed join fragment fails the query");
+    assert!(matches!(err, EngineError::Data(_)), "{err:?}");
 }
