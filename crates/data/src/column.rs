@@ -233,8 +233,9 @@ impl Column {
     /// Panics on non-Utf8 columns, and on a row that is not valid UTF-8,
     /// which no constructor or decoder produces: decoders reject payloads
     /// with invalid bytes or with an offset inside a character. Bulk paths
-    /// (the predicate kernel, `gather`, `filter`) read rows as bytes and
-    /// skip this per-row check.
+    /// (the predicate kernel, key hashing, the aggregation kernel's Utf8
+    /// key probe, `gather`, `filter`) read rows as bytes and skip this
+    /// per-row check.
     pub fn str_at(&self, i: usize) -> &str {
         match self {
             Column::Utf8 { offsets, data, .. } => {

@@ -7,7 +7,8 @@
 //! an Int64 key never equals a Float64 one, floats compare by bits
 //! (`-0.0 ≠ 0.0`; a NaN equals only the same bits), and a hash collision
 //! only costs a chain walk. A single Int64 key skips the encoding and
-//! probes an `i64 → id` map directly.
+//! probes an `i64 → id` map directly; a single Utf8 key compares its
+//! payload bytes against the stored keys in place.
 
 use crate::hash::{hash_bytes, mix, FxHashMap};
 use crate::{Column, Scalar, ValueRef};
@@ -57,12 +58,19 @@ pub fn hash_column(col: &Column, hashes: &mut [u64]) {
                 }
             }
         },
-        Column::Utf8 { .. } => {
+        Column::Utf8 {
+            offsets,
+            data,
+            validity,
+        } => {
+            // Straight from offsets and bytes: the column already holds
+            // valid UTF-8, so `str_at`'s per-row check would only cost.
             for (i, h) in hashes.iter_mut().enumerate() {
-                *h = if col.is_null(i) {
+                *h = if validity.as_ref().is_some_and(|v| !v.get(i)) {
                     mix(*h, 0)
                 } else {
-                    hash_bytes(mix(*h, 3), col.str_at(i).as_bytes())
+                    let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
+                    hash_bytes(mix(*h, 3), &data[lo..hi])
                 };
             }
         }
@@ -101,12 +109,22 @@ pub fn encode_key_value(key: &mut Vec<u8>, col: &Column, row: usize) {
             key.push(2);
             key.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        ValueRef::Str(s) => {
+        ValueRef::Str(s) => encode_str_key(key, Some(s.as_bytes())),
+        ValueRef::Bool(v) => key.extend_from_slice(&[4, v as u8]),
+    }
+}
+
+/// The key bytes of one Utf8 value (`None` is NULL): tag 3, the payload
+/// length, the payload.
+#[inline]
+fn encode_str_key(key: &mut Vec<u8>, payload: Option<&[u8]>) {
+    match payload {
+        None => key.push(0),
+        Some(s) => {
             key.push(3);
             key.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            key.extend_from_slice(s.as_bytes());
+            key.extend_from_slice(s);
         }
-        ValueRef::Bool(v) => key.extend_from_slice(&[4, v as u8]),
     }
 }
 
@@ -198,9 +216,15 @@ impl GroupTable {
     /// The id of the key with these encoded bytes, given their hash.
     #[inline]
     pub fn find(&self, hash: u64, key: &[u8]) -> Option<u32> {
+        self.find_by(hash, |stored| stored == key)
+    }
+
+    /// The first id under `hash` whose stored key bytes satisfy `eq`.
+    #[inline]
+    fn find_by(&self, hash: u64, eq: impl Fn(&[u8]) -> bool) -> Option<u32> {
         let mut gi = self.by_hash.get(&hash).copied().unwrap_or(NO_GROUP);
         while gi != NO_GROUP {
-            if self.key(gi) == key {
+            if eq(self.key(gi)) {
                 return Some(gi);
             }
             gi = self.chain[gi as usize];
@@ -210,13 +234,41 @@ impl GroupTable {
 
     /// Add a key not in the table; returns its id.
     pub fn insert(&mut self, hash: u64, key: &[u8]) -> u32 {
-        let gi = self.key_spans.len() as u32;
-        self.key_spans
-            .push((self.key_data.len() as u32, key.len() as u32));
+        let start = self.key_data.len();
         self.key_data.extend_from_slice(key);
+        self.link(hash, start)
+    }
+
+    /// Index the key bytes appended to the arena from `start` on as a new
+    /// group under `hash`; returns its id.
+    fn link(&mut self, hash: u64, start: usize) -> u32 {
+        let gi = self.key_spans.len() as u32;
+        let len = self.key_data.len() - start;
+        self.key_spans.push((start as u32, len as u32));
         let head = self.by_hash.insert(hash, gi).unwrap_or(NO_GROUP);
         self.chain.push(head);
         gi
+    }
+
+    /// The id of a single Utf8 key (`None` is the NULL key), given its
+    /// hash. Compares the payload against each candidate's stored bytes in
+    /// place, without encoding the key first.
+    #[inline]
+    pub fn find_str(&self, hash: u64, value: Option<&[u8]>) -> Option<u32> {
+        self.find_by(hash, |key| match value {
+            // Tag 3 and a length that fits the stored bytes: the length
+            // word then holds the payload's length.
+            Some(s) => key.len() == 5 + s.len() && key[0] == 3 && key[5..] == *s,
+            None => key == [0],
+        })
+    }
+
+    /// Add a single Utf8 key not in the table; returns its id. Its encoded
+    /// bytes are the ones [`encode_key_value`] writes.
+    pub fn insert_str(&mut self, hash: u64, value: Option<&[u8]>) -> u32 {
+        let start = self.key_data.len();
+        encode_str_key(&mut self.key_data, value);
+        self.link(hash, start)
     }
 
     /// The id of a single Int64 key (`None` is the NULL key).
@@ -283,5 +335,28 @@ mod tests {
                 assert_eq!(scalar, col.scalar_at(row));
             }
         }
+    }
+
+    #[test]
+    fn utf8_probe_matches_the_encoded_key() {
+        let col = Column::from_opt_strs(&[Some("ab"), None, Some(""), Some("a"), Some("héllo")]);
+        let mut hashes = vec![HASH_INIT; col.len()];
+        hash_column(&col, &mut hashes);
+        let payload = |row: usize| (!col.is_null(row)).then(|| col.str_at(row).as_bytes());
+        let mut table = GroupTable::new();
+        for (row, &hash) in hashes.iter().enumerate() {
+            assert_eq!(table.find_str(hash, payload(row)), None);
+            let gi = table.insert_str(hash, payload(row));
+            let mut key = Vec::new();
+            encode_key_value(&mut key, &col, row);
+            assert_eq!(table.key(gi), key);
+            assert_eq!(table.find(hash, &key), Some(gi));
+        }
+        for (row, &hash) in hashes.iter().enumerate() {
+            assert_eq!(table.find_str(hash, payload(row)), Some(row as u32));
+        }
+        // A prefix, or the empty string under NULL's hash, is another key.
+        assert_eq!(table.find_str(hashes[0], Some(b"a")), None);
+        assert_eq!(table.find_str(hashes[1], Some(b"")), None);
     }
 }

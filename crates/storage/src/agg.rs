@@ -22,20 +22,28 @@
 //! a global aggregate over no rows, with SQL's identity row; a partial
 //! stage over no rows emits nothing.
 //!
-//! Group hashes are computed column-at-a-time into a scratch buffer reused
-//! across pushes, encoded key bytes live in one arena (not a `Vec<u8>` per
-//! row), and accumulators sit in a flat strided vector. A single Int64
-//! group key skips key encoding and probes an `i64 → group` index directly.
-//! Steady-state `push` (all groups already present) performs no per-row
-//! heap allocation. `drain` sorts groups by their encoded key bytes, so
-//! every device emits the same rows in the same order.
+//! A batch folds a column at a time. First its rows resolve to group ids
+//! in one reused vector: a global aggregate maps every row to one id, a
+//! single Int64 key probes an `i64 → group` index, a single Utf8 key
+//! compares payload bytes in place, and any other key is hashed
+//! column-at-a-time and encoded per row. Encoded key bytes live in one
+//! arena, not a `Vec<u8>` per row. Then each call folds over the ids into
+//! its own accumulator column: typed loops over the value slices and
+//! validity for COUNT, SUM and AVG over numeric input, and a row at a time
+//! for MIN/MAX and other inputs. A bounded stage resolves up to the row
+//! whose new key meets a full table, folds that run, drains, and resumes,
+//! so each group still adds its values in row order. Steady-state `push`
+//! (all groups already present) performs no per-row heap allocation.
+//! `drain` sorts groups by their encoded key bytes, so every device emits
+//! the same rows in the same order.
 
 use std::fmt;
+use std::ops::Range;
 
 use df_data::keys::{decode_key_scalar, encode_key_value, hash_column, GroupTable, HASH_INIT};
 use df_data::{
-    Batch, Column, ColumnBuilder, DataError, DataType, Field, Result, Scalar, Schema, SchemaRef,
-    ValueRef,
+    Batch, Bitmap, Column, ColumnBuilder, DataError, DataType, Field, Result, Scalar, Schema,
+    SchemaRef, ValueRef,
 };
 
 /// An aggregate function.
@@ -219,25 +227,41 @@ pub fn output_schema(
     })
 }
 
+/// One call's accumulators, a column over group ids: `Count(n)` holds
+/// group `gi`'s count at `n[gi]`.
 #[derive(Debug, Clone)]
 enum Acc {
-    Count(i64),
+    Count(Vec<i64>),
     SumInt {
-        sum: i64,
-        seen: bool,
+        sum: Vec<i64>,
+        seen: Vec<bool>,
     },
     SumFloat {
-        sum: f64,
-        seen: bool,
+        sum: Vec<f64>,
+        seen: Vec<bool>,
     },
     MinMax {
-        current: Option<Scalar>,
+        current: Vec<Option<Scalar>>,
         is_min: bool,
     },
     Avg {
-        sum: f64,
-        count: i64,
+        sum: Vec<f64>,
+        count: Vec<i64>,
     },
+}
+
+/// How a batch's rows find their group ids. Fixed at construction: the
+/// table indexes every key through one path.
+#[derive(Debug, Clone, Copy)]
+enum KeyPath {
+    /// No group key: every row is group 0.
+    Global,
+    /// One Int64 key, probed through the table's `i64 → id` index.
+    Int,
+    /// One Utf8 key, compared on its payload bytes in place.
+    Str,
+    /// Any other key: hashed column-at-a-time, then encoded per row.
+    Encoded,
 }
 
 /// The hash aggregation kernel.
@@ -248,12 +272,11 @@ pub struct HashAggOp {
     /// Output schema: partial layout for bounded stages, final otherwise.
     out_schema: SchemaRef,
     table: GroupTable,
-    /// One slot per (group, call): `accs[gi * aggs.len() + call]`.
+    /// One accumulator column per call, each indexed by group id.
     accs: Vec<Acc>,
-    /// Identity accumulators, cloned per new group.
-    acc_template: Vec<Acc>,
-    /// Whether the group key is a single non-encoded Int64 (fast path).
-    single_int_key: bool,
+    key_path: KeyPath,
+    /// Group ids of the rows being folded, reused across pushes.
+    ids: Vec<u32>,
     /// Per-row group hashes, reused across pushes.
     scratch_hashes: Vec<u64>,
     /// Row key encoding buffer, reused across rows and pushes.
@@ -274,7 +297,7 @@ impl HashAggOp {
         final_schema: SchemaRef,
     ) -> Result<HashAggOp> {
         let merge = matches!(mode, AggMode::Merge { .. });
-        let mut acc_template = Vec::with_capacity(aggs.len());
+        let mut accs = Vec::with_capacity(aggs.len());
         // In Merge mode the partial layout is positional: group columns,
         // then one column per call (two for AVG).
         let mut partial_col = group_by.len();
@@ -292,30 +315,43 @@ impl HashAggOp {
                 _ => false,
             };
             partial_col += if agg.func == AggFn::Avg { 2 } else { 1 };
-            acc_template.push(match agg.func {
-                AggFn::Count => Acc::Count(0),
+            accs.push(match agg.func {
+                AggFn::Count => Acc::Count(Vec::new()),
                 AggFn::Sum if sum_is_float => Acc::SumFloat {
-                    sum: 0.0,
-                    seen: false,
+                    sum: Vec::new(),
+                    seen: Vec::new(),
                 },
                 AggFn::Sum => Acc::SumInt {
-                    sum: 0,
-                    seen: false,
+                    sum: Vec::new(),
+                    seen: Vec::new(),
                 },
                 AggFn::Min | AggFn::Max => Acc::MinMax {
-                    current: None,
+                    current: Vec::new(),
                     is_min: agg.func == AggFn::Min,
                 },
-                AggFn::Avg => Acc::Avg { sum: 0.0, count: 0 },
+                AggFn::Avg => Acc::Avg {
+                    sum: Vec::new(),
+                    count: Vec::new(),
+                },
             });
         }
-        let single_int_key = group_by.len() == 1
-            && if merge {
-                // Partial layout is positional: the key is column 0.
-                !input_schema.is_empty() && input_schema.field(0).dtype == DataType::Int64
-            } else {
-                input_schema.field_by_name(&group_by[0])?.dtype == DataType::Int64
-            };
+        let key_path = match group_by.as_slice() {
+            [] => KeyPath::Global,
+            [key] => {
+                let dtype = if merge {
+                    // Partial layout is positional: the key is column 0.
+                    (!input_schema.is_empty()).then(|| input_schema.field(0).dtype)
+                } else {
+                    Some(input_schema.field_by_name(key)?.dtype)
+                };
+                match dtype {
+                    Some(DataType::Int64) => KeyPath::Int,
+                    Some(DataType::Utf8) => KeyPath::Str,
+                    _ => KeyPath::Encoded,
+                }
+            }
+            _ => KeyPath::Encoded,
+        };
         let out_schema = output_schema(&group_by, &aggs, mode, input_schema, &final_schema)?;
         Ok(HashAggOp {
             group_by,
@@ -323,9 +359,9 @@ impl HashAggOp {
             mode,
             out_schema,
             table: GroupTable::new(),
-            accs: Vec::new(),
-            acc_template,
-            single_int_key,
+            accs,
+            key_path,
+            ids: Vec::new(),
             scratch_hashes: Vec::new(),
             scratch_key: Vec::new(),
             flushes: 0,
@@ -363,23 +399,13 @@ impl HashAggOp {
         // A global aggregate over no rows still answers one row of identity
         // values under SQL, but only from a pipeline breaker.
         if self.table.is_empty() && self.group_by.is_empty() && self.mode.max_groups().is_none() {
-            self.accs.extend_from_slice(&self.acc_template);
             self.table.insert(HASH_INIT, &[]);
+            for acc in &mut self.accs {
+                acc.resize(1);
+            }
         }
         let out = self.drain()?;
         Ok(if out.is_empty() { vec![] } else { vec![out] })
-    }
-
-    /// Drain the table into `flushed` if a bounded stage is at its bound.
-    /// Called *before* inserting a new group (drain-then-insert).
-    fn maybe_flush(&mut self, flushed: &mut Vec<Batch>) -> Result<()> {
-        if let Some(max_groups) = self.mode.max_groups() {
-            if self.table.len() >= max_groups {
-                flushed.push(self.drain()?);
-                self.flushes += 1;
-            }
-        }
-        Ok(())
     }
 
     fn consume_raw(&mut self, batch: &Batch, flushed: &mut Vec<Batch>) -> Result<()> {
@@ -398,15 +424,12 @@ impl HashAggOp {
                     .transpose()
             })
             .collect::<Result<_>>()?;
-        self.fold_rows(&group_cols, batch.rows(), flushed, |accs, row| {
-            for (acc, col) in accs.iter_mut().zip(&agg_cols) {
-                let value = match col {
-                    Some(c) => c.value_at(row),
-                    None => ValueRef::Int(1), // COUNT(*): every row counts
-                };
-                update_raw(acc, value);
-            }
-        })
+        self.fold_batch(
+            &group_cols,
+            batch.rows(),
+            flushed,
+            |call, acc, ids, start| acc.fold_raw(ids, start, agg_cols[call]),
+        )
     }
 
     fn consume_partial(&mut self, batch: &Batch, flushed: &mut Vec<Batch>) -> Result<()> {
@@ -435,62 +458,117 @@ impl HashAggOp {
             })
             .collect();
         let key_cols: Vec<&Column> = (0..ngroups).map(|c| batch.column(c)).collect();
-        self.fold_rows(&key_cols, batch.rows(), flushed, |accs, row| {
-            for (acc, (c0, c1)) in accs.iter_mut().zip(&call_cols) {
-                merge_partial(acc, c0.value_at(row), c1.map(|c| c.value_at(row)));
-            }
+        self.fold_batch(&key_cols, batch.rows(), flushed, |call, acc, ids, start| {
+            let (c0, c1) = call_cols[call];
+            acc.fold_partial(ids, start, c0, c1);
         })
     }
 
-    /// Resolve every row's group — inserting new groups, and flushing a
-    /// full bounded table first — then `fold` the row into that group's
-    /// accumulators.
-    fn fold_rows(
+    /// Fold a batch in a column at a time: resolve a run of rows to group
+    /// ids — inserting new groups — then hand `fold(call, acc, ids, start)`
+    /// each call's accumulators and the run's ids (`ids[i]` is the group
+    /// of row `start + i`).
+    ///
+    /// A bounded stage ends a run at the row whose new key meets a full
+    /// table, folds the run, drains (drain-then-insert), and resumes at
+    /// that row. Rows fold in order within each call, so every group adds
+    /// its floats in the same order as a row-at-a-time fold.
+    fn fold_batch(
         &mut self,
         key_cols: &[&Column],
         rows: usize,
         flushed: &mut Vec<Batch>,
-        mut fold: impl FnMut(&mut [Acc], usize),
+        mut fold: impl FnMut(usize, &mut Acc, &[u32], usize),
     ) -> Result<()> {
-        let stride = self.aggs.len();
-        if self.single_int_key {
-            let col = key_cols[0];
-            for (row, &v) in col.i64_values()?.iter().enumerate() {
-                let key = (!col.is_null(row)).then_some(v);
-                let gi = match self.table.find_int(key) {
-                    Some(gi) => gi,
-                    None => {
-                        self.maybe_flush(flushed)?;
-                        self.accs.extend_from_slice(&self.acc_template);
-                        self.table.insert_int(key)
-                    }
-                } as usize;
-                fold(&mut self.accs[gi * stride..(gi + 1) * stride], row);
-            }
-            return Ok(());
-        }
-        self.scratch_hashes.clear();
-        self.scratch_hashes.resize(rows, HASH_INIT);
-        for col in key_cols {
-            hash_column(col, &mut self.scratch_hashes);
-        }
-        for row in 0..rows {
-            self.scratch_key.clear();
+        if matches!(self.key_path, KeyPath::Str | KeyPath::Encoded) {
+            self.scratch_hashes.clear();
+            self.scratch_hashes.resize(rows, HASH_INIT);
             for col in key_cols {
-                encode_key_value(&mut self.scratch_key, col, row);
+                hash_column(col, &mut self.scratch_hashes);
             }
-            let hash = self.scratch_hashes[row];
-            let gi = match self.table.find(hash, &self.scratch_key) {
-                Some(gi) => gi,
-                None => {
-                    self.maybe_flush(flushed)?;
-                    self.accs.extend_from_slice(&self.acc_template);
-                    self.table.insert(hash, &self.scratch_key)
-                }
-            } as usize;
-            fold(&mut self.accs[gi * stride..(gi + 1) * stride], row);
         }
-        Ok(())
+        let mut start = 0;
+        let mut drained = false;
+        loop {
+            let end = self.resolve(key_cols, start..rows, drained)?;
+            let groups = self.table.len();
+            for (call, acc) in self.accs.iter_mut().enumerate() {
+                acc.resize(groups);
+                fold(call, acc, &self.ids, start);
+            }
+            if end == rows {
+                return Ok(());
+            }
+            flushed.push(self.drain()?);
+            self.flushes += 1;
+            drained = true;
+            start = end;
+        }
+    }
+
+    /// Resolve the group ids of `rows` into `self.ids`, inserting new keys.
+    /// Stops at a row whose new key meets a full bounded table, unless it
+    /// is the first row after a drain, and returns the row it stopped at.
+    fn resolve(
+        &mut self,
+        key_cols: &[&Column],
+        rows: Range<usize>,
+        drained: bool,
+    ) -> Result<usize> {
+        let bound = self.mode.max_groups();
+        let (table, ids) = (&mut self.table, &mut self.ids);
+        let end = match self.key_path {
+            KeyPath::Global => resolve_run(table, ids, rows, bound, drained, |t, _, may_insert| {
+                if t.is_empty() {
+                    may_insert.then(|| t.insert(HASH_INIT, &[]))
+                } else {
+                    Some(0)
+                }
+            }),
+            KeyPath::Int => {
+                let (values, validity) = (key_cols[0].i64_values()?, key_cols[0].validity());
+                resolve_run(table, ids, rows, bound, drained, |t, row, may_insert| {
+                    let key = validity.is_none_or(|v| v.get(row)).then_some(values[row]);
+                    t.find_int(key)
+                        .or_else(|| may_insert.then(|| t.insert_int(key)))
+                })
+            }
+            KeyPath::Str => {
+                let Column::Utf8 {
+                    offsets,
+                    data,
+                    validity,
+                } = key_cols[0]
+                else {
+                    return Err(DataError::TypeMismatch {
+                        expected: "utf8".into(),
+                        actual: key_cols[0].data_type().to_string(),
+                    });
+                };
+                let hashes = &self.scratch_hashes;
+                resolve_run(table, ids, rows, bound, drained, |t, row, may_insert| {
+                    let valid = validity.as_ref().is_none_or(|v| v.get(row));
+                    let key =
+                        valid.then(|| &data[offsets[row] as usize..offsets[row + 1] as usize]);
+                    let hash = hashes[row];
+                    t.find_str(hash, key)
+                        .or_else(|| may_insert.then(|| t.insert_str(hash, key)))
+                })
+            }
+            KeyPath::Encoded => {
+                let (hashes, key) = (&self.scratch_hashes, &mut self.scratch_key);
+                resolve_run(table, ids, rows, bound, drained, |t, row, may_insert| {
+                    key.clear();
+                    for col in key_cols {
+                        encode_key_value(key, col, row);
+                    }
+                    let hash = hashes[row];
+                    t.find(hash, key)
+                        .or_else(|| may_insert.then(|| t.insert(hash, key)))
+                })
+            }
+        };
+        Ok(end)
     }
 
     /// Emit every held group, sorted by encoded key bytes, and clear the
@@ -509,7 +587,6 @@ impl HashAggOp {
             .iter()
             .map(|f| ColumnBuilder::new(f.dtype, ngroups_out))
             .collect();
-        let stride = self.aggs.len();
         let nkeys = self.group_by.len();
         for &gi in &order {
             let key = self.table.key(gi);
@@ -519,117 +596,281 @@ impl HashAggOp {
                 builder.push(scalar)?;
                 p += used;
             }
+            let gi = gi as usize;
             let mut b = nkeys;
-            let base = gi as usize * stride;
-            for acc in &self.accs[base..base + stride] {
+            for acc in &self.accs {
                 match acc {
                     Acc::Avg { sum, count } if emit_partial => {
-                        builders[b].push(Scalar::Float(*sum))?;
-                        builders[b + 1].push(Scalar::Int(*count))?;
+                        builders[b].push(Scalar::Float(sum[gi]))?;
+                        builders[b + 1].push(Scalar::Int(count[gi]))?;
                         b += 2;
                     }
                     _ => {
-                        builders[b].push(finish_acc(acc))?;
+                        builders[b].push(acc.finish(gi))?;
                         b += 1;
                     }
                 }
             }
         }
         self.table.clear();
-        self.accs.clear();
+        for acc in &mut self.accs {
+            acc.resize(0);
+        }
         let columns = builders.into_iter().map(ColumnBuilder::finish).collect();
         Batch::new(self.out_schema.clone(), columns)
     }
 }
 
-fn update_raw(acc: &mut Acc, value: ValueRef<'_>) {
-    match acc {
-        Acc::Count(n) => {
-            if !value.is_null() {
-                *n += 1;
+/// Push the group id of each row in `rows` onto `ids`, cleared first:
+/// `lookup(table, row, may_insert)` finds it, or inserts a new key when
+/// allowed. A new key may go in while the table is under `bound`, and the
+/// run's first row always may after a drain (`drained`; a bound of 0
+/// drains before every new key). Returns the row whose new key may not go
+/// in, or the run's end.
+#[inline]
+fn resolve_run(
+    table: &mut GroupTable,
+    ids: &mut Vec<u32>,
+    rows: Range<usize>,
+    bound: Option<usize>,
+    drained: bool,
+    mut lookup: impl FnMut(&mut GroupTable, usize, bool) -> Option<u32>,
+) -> usize {
+    ids.clear();
+    for row in rows.clone() {
+        let may_insert =
+            bound.is_none_or(|max| table.len() < max) || (drained && row == rows.start);
+        match lookup(table, row, may_insert) {
+            Some(gi) => ids.push(gi),
+            None => return row,
+        }
+    }
+    rows.end
+}
+
+/// Call `f(group, row)` for each row of a run whose `validity` bit is set
+/// (every row, without a bitmap); `ids[i]` is the group of row `start + i`.
+#[inline]
+fn for_valid(
+    ids: &[u32],
+    start: usize,
+    validity: Option<&Bitmap>,
+    mut f: impl FnMut(usize, usize),
+) {
+    let rows = start..start + ids.len();
+    match validity {
+        None => {
+            for (&gi, row) in ids.iter().zip(rows) {
+                f(gi as usize, row);
             }
         }
-        Acc::SumInt { sum, seen } => {
-            if let Some(v) = value.as_int() {
-                *sum += v;
-                *seen = true;
-            }
-        }
-        Acc::SumFloat { sum, seen } => {
-            if let Some(v) = value.as_float_lossy() {
-                *sum += v;
-                *seen = true;
-            }
-        }
-        Acc::MinMax { current, is_min } => {
-            if value.is_null() {
-                return;
-            }
-            let better = match current {
-                None => true,
-                Some(c) => {
-                    let ord = value.total_cmp_scalar(c);
-                    (*is_min && ord == std::cmp::Ordering::Less)
-                        || (!*is_min && ord == std::cmp::Ordering::Greater)
+        Some(valid) => {
+            for (&gi, row) in ids.iter().zip(rows) {
+                if valid.get(row) {
+                    f(gi as usize, row);
                 }
-            };
-            if better {
-                *current = Some(value.to_scalar());
-            }
-        }
-        Acc::Avg { sum, count } => {
-            if let Some(v) = value.as_float_lossy() {
-                *sum += v;
-                *count += 1;
             }
         }
     }
 }
 
-/// Fold one partial row's column(s) for a call: counts add, AVG adds both
-/// halves, and sums, mins and maxes fold exactly as over raw values.
-fn merge_partial(acc: &mut Acc, v0: ValueRef<'_>, v1: Option<ValueRef<'_>>) {
-    match acc {
-        Acc::Count(n) => {
-            if let Some(c) = v0.as_int() {
-                *n += c;
+impl Acc {
+    /// Hold exactly `groups` groups: new ones start at the identity, and
+    /// 0 clears.
+    fn resize(&mut self, groups: usize) {
+        match self {
+            Acc::Count(n) => n.resize(groups, 0),
+            Acc::SumInt { sum, seen } => {
+                sum.resize(groups, 0);
+                seen.resize(groups, false);
+            }
+            Acc::SumFloat { sum, seen } => {
+                sum.resize(groups, 0.0);
+                seen.resize(groups, false);
+            }
+            Acc::MinMax { current, .. } => current.resize(groups, None),
+            Acc::Avg { sum, count } => {
+                sum.resize(groups, 0.0);
+                count.resize(groups, 0);
             }
         }
-        Acc::Avg { sum, count } => {
-            if let Some(s) = v0.as_float_lossy() {
-                *sum += s;
-            }
-            if let Some(c) = v1.and_then(|v| v.as_int()) {
-                *count += c;
-            }
-        }
-        _ => update_raw(acc, v0),
     }
-}
 
-fn finish_acc(acc: &Acc) -> Scalar {
-    match acc {
-        Acc::Count(n) => Scalar::Int(*n),
-        Acc::SumInt { sum, seen } => {
-            if *seen {
-                Scalar::Int(*sum)
-            } else {
-                Scalar::Null
+    /// Fold a run of raw values in: `ids[i]` is the group of row `start +
+    /// i` of `col` (`None` is COUNT(*)). Typed loops cover counts, and
+    /// sums and averages over numeric columns; [`Acc::update_raw`] takes
+    /// MIN/MAX and every other input a row at a time.
+    fn fold_raw(&mut self, ids: &[u32], start: usize, col: Option<&Column>) {
+        match (self, col) {
+            // COUNT(*) has no column, so no bitmap: every row counts.
+            (Acc::Count(n), col) => {
+                let validity = col.and_then(Column::validity);
+                for_valid(ids, start, validity, |gi, _| n[gi] += 1);
+            }
+            (Acc::SumInt { sum, seen }, Some(Column::Int64 { values, validity })) => {
+                for_valid(ids, start, validity.as_ref(), |gi, row| {
+                    sum[gi] += values[row];
+                    seen[gi] = true;
+                });
+            }
+            (Acc::SumFloat { sum, seen }, Some(Column::Float64 { values, validity })) => {
+                for_valid(ids, start, validity.as_ref(), |gi, row| {
+                    sum[gi] += values[row];
+                    seen[gi] = true;
+                });
+            }
+            (Acc::Avg { sum, count }, Some(Column::Float64 { values, validity })) => {
+                for_valid(ids, start, validity.as_ref(), |gi, row| {
+                    sum[gi] += values[row];
+                    count[gi] += 1;
+                });
+            }
+            (Acc::Avg { sum, count }, Some(Column::Int64 { values, validity })) => {
+                for_valid(ids, start, validity.as_ref(), |gi, row| {
+                    sum[gi] += values[row] as f64;
+                    count[gi] += 1;
+                });
+            }
+            (acc, col) => {
+                for (i, &gi) in ids.iter().enumerate() {
+                    let value = col.map_or(ValueRef::Int(1), |c| c.value_at(start + i));
+                    acc.update_raw(gi as usize, value);
+                }
             }
         }
-        Acc::SumFloat { sum, seen } => {
-            if *seen {
-                Scalar::Float(*sum)
-            } else {
-                Scalar::Null
+    }
+
+    /// Fold a run of partial rows in: `c0` is the call's partial column,
+    /// `c1` AVG's count column. Counts and AVG halves add in typed loops
+    /// ([`Acc::merge_partial`] takes other column types); sums, mins and
+    /// maxes fold exactly as raw values do.
+    fn fold_partial(&mut self, ids: &[u32], start: usize, c0: &Column, c1: Option<&Column>) {
+        match (self, c0, c1) {
+            (Acc::Count(n), Column::Int64 { values, validity }, _) => {
+                for_valid(ids, start, validity.as_ref(), |gi, row| {
+                    n[gi] += values[row]
+                });
+            }
+            (
+                Acc::Avg { sum, count },
+                Column::Float64 {
+                    values: sums,
+                    validity: sums_valid,
+                },
+                Some(Column::Int64 {
+                    values: counts,
+                    validity: counts_valid,
+                }),
+            ) => {
+                for_valid(ids, start, sums_valid.as_ref(), |gi, row| {
+                    sum[gi] += sums[row];
+                });
+                for_valid(ids, start, counts_valid.as_ref(), |gi, row| {
+                    count[gi] += counts[row];
+                });
+            }
+            (acc @ (Acc::Count(_) | Acc::Avg { .. }), c0, c1) => {
+                for (i, &gi) in ids.iter().enumerate() {
+                    let row = start + i;
+                    acc.merge_partial(gi as usize, c0.value_at(row), c1.map(|c| c.value_at(row)));
+                }
+            }
+            (acc, c0, _) => acc.fold_raw(ids, start, Some(c0)),
+        }
+    }
+
+    /// Fold one raw value into group `gi`.
+    fn update_raw(&mut self, gi: usize, value: ValueRef<'_>) {
+        match self {
+            Acc::Count(n) => {
+                if !value.is_null() {
+                    n[gi] += 1;
+                }
+            }
+            Acc::SumInt { sum, seen } => {
+                if let Some(v) = value.as_int() {
+                    sum[gi] += v;
+                    seen[gi] = true;
+                }
+            }
+            Acc::SumFloat { sum, seen } => {
+                if let Some(v) = value.as_float_lossy() {
+                    sum[gi] += v;
+                    seen[gi] = true;
+                }
+            }
+            Acc::MinMax { current, is_min } => {
+                if value.is_null() {
+                    return;
+                }
+                let better = match &current[gi] {
+                    None => true,
+                    Some(c) => {
+                        let ord = value.total_cmp_scalar(c);
+                        (*is_min && ord == std::cmp::Ordering::Less)
+                            || (!*is_min && ord == std::cmp::Ordering::Greater)
+                    }
+                };
+                if better {
+                    current[gi] = Some(value.to_scalar());
+                }
+            }
+            Acc::Avg { sum, count } => {
+                if let Some(v) = value.as_float_lossy() {
+                    sum[gi] += v;
+                    count[gi] += 1;
+                }
             }
         }
-        Acc::MinMax { current, .. } => current.clone().unwrap_or(Scalar::Null),
-        Acc::Avg { sum, count } => {
-            if *count == 0 {
-                Scalar::Null
-            } else {
-                Scalar::Float(*sum / *count as f64)
+    }
+
+    /// Fold one partial row's column(s) into group `gi`: counts add, AVG
+    /// adds both halves, and sums, mins and maxes fold exactly as over raw
+    /// values.
+    fn merge_partial(&mut self, gi: usize, v0: ValueRef<'_>, v1: Option<ValueRef<'_>>) {
+        match self {
+            Acc::Count(n) => {
+                if let Some(c) = v0.as_int() {
+                    n[gi] += c;
+                }
+            }
+            Acc::Avg { sum, count } => {
+                if let Some(s) = v0.as_float_lossy() {
+                    sum[gi] += s;
+                }
+                if let Some(c) = v1.and_then(|v| v.as_int()) {
+                    count[gi] += c;
+                }
+            }
+            _ => self.update_raw(gi, v0),
+        }
+    }
+
+    /// Group `gi`'s final value.
+    fn finish(&self, gi: usize) -> Scalar {
+        match self {
+            Acc::Count(n) => Scalar::Int(n[gi]),
+            Acc::SumInt { sum, seen } => {
+                if seen[gi] {
+                    Scalar::Int(sum[gi])
+                } else {
+                    Scalar::Null
+                }
+            }
+            Acc::SumFloat { sum, seen } => {
+                if seen[gi] {
+                    Scalar::Float(sum[gi])
+                } else {
+                    Scalar::Null
+                }
+            }
+            Acc::MinMax { current, .. } => current[gi].clone().unwrap_or(Scalar::Null),
+            Acc::Avg { sum, count } => {
+                if count[gi] == 0 {
+                    Scalar::Null
+                } else {
+                    Scalar::Float(sum[gi] / count[gi] as f64)
+                }
             }
         }
     }

@@ -2,14 +2,12 @@
 //! (§3.2) — whole objects, byte-range gets, no notion of blocks or files.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use std::sync::RwLock;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use crate::{Result, StorageError};
 
 /// Byte-level access statistics an object store keeps — the basis of the
-//  Query-As-A-Service billing model ("these systems charge for the amount
+/// Query-As-A-Service billing model ("these systems charge for the amount
 /// of data read from storage", §3.2).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObjectStoreStats {
@@ -56,15 +54,17 @@ pub type ObjectStoreRef = Arc<dyn ObjectStore>;
 /// An in-memory object store. Cost/latency of access is modelled by the
 /// fabric layer, not here; this type provides correct semantics plus exact
 /// byte accounting.
+///
+/// Reads share the objects' read lock only long enough to clone an object's
+/// `Arc`, count under a separate short-held stats lock, and copy bytes
+/// outside both, so concurrent scans do not serialize on block reads.
+/// Every update under either lock is a single insert, remove or counter
+/// bump that leaves the data valid, so a poisoned lock is recovered, not
+/// propagated.
 #[derive(Debug, Default)]
 pub struct MemObjectStore {
-    inner: RwLock<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    objects: BTreeMap<String, Arc<Vec<u8>>>,
-    stats: ObjectStoreStats,
+    objects: RwLock<BTreeMap<String, Arc<Vec<u8>>>>,
+    stats: Mutex<ObjectStoreStats>,
 }
 
 impl MemObjectStore {
@@ -77,61 +77,67 @@ impl MemObjectStore {
     pub fn shared() -> ObjectStoreRef {
         Arc::new(MemObjectStore::new())
     }
+
+    /// The object under `key`, shared.
+    fn object(&self, key: &str) -> Result<Arc<Vec<u8>>> {
+        self.objects
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key)
+            .cloned()
+            .ok_or_else(|| StorageError::NotFound(key.to_string()))
+    }
+
+    /// Apply `update` to the statistics.
+    fn count(&self, update: impl FnOnce(&mut ObjectStoreStats)) {
+        update(&mut self.stats.lock().unwrap_or_else(PoisonError::into_inner));
+    }
 }
 
 impl ObjectStore for MemObjectStore {
     fn put(&self, key: &str, data: Vec<u8>) -> Result<()> {
-        let mut inner = self.inner.write().expect("lock poisoned");
-        inner.stats.bytes_written += data.len() as u64;
-        inner.stats.put_ops += 1;
-        inner.objects.insert(key.to_string(), Arc::new(data));
+        self.count(|s| {
+            s.bytes_written += data.len() as u64;
+            s.put_ops += 1;
+        });
+        self.objects
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key.to_string(), Arc::new(data));
         Ok(())
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>> {
-        let mut inner = self.inner.write().expect("lock poisoned");
-        let obj = inner
-            .objects
-            .get(key)
-            .cloned()
-            .ok_or_else(|| StorageError::NotFound(key.to_string()))?;
-        inner.stats.bytes_read += obj.len() as u64;
-        inner.stats.get_ops += 1;
+        let obj = self.object(key)?;
+        self.count(|s| {
+            s.bytes_read += obj.len() as u64;
+            s.get_ops += 1;
+        });
         Ok(obj.as_ref().clone())
     }
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let mut inner = self.inner.write().expect("lock poisoned");
-        let obj = inner
-            .objects
-            .get(key)
-            .cloned()
-            .ok_or_else(|| StorageError::NotFound(key.to_string()))?;
+        let obj = self.object(key)?;
         let size = obj.len() as u64;
         let end = offset
             .checked_add(len)
             .filter(|&e| e <= size)
             .ok_or(StorageError::BadRange { offset, len, size })?;
-        inner.stats.bytes_read += len;
-        inner.stats.get_ops += 1;
+        self.count(|s| {
+            s.bytes_read += len;
+            s.get_ops += 1;
+        });
         Ok(obj[offset as usize..end as usize].to_vec())
     }
 
     fn size(&self, key: &str) -> Result<u64> {
-        self.inner
-            .read()
-            .expect("lock poisoned")
-            .objects
-            .get(key)
-            .map(|o| o.len() as u64)
-            .ok_or_else(|| StorageError::NotFound(key.to_string()))
+        Ok(self.object(key)?.len() as u64)
     }
 
     fn list(&self, prefix: &str) -> Vec<String> {
-        self.inner
+        self.objects
             .read()
-            .expect("lock poisoned")
-            .objects
+            .unwrap_or_else(PoisonError::into_inner)
             .keys()
             .filter(|k| k.starts_with(prefix))
             .cloned()
@@ -139,19 +145,18 @@ impl ObjectStore for MemObjectStore {
     }
 
     fn delete(&self, key: &str) {
-        self.inner
+        self.objects
             .write()
-            .expect("lock poisoned")
-            .objects
+            .unwrap_or_else(PoisonError::into_inner)
             .remove(key);
     }
 
     fn stats(&self) -> ObjectStoreStats {
-        self.inner.read().expect("lock poisoned").stats
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn reset_stats(&self) {
-        self.inner.write().expect("lock poisoned").stats = ObjectStoreStats::default();
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner) = ObjectStoreStats::default();
     }
 }
 
@@ -213,6 +218,31 @@ mod tests {
         assert_eq!(stats.put_ops, 1);
         store.reset_stats();
         assert_eq!(store.stats(), ObjectStoreStats::default());
+    }
+
+    #[test]
+    fn concurrent_reads_count_every_byte_and_operation() {
+        let store = MemObjectStore::new();
+        store.put("a", vec![1; 1000]).unwrap();
+        store.put("b", vec![2; 300]).unwrap();
+        let start = std::sync::Barrier::new(2);
+        const ROUNDS: u64 = 500;
+        std::thread::scope(|scope| {
+            for key in ["a", "b"] {
+                let (store, start) = (&store, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..ROUNDS {
+                        assert_eq!(store.get_range(key, i % 100, 7).unwrap().len(), 7);
+                        store.get(key).unwrap();
+                    }
+                });
+            }
+        });
+        let stats = store.stats();
+        assert_eq!(stats.get_ops, 4 * ROUNDS);
+        assert_eq!(stats.bytes_read, ROUNDS * (7 + 1000 + 7 + 300));
+        assert_eq!((stats.put_ops, stats.bytes_written), (2, 1300));
     }
 
     #[test]

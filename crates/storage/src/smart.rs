@@ -205,6 +205,7 @@ impl SmartStorage {
             names.dedup();
             names
         };
+        let projected_cols: Vec<&str> = projection_names.iter().map(String::as_str).collect();
         let needed_idx: Vec<usize> = needed
             .iter()
             .map(|n| schema.index_of(n).map_err(StorageError::Data))
@@ -245,25 +246,28 @@ impl SmartStorage {
                 }
                 let batch = reader.read_page(page, &needed_idx)?;
                 stats.rows_scanned += batch.rows() as u64;
-                // Filter.
+                // Evaluate the predicate, then gather only the returned (or
+                // pre-aggregated) columns at the selected rows: a
+                // predicate-only column is never copied.
                 let selection = request.predicate.evaluate(&batch)?;
-                let filtered = if selection.all_set() {
-                    batch
-                } else {
-                    batch.filter(&selection)?
-                };
-                if filtered.is_empty() {
+                let projected = batch.project_names(&projected_cols)?;
+                // A projection with no column has no rows to return.
+                if projected.is_empty() || selection.none_set() {
                     continue;
                 }
-                // Project or pre-aggregate, then emit.
+                let filtered = if selection.all_set() {
+                    projected
+                } else {
+                    projected.filter(&selection)?
+                };
+                // Pre-aggregate or pass through, then emit.
                 let out = if let Some(kernel) = preagg.as_mut() {
                     let Some(flushed) = kernel.push(filtered)?.pop() else {
                         continue;
                     };
                     flushed
                 } else {
-                    let cols: Vec<&str> = projection_names.iter().map(String::as_str).collect();
-                    filtered.project_names(&cols)?
+                    filtered
                 };
                 let out = self.apply_limit(out, &mut emitted_rows, request.limit);
                 if !out.is_empty() {

@@ -458,6 +458,36 @@ fn codec_frames_match_parent_digest() {
 }
 
 #[test]
+fn crc32_folded_matches_table() {
+    use rheo::codec::checksum::{crc32_update, crc32_update_sliced, folded};
+    if !folded() {
+        eprintln!("no PCLMULQDQ/SSE4.1 on this CPU: only the slice-by-8 fallback is checked");
+    }
+    check("crc32_folded_matches_table", 64, |g| {
+        // Start 0-15 bytes into the buffer, so the folded kernel's 16-byte
+        // loads land at every alignment.
+        let len = g.usize_in(0, 70_000);
+        let offset = g.usize_in(0, 15);
+        let buf: Vec<u8> = (0..offset + len).map(|_| g.byte()).collect();
+        let bytes = &buf[offset..];
+        let start = g.u64() as u32;
+        let want = crc32_update_sliced(start, bytes);
+        assert_eq!(crc32_update(start, bytes), want, "len {len} at +{offset}");
+        // The same bytes in random chunks: short ones stay on slice-by-8,
+        // long ones cross the 64-byte dispatch and 16-byte tail bounds.
+        let mut state = start;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let cap = *g.pick(&[16, 200, rest.len()]);
+            let n = g.usize_in(0, cap.min(rest.len()));
+            state = crc32_update(state, &rest[..n]);
+            rest = &rest[n..];
+        }
+        assert_eq!(state, want, "chunked, len {len} at +{offset}");
+    });
+}
+
+#[test]
 fn int_codecs_roundtrip() {
     check("int_codecs_roundtrip", 64, |g| {
         let len = g.usize_in(0, 499);
@@ -1689,6 +1719,117 @@ fn preagg_cascade_matches_final() {
             }
         }
     });
+}
+
+/// Push `batches` through one aggregation kernel, then finish it; returns
+/// everything it emitted, in order, and its output schema.
+fn run_agg_kernel(
+    group_by: &[&str],
+    calls: &[AggCall],
+    mode: AggMode,
+    input: &SchemaRef,
+    final_schema: &SchemaRef,
+    batches: &[Batch],
+) -> (Vec<Batch>, SchemaRef) {
+    let group_by = group_by.iter().map(|k| k.to_string()).collect();
+    let mut op =
+        HashAggOp::new(group_by, calls.to_vec(), mode, input, final_schema.clone()).unwrap();
+    let mut out = Vec::new();
+    for batch in batches {
+        out.extend(op.push(batch.clone()).unwrap());
+    }
+    out.extend(op.finish().unwrap());
+    (out, op.schema())
+}
+
+#[test]
+fn cpu_group_by_output_matches_parent_digest() {
+    use rheo::bench::workload;
+
+    // serve_mix's `group` class over lineitem in storage-page-sized views,
+    // and the cascade corpus's rows, whose keys are NULL on ~25% of rows,
+    // cut at random points into views and fresh copies.
+    let lineitem = workload::lineitem(20_000, 1).split(4096).unwrap();
+    let mut g = Gen::new(22);
+    let rows = preagg_rows(&mut g, 3_000, &["ks", "ki"]);
+    let rows = cut(&mut g, &rows, 5);
+    let shapes = |key: &str, second: &str, int: &str, float: &str| {
+        [
+            (
+                vec![key.to_string()],
+                vec![AggCall::new(AggFn::Sum, float, "total")],
+            ),
+            (vec![], vec![AggCall::count_star("n")]),
+            (
+                vec![key.to_string(), second.to_string()],
+                vec![
+                    AggCall::new(AggFn::Min, int, "lo"),
+                    AggCall::new(AggFn::Max, float, "hi"),
+                    AggCall::new(AggFn::Avg, int, "mean"),
+                    AggCall::new(AggFn::Count, float, "cnt"),
+                    AggCall::new(AggFn::Sum, int, "isum"),
+                ],
+            ),
+            (
+                vec![second.to_string()],
+                vec![
+                    AggCall::new(AggFn::Count, int, "cnt"),
+                    AggCall::new(AggFn::Avg, float, "mean"),
+                ],
+            ),
+        ]
+    };
+    let corpora = [
+        (
+            lineitem,
+            shapes("l_region", "l_quantity", "l_quantity", "l_price"),
+        ),
+        (rows, shapes("ks", "ki", "v", "x")),
+    ];
+
+    let mut outputs: Vec<Batch> = Vec::new();
+    for (batches, cases) in &corpora {
+        let input = batches[0].schema();
+        for (group_by, calls) in cases {
+            let keys: Vec<&str> = group_by.iter().map(String::as_str).collect();
+            let final_schema = LogicalPlan::values(batches.clone())
+                .unwrap()
+                .aggregate(group_by.clone(), calls.clone())
+                .unwrap()
+                .schema();
+            let run = |mode, input: &SchemaRef, stream: &[Batch]| {
+                run_agg_kernel(&keys, calls, mode, input, &final_schema, stream)
+            };
+            let (fin, _) = run(AggMode::Final, input, batches);
+            let partial_mode = AggMode::Partial { max_groups: 16 };
+            let (partials, layout) = run(partial_mode, input, batches);
+            let (merged, _) = run(AggMode::Merge { max_groups: None }, &layout, &partials);
+            let bounded = AggMode::Merge {
+                max_groups: Some(48),
+            };
+            let (remerged, _) = run(bounded, &layout, &partials);
+            assert!(partials.len() > 1 || keys.len() < 2, "bound 16 must flush");
+            for out in [fin, partials, merged, remerged] {
+                outputs.extend(out);
+            }
+        }
+    }
+    let mut total = 0usize;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for batch in &outputs {
+        let frame = encode_batch(batch, &WireOptions::plain());
+        total += frame.len();
+        digest = fnv1a(digest, &frame);
+    }
+    // Pinned at the commit before the column-at-a-time aggregation fold:
+    // every group, its row order, batch boundaries, float sums (each
+    // group's additions in row order) and validity layout must stay
+    // identical. Re-pin only from the parent commit of a change that means
+    // to move them.
+    assert_eq!(
+        (outputs.len(), total, digest),
+        (61, 1_113_448, 8_562_022_994_229_986_539)
+    );
 }
 
 // ----------------------------------------------------------- zone maps
