@@ -62,6 +62,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// The shortest input the folded kernel takes: one 64-byte block.
+#[cfg(target_arch = "x86_64")]
 const FOLD_MIN: usize = 64;
 
 /// Whether [`crc32_update`] folds with carry-less multiplies on this CPU.

@@ -29,8 +29,8 @@
 //! column-at-a-time and encoded per row. Encoded key bytes live in one
 //! arena, not a `Vec<u8>` per row. Then each call folds over the ids into
 //! its own accumulator column: typed loops over the value slices and
-//! validity for COUNT, SUM and AVG over numeric input, and a row at a time
-//! for MIN/MAX and other inputs. A bounded stage resolves up to the row
+//! validity for COUNT and for SUM over Float64, and a row at a time for
+//! every other call and input. A bounded stage resolves up to the row
 //! whose new key meets a full table, folds that run, drains, and resumes,
 //! so each group still adds its values in row order. Steady-state `push`
 //! (all groups already present) performs no per-row heap allocation.
@@ -697,9 +697,9 @@ impl Acc {
     }
 
     /// Fold a run of raw values in: `ids[i]` is the group of row `start +
-    /// i` of `col` (`None` is COUNT(*)). Typed loops cover counts, and
-    /// sums and averages over numeric columns; [`Acc::update_raw`] takes
-    /// MIN/MAX and every other input a row at a time.
+    /// i` of `col` (`None` is COUNT(*)). Counts, and sums over Float64,
+    /// run typed loops; [`Acc::update_raw`] takes every other input a row
+    /// at a time.
     fn fold_raw(&mut self, ids: &[u32], start: usize, col: Option<&Column>) {
         match (self, col) {
             // COUNT(*) has no column, so no bitmap: every row counts.
@@ -707,28 +707,10 @@ impl Acc {
                 let validity = col.and_then(Column::validity);
                 for_valid(ids, start, validity, |gi, _| n[gi] += 1);
             }
-            (Acc::SumInt { sum, seen }, Some(Column::Int64 { values, validity })) => {
-                for_valid(ids, start, validity.as_ref(), |gi, row| {
-                    sum[gi] += values[row];
-                    seen[gi] = true;
-                });
-            }
             (Acc::SumFloat { sum, seen }, Some(Column::Float64 { values, validity })) => {
                 for_valid(ids, start, validity.as_ref(), |gi, row| {
                     sum[gi] += values[row];
                     seen[gi] = true;
-                });
-            }
-            (Acc::Avg { sum, count }, Some(Column::Float64 { values, validity })) => {
-                for_valid(ids, start, validity.as_ref(), |gi, row| {
-                    sum[gi] += values[row];
-                    count[gi] += 1;
-                });
-            }
-            (Acc::Avg { sum, count }, Some(Column::Int64 { values, validity })) => {
-                for_valid(ids, start, validity.as_ref(), |gi, row| {
-                    sum[gi] += values[row] as f64;
-                    count[gi] += 1;
                 });
             }
             (acc, col) => {
@@ -741,41 +723,29 @@ impl Acc {
     }
 
     /// Fold a run of partial rows in: `c0` is the call's partial column,
-    /// `c1` AVG's count column. Counts and AVG halves add in typed loops
-    /// ([`Acc::merge_partial`] takes other column types); sums, mins and
-    /// maxes fold exactly as raw values do.
+    /// `c1` AVG's count column. Counts and both AVG halves add; sums, mins
+    /// and maxes fold exactly as raw values do.
     fn fold_partial(&mut self, ids: &[u32], start: usize, c0: &Column, c1: Option<&Column>) {
-        match (self, c0, c1) {
-            (Acc::Count(n), Column::Int64 { values, validity }, _) => {
-                for_valid(ids, start, validity.as_ref(), |gi, row| {
-                    n[gi] += values[row]
-                });
-            }
-            (
-                Acc::Avg { sum, count },
-                Column::Float64 {
-                    values: sums,
-                    validity: sums_valid,
-                },
-                Some(Column::Int64 {
-                    values: counts,
-                    validity: counts_valid,
-                }),
-            ) => {
-                for_valid(ids, start, sums_valid.as_ref(), |gi, row| {
-                    sum[gi] += sums[row];
-                });
-                for_valid(ids, start, counts_valid.as_ref(), |gi, row| {
-                    count[gi] += counts[row];
-                });
-            }
-            (acc @ (Acc::Count(_) | Acc::Avg { .. }), c0, c1) => {
-                for (i, &gi) in ids.iter().enumerate() {
-                    let row = start + i;
-                    acc.merge_partial(gi as usize, c0.value_at(row), c1.map(|c| c.value_at(row)));
+        let rows = ids.iter().zip(start..).map(|(&gi, row)| (gi as usize, row));
+        match self {
+            Acc::Count(n) => {
+                for (gi, row) in rows {
+                    if let Some(c) = c0.value_at(row).as_int() {
+                        n[gi] += c;
+                    }
                 }
             }
-            (acc, c0, _) => acc.fold_raw(ids, start, Some(c0)),
+            Acc::Avg { sum, count } => {
+                for (gi, row) in rows {
+                    if let Some(s) = c0.value_at(row).as_float_lossy() {
+                        sum[gi] += s;
+                    }
+                    if let Some(c) = c1.and_then(|c| c.value_at(row).as_int()) {
+                        count[gi] += c;
+                    }
+                }
+            }
+            acc => acc.fold_raw(ids, start, Some(c0)),
         }
     }
 
@@ -821,28 +791,6 @@ impl Acc {
                     count[gi] += 1;
                 }
             }
-        }
-    }
-
-    /// Fold one partial row's column(s) into group `gi`: counts add, AVG
-    /// adds both halves, and sums, mins and maxes fold exactly as over raw
-    /// values.
-    fn merge_partial(&mut self, gi: usize, v0: ValueRef<'_>, v1: Option<ValueRef<'_>>) {
-        match self {
-            Acc::Count(n) => {
-                if let Some(c) = v0.as_int() {
-                    n[gi] += c;
-                }
-            }
-            Acc::Avg { sum, count } => {
-                if let Some(s) = v0.as_float_lossy() {
-                    sum[gi] += s;
-                }
-                if let Some(c) = v1.and_then(|v| v.as_int()) {
-                    count[gi] += c;
-                }
-            }
-            _ => self.update_raw(gi, v0),
         }
     }
 

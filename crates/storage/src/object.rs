@@ -2,7 +2,7 @@
 //! (§3.2) — whole objects, byte-range gets, no notion of blocks or files.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::{Result, StorageError};
 
@@ -55,16 +55,29 @@ pub type ObjectStoreRef = Arc<dyn ObjectStore>;
 /// fabric layer, not here; this type provides correct semantics plus exact
 /// byte accounting.
 ///
-/// Reads share the objects' read lock only long enough to clone an object's
-/// `Arc`, count under a separate short-held stats lock, and copy bytes
-/// outside both, so concurrent scans do not serialize on block reads.
-/// Every update under either lock is a single insert, remove or counter
-/// bump that leaves the data valid, so a poisoned lock is recovered, not
-/// propagated.
+/// A read holds the lock only to find the object, clone its `Arc` and
+/// count the read; it copies the bytes after releasing it. Every update
+/// under the lock is a single insert, remove or counter bump that leaves
+/// the store valid, so a poisoned lock is recovered, not propagated.
 #[derive(Debug, Default)]
 pub struct MemObjectStore {
-    objects: RwLock<BTreeMap<String, Arc<Vec<u8>>>>,
-    stats: Mutex<ObjectStoreStats>,
+    inner: RwLock<Inner>,
+}
+
+#[derive(Debug, Default)]
+struct Inner {
+    objects: BTreeMap<String, Arc<Vec<u8>>>,
+    stats: ObjectStoreStats,
+}
+
+impl Inner {
+    /// The object under `key`, shared.
+    fn object(&self, key: &str) -> Result<Arc<Vec<u8>>> {
+        self.objects
+            .get(key)
+            .cloned()
+            .ok_or_else(|| StorageError::NotFound(key.to_string()))
+    }
 }
 
 impl MemObjectStore {
@@ -78,66 +91,58 @@ impl MemObjectStore {
         Arc::new(MemObjectStore::new())
     }
 
-    /// The object under `key`, shared.
-    fn object(&self, key: &str) -> Result<Arc<Vec<u8>>> {
-        self.objects
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .cloned()
-            .ok_or_else(|| StorageError::NotFound(key.to_string()))
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Apply `update` to the statistics.
-    fn count(&self, update: impl FnOnce(&mut ObjectStoreStats)) {
-        update(&mut self.stats.lock().unwrap_or_else(PoisonError::into_inner));
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl ObjectStore for MemObjectStore {
     fn put(&self, key: &str, data: Vec<u8>) -> Result<()> {
-        self.count(|s| {
-            s.bytes_written += data.len() as u64;
-            s.put_ops += 1;
-        });
-        self.objects
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key.to_string(), Arc::new(data));
+        let mut inner = self.write();
+        inner.stats.bytes_written += data.len() as u64;
+        inner.stats.put_ops += 1;
+        inner.objects.insert(key.to_string(), Arc::new(data));
         Ok(())
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>> {
-        let obj = self.object(key)?;
-        self.count(|s| {
-            s.bytes_read += obj.len() as u64;
-            s.get_ops += 1;
-        });
+        let obj = {
+            let mut inner = self.write();
+            let obj = inner.object(key)?;
+            inner.stats.bytes_read += obj.len() as u64;
+            inner.stats.get_ops += 1;
+            obj
+        };
         Ok(obj.as_ref().clone())
     }
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let obj = self.object(key)?;
-        let size = obj.len() as u64;
-        let end = offset
-            .checked_add(len)
-            .filter(|&e| e <= size)
-            .ok_or(StorageError::BadRange { offset, len, size })?;
-        self.count(|s| {
-            s.bytes_read += len;
-            s.get_ops += 1;
-        });
+        let (obj, end) = {
+            let mut inner = self.write();
+            let obj = inner.object(key)?;
+            let size = obj.len() as u64;
+            let end = offset
+                .checked_add(len)
+                .filter(|&e| e <= size)
+                .ok_or(StorageError::BadRange { offset, len, size })?;
+            inner.stats.bytes_read += len;
+            inner.stats.get_ops += 1;
+            (obj, end)
+        };
         Ok(obj[offset as usize..end as usize].to_vec())
     }
 
     fn size(&self, key: &str) -> Result<u64> {
-        Ok(self.object(key)?.len() as u64)
+        Ok(self.read().object(key)?.len() as u64)
     }
 
     fn list(&self, prefix: &str) -> Vec<String> {
-        self.objects
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.read()
+            .objects
             .keys()
             .filter(|k| k.starts_with(prefix))
             .cloned()
@@ -145,18 +150,15 @@ impl ObjectStore for MemObjectStore {
     }
 
     fn delete(&self, key: &str) {
-        self.objects
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(key);
+        self.write().objects.remove(key);
     }
 
     fn stats(&self) -> ObjectStoreStats {
-        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+        self.read().stats
     }
 
     fn reset_stats(&self) {
-        *self.stats.lock().unwrap_or_else(PoisonError::into_inner) = ObjectStoreStats::default();
+        self.write().stats = ObjectStoreStats::default();
     }
 }
 
