@@ -12,7 +12,7 @@ use df_data::{Column, FxHashMap};
 
 use crate::sink::Sink;
 use crate::varint;
-use crate::{CodecError, Result};
+use crate::{declared, CodecError, Result, MAX_DICT_EXPANSION};
 
 /// The dictionary of one Utf8 column: its distinct values in order of
 /// first appearance, and each row's code.
@@ -69,8 +69,11 @@ impl<'a> Dict<'a> {
 }
 
 /// Decode a dictionary stream straight into a Utf8 column's offsets and
-/// data (all rows valid). Each entry is checked for UTF-8 once.
-pub(crate) fn decode(buf: &[u8]) -> Result<Column> {
+/// data (all rows valid). Each entry is checked for UTF-8 once. The code
+/// count must match `rows` ([`crate::declared`]), and the column may come
+/// to at most [`MAX_DICT_EXPANSION`] bytes per stream byte, both checked
+/// before the data is allocated.
+pub(crate) fn decode(buf: &[u8], rows: Option<usize>) -> Result<Column> {
     let mut pos = 0;
     let ndict = varint::read_u64(buf, &mut pos)? as usize;
     if ndict > buf.len() {
@@ -83,25 +86,39 @@ pub(crate) fn decode(buf: &[u8]) -> Result<Column> {
             .map_err(|_| CodecError::Corrupt("dict entry not utf8".into()))?;
         entries.push(bytes);
     }
-    let n = varint::read_u64(buf, &mut pos)? as usize;
+    let n = declared(varint::read_u64(buf, &mut pos)?, rows, buf.len())?;
     if n > buf.len() - pos {
         // Every code takes at least one byte.
         return Err(CodecError::Corrupt("code count implausible".into()));
+    }
+    let entry = |code: u64| {
+        usize::try_from(code)
+            .ok()
+            .and_then(|c| entries.get(c).copied())
+            .ok_or_else(|| CodecError::Corrupt(format!("code {code} out of dict")))
+    };
+    // The column comes to at most its longest entry per code: only when
+    // that bound passes the cap are the codes summed, before allocating.
+    let cap = buf
+        .len()
+        .saturating_mul(MAX_DICT_EXPANSION)
+        .min(u32::MAX as usize);
+    let longest = entries.iter().map(|e| e.len()).max().unwrap_or(0);
+    if longest.saturating_mul(n) > cap {
+        let (mut at, mut size) = (pos, 0usize);
+        for _ in 0..n {
+            size += entry(varint::read_u64(buf, &mut at)?)?.len();
+            if size > cap {
+                return Err(CodecError::Corrupt(format!("dict column over {cap} bytes")));
+            }
+        }
     }
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0u32);
     let mut data = Vec::new();
     for _ in 0..n {
-        let code = varint::read_u64(buf, &mut pos)?;
-        let entry = usize::try_from(code)
-            .ok()
-            .and_then(|c| entries.get(c))
-            .ok_or_else(|| CodecError::Corrupt(format!("code {code} out of dict")))?;
-        data.extend_from_slice(entry);
-        offsets.push(
-            u32::try_from(data.len())
-                .map_err(|_| CodecError::Corrupt("dict column over 4 GiB".into()))?,
-        );
+        data.extend_from_slice(entry(varint::read_u64(buf, &mut pos)?)?);
+        offsets.push(data.len() as u32);
     }
     if pos != buf.len() {
         return Err(CodecError::Corrupt(
@@ -135,7 +152,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let values = vec!["eu", "us", "eu", "ap", "us", "eu", ""];
-        assert_eq!(strings(&decode(&encode(&values)).unwrap()), values);
+        assert_eq!(strings(&decode(&encode(&values), None).unwrap()), values);
     }
 
     #[test]
@@ -159,13 +176,13 @@ mod tests {
                 .map(|i| 1 + usize::from(i % distinct >= 128))
                 .sum();
             assert_eq!(enc.len(), 2 + entry_bytes + 2 + code_bytes, "{distinct}");
-            assert_eq!(strings(&decode(&enc).unwrap()), refs);
+            assert_eq!(strings(&decode(&enc, None).unwrap()), refs);
         }
     }
 
     #[test]
     fn empty_roundtrip() {
-        assert_eq!(decode(&encode(&[])).unwrap().len(), 0);
+        assert_eq!(decode(&encode(&[]), None).unwrap().len(), 0);
     }
 
     #[test]
@@ -186,7 +203,17 @@ mod tests {
     fn high_cardinality_still_roundtrips() {
         let values: Vec<String> = (0..500).map(|i| format!("id-{i}")).collect();
         let refs: Vec<&str> = values.iter().map(String::as_str).collect();
-        assert_eq!(strings(&decode(&encode(&refs)).unwrap()), refs);
+        assert_eq!(strings(&decode(&encode(&refs), None).unwrap()), refs);
+    }
+
+    #[test]
+    fn a_long_entry_is_summed_not_refused() {
+        // A 10,000-byte entry could repeat past the cap: the codes are
+        // summed first, and used once it decodes.
+        let long = "x".repeat(10_000);
+        let mut values = vec![long.as_str()];
+        values.extend(std::iter::repeat_n("y", 9_000));
+        assert_eq!(strings(&decode(&encode(&values), None).unwrap()), values);
     }
 
     #[test]
@@ -196,7 +223,7 @@ mod tests {
         varint::write_bytes(&mut buf, b"x");
         varint::write_u64(&mut buf, 1); // one code
         varint::write_u64(&mut buf, 5); // invalid
-        assert!(decode(&buf).is_err());
+        assert!(decode(&buf, None).is_err());
     }
 
     #[test]
@@ -205,7 +232,7 @@ mod tests {
         varint::write_u64(&mut buf, 1);
         varint::write_bytes(&mut buf, &[0xff, 0xfe]);
         varint::write_u64(&mut buf, 0);
-        assert!(decode(&buf).is_err());
+        assert!(decode(&buf, None).is_err());
     }
 
     #[test]
@@ -215,6 +242,6 @@ mod tests {
         varint::write_bytes(&mut buf, b"x");
         varint::write_u64(&mut buf, 1 << 40);
         varint::write_u64(&mut buf, 0);
-        assert!(matches!(decode(&buf), Err(CodecError::Corrupt(_))));
+        assert!(matches!(decode(&buf, None), Err(CodecError::Corrupt(_))));
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::sink::{counted, put_le, Sink};
 use crate::varint;
-use crate::{CodecError, Result};
+use crate::{declared, CodecError, Result};
 
 /// Tag of raw little-endian values: `count` varint, then 8 bytes a value.
 pub const TAG_PLAIN: u8 = 0;
@@ -142,25 +142,7 @@ pub fn rle_encode(values: &[i64]) -> Vec<u8> {
 
 /// Decode an RLE stream produced by [`rle_encode`].
 pub fn rle_decode(buf: &[u8]) -> Result<Vec<i64>> {
-    let mut pos = 0;
-    let n = varint::read_u64(buf, &mut pos)? as usize;
-    // Cap allocation by the input size: each run needs >= 2 bytes.
-    if n > buf.len().saturating_mul(u32::MAX as usize) {
-        return Err(CodecError::Corrupt("rle length implausible".into()));
-    }
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    while out.len() < n {
-        let v = varint::read_i64(buf, &mut pos)?;
-        let run = varint::read_u64(buf, &mut pos)? as usize;
-        if run == 0 || out.len() + run > n {
-            return Err(CodecError::Corrupt("rle run overruns length".into()));
-        }
-        out.resize(out.len() + run, v);
-    }
-    if pos != buf.len() {
-        return Err(CodecError::Corrupt("trailing bytes after rle".into()));
-    }
-    Ok(out)
+    decode_tagged(TAG_RLE, buf)
 }
 
 /// Encode `values` as a first value plus zigzag-varint deltas.
@@ -170,23 +152,7 @@ pub fn delta_encode(values: &[i64]) -> Vec<u8> {
 
 /// Decode a delta stream produced by [`delta_encode`].
 pub fn delta_decode(buf: &[u8]) -> Result<Vec<i64>> {
-    let mut pos = 0;
-    let n = varint::read_u64(buf, &mut pos)? as usize;
-    if n > buf.len() {
-        // Every delta takes at least one byte.
-        return Err(CodecError::Corrupt("delta length implausible".into()));
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut prev = 0i64;
-    for _ in 0..n {
-        let d = varint::read_i64(buf, &mut pos)?;
-        prev = prev.wrapping_add(d);
-        out.push(prev);
-    }
-    if pos != buf.len() {
-        return Err(CodecError::Corrupt("trailing bytes after delta".into()));
-    }
-    Ok(out)
+    decode_tagged(TAG_DELTA, buf)
 }
 
 /// Encode `values` as frame-of-reference bit-packing: every value is
@@ -204,8 +170,83 @@ pub fn bitpack_encode(values: &[i64]) -> Vec<u8> {
 /// truncated or bit-flipped input: every structural violation (bad width,
 /// wrong byte count, non-zero padding bits) returns [`CodecError::Corrupt`].
 pub fn bitpack_decode(buf: &[u8]) -> Result<Vec<i64>> {
+    decode_tagged(TAG_BITPACK, buf)
+}
+
+/// Decode a `(tag, bytes)` pair: bytes from [`encode_tagged`] under the
+/// tag [`choose`] picked. A stream may declare at most
+/// [`MAX_EXPANSION`](crate::MAX_EXPANSION) values per byte.
+pub fn decode_tagged(tag: u8, buf: &[u8]) -> Result<Vec<i64>> {
+    decode_rows(tag, buf, None)
+}
+
+/// [`decode_tagged`] for a column of a container that declared `rows`: a
+/// stream declaring another count is corrupt before anything is allocated.
+pub(crate) fn decode_rows(tag: u8, buf: &[u8], rows: Option<usize>) -> Result<Vec<i64>> {
+    let body: fn(&[u8], usize) -> Result<Vec<i64>> = match tag {
+        TAG_PLAIN => plain_body,
+        TAG_RLE => rle_body,
+        TAG_DELTA => delta_body,
+        TAG_BITPACK => bitpack_body,
+        other => {
+            return Err(CodecError::Corrupt(format!(
+                "unknown int codec tag {other}"
+            )))
+        }
+    };
     let mut pos = 0;
-    let n = varint::read_u64(buf, &mut pos)? as usize;
+    let n = declared(varint::read_u64(buf, &mut pos)?, rows, buf.len())?;
+    body(&buf[pos..], n)
+}
+
+fn plain_body(buf: &[u8], n: usize) -> Result<Vec<i64>> {
+    if n.checked_mul(8) != Some(buf.len()) {
+        return Err(CodecError::Corrupt("plain int payload size".into()));
+    }
+    Ok(buf
+        .chunks_exact(8)
+        .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .collect())
+}
+
+fn rle_body(buf: &[u8], n: usize) -> Result<Vec<i64>> {
+    let mut pos = 0;
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let v = varint::read_i64(buf, &mut pos)?;
+        let run = varint::read_u64(buf, &mut pos)?;
+        if run == 0 || run > (n - out.len()) as u64 {
+            return Err(CodecError::Corrupt("rle run overruns length".into()));
+        }
+        out.resize(out.len() + run as usize, v);
+    }
+    if pos != buf.len() {
+        return Err(CodecError::Corrupt("trailing bytes after rle".into()));
+    }
+    Ok(out)
+}
+
+fn delta_body(buf: &[u8], n: usize) -> Result<Vec<i64>> {
+    if n > buf.len() {
+        // Every delta takes at least one byte.
+        return Err(CodecError::Corrupt("delta length implausible".into()));
+    }
+    let mut pos = 0;
+    let mut out = Vec::with_capacity(n);
+    let mut prev = 0i64;
+    for _ in 0..n {
+        let d = varint::read_i64(buf, &mut pos)?;
+        prev = prev.wrapping_add(d);
+        out.push(prev);
+    }
+    if pos != buf.len() {
+        return Err(CodecError::Corrupt("trailing bytes after delta".into()));
+    }
+    Ok(out)
+}
+
+fn bitpack_body(buf: &[u8], n: usize) -> Result<Vec<i64>> {
+    let mut pos = 0;
     let min = varint::read_i64(buf, &mut pos)?;
     let width =
         *buf.get(pos)
@@ -258,30 +299,6 @@ pub fn bitpack_decode(buf: &[u8]) -> Result<Vec<i64>> {
         have -= width;
     }
     Ok(out)
-}
-
-/// Decode a `(tag, bytes)` pair: bytes from [`encode_tagged`] under the
-/// tag [`choose`] picked.
-pub fn decode_tagged(tag: u8, buf: &[u8]) -> Result<Vec<i64>> {
-    match tag {
-        TAG_PLAIN => {
-            let mut pos = 0;
-            let n = varint::read_u64(buf, &mut pos)? as usize;
-            if n.checked_mul(8) != Some(buf.len() - pos) {
-                return Err(CodecError::Corrupt("plain int payload size".into()));
-            }
-            Ok(buf[pos..]
-                .chunks_exact(8)
-                .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                .collect())
-        }
-        TAG_RLE => rle_decode(buf),
-        TAG_DELTA => delta_decode(buf),
-        TAG_BITPACK => bitpack_decode(buf),
-        other => Err(CodecError::Corrupt(format!(
-            "unknown int codec tag {other}"
-        ))),
-    }
 }
 
 #[cfg(test)]

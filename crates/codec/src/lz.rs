@@ -13,7 +13,7 @@
 //! the final sequence). Minimum real match length is 4.
 
 use crate::varint;
-use crate::{CodecError, Result};
+use crate::{CodecError, Result, MAX_EXPANSION};
 
 const MIN_MATCH: usize = 4;
 const HASH_BITS: u32 = 15;
@@ -84,10 +84,13 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 pub fn decompress(frame: &[u8]) -> Result<Vec<u8>> {
     let mut pos = 0usize;
     let total = varint::read_u64(frame, &mut pos)? as usize;
-    if total > frame.len().saturating_mul(1 << 16) {
+    if total > frame.len().saturating_mul(MAX_EXPANSION) {
         return Err(CodecError::Corrupt("decompressed size implausible".into()));
     }
-    let mut out = Vec::with_capacity(total);
+    // Reserve the declared size, but at most 256 bytes per input byte: a
+    // size forged up to the cap then fails when the input runs out, not at
+    // the reservation, and a frame that expands further grows as it writes.
+    let mut out = Vec::with_capacity(total.min(frame.len().saturating_mul(1 << 8)));
     loop {
         let lit_len = varint::read_u64(frame, &mut pos)? as usize;
         let lit_end = pos

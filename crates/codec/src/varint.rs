@@ -93,14 +93,18 @@ pub fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 
 /// Read a varint-length-prefixed byte slice.
 pub fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
-    let len = read_u64(buf, pos)? as usize;
-    let end = pos
+    let len = read_u64(buf, pos)?;
+    take(buf, pos, usize::try_from(len).unwrap_or(usize::MAX))
+}
+
+/// The `len` bytes at `*pos`, advancing `*pos` past them.
+#[inline]
+pub(crate) fn take<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
+    let slice = pos
         .checked_add(len)
-        .ok_or_else(|| CodecError::Corrupt("length overflow".into()))?;
-    let slice = buf
-        .get(*pos..end)
-        .ok_or_else(|| CodecError::Corrupt("byte run past end".into()))?;
-    *pos = end;
+        .and_then(|end| buf.get(*pos..end))
+        .ok_or_else(|| CodecError::Corrupt(format!("{len} bytes past end")))?;
+    *pos += len;
     Ok(slice)
 }
 

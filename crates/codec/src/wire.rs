@@ -1,24 +1,25 @@
-//! The batch wire format: what actually crosses links between devices.
+//! The batch wire format, `DFW1`: what crosses links between devices and
+//! what the serve protocol carries, and the column, schema and scalar
+//! codecs that every frame and storage segment lays out.
 //!
 //! A frame layers the cloud data-path operations in the order a smart NIC
 //! would apply them: columnar encoding → block compression → encryption →
 //! checksum. Each layer is optional and flagged, so experiments can toggle
 //! the stages (ablation A4) and the movement ledger can charge the *encoded*
-//! size rather than the in-memory size.
+//! size rather than the in-memory size. DFW1 and [`crate::edge`]'s DFE1
+//! frames are one grammar, built, sized and parsed by one crate-private
+//! frame codec; see [the crate docs](crate#frames) for the grammar and the
+//! two tag tables. Here, each column type has one writer and one reader,
+//! for both the raw and the encoded layout.
 
 use df_data::{Batch, Bitmap, Column, DataType, Field, Schema};
 
-use crate::checksum::crc32;
-use crate::crypto::{self, Key, Nonce};
+use crate::crypto::Key;
 use crate::dict::{self, Dict};
+use crate::frame::{self, Format, Layout};
 use crate::sink::{counted, put_le, Sink};
-use crate::{int, lz, varint};
+use crate::{declared, int, varint};
 use crate::{CodecError, Result};
-
-const MAGIC: &[u8; 4] = b"DFW1";
-
-const FLAG_COMPRESSED: u8 = 0b01;
-const FLAG_ENCRYPTED: u8 = 0b10;
 
 /// Options controlling the wire transformations.
 #[derive(Debug, Clone, Copy, Default)]
@@ -45,6 +46,9 @@ impl WireOptions {
     }
 }
 
+/// The layout of DFW1 payloads and segment blocks.
+const ENCODED: Layout = Layout::Encoded { packed: false };
+
 fn dtype_tag(dtype: DataType) -> u8 {
     match dtype {
         DataType::Int64 => 0,
@@ -64,7 +68,7 @@ fn dtype_from_tag(tag: u8) -> Result<DataType> {
     })
 }
 
-pub(crate) fn write_bitmap<S: Sink>(sink: &mut S, bitmap: &Bitmap) {
+fn write_bitmap<S: Sink>(sink: &mut S, bitmap: &Bitmap) {
     sink.put_varint(bitmap.len() as u64);
     sink.put_with(bitmap.len().div_ceil(8), |dst| {
         for (bytes, word) in dst.chunks_mut(8).zip(bitmap.words()) {
@@ -74,17 +78,10 @@ pub(crate) fn write_bitmap<S: Sink>(sink: &mut S, bitmap: &Bitmap) {
     });
 }
 
-pub(crate) fn read_bitmap(buf: &[u8], pos: &mut usize) -> Result<Bitmap> {
-    let len = varint::read_u64(buf, pos)? as usize;
-    let nbytes = len.div_ceil(8);
-    let end = pos
-        .checked_add(nbytes)
-        .ok_or_else(|| CodecError::Corrupt("bitmap overflow".into()))?;
-    let bytes = buf
-        .get(*pos..end)
-        .ok_or_else(|| CodecError::Corrupt("bitmap past end".into()))?;
-    *pos = end;
-    let words = bytes
+/// A bitmap of `rows` bits (see [`declared`]).
+fn read_bitmap(buf: &[u8], pos: &mut usize, rows: Option<usize>) -> Result<Bitmap> {
+    let len = declared(varint::read_u64(buf, pos)?, rows, buf.len())?;
+    let words = varint::take(buf, pos, len.div_ceil(8))?
         .chunks(8)
         .map(|chunk| {
             let mut word = [0u8; 8];
@@ -96,7 +93,7 @@ pub(crate) fn read_bitmap(buf: &[u8], pos: &mut usize) -> Result<Bitmap> {
     Ok(Bitmap::from_words(words, len))
 }
 
-pub(crate) fn write_validity<S: Sink>(sink: &mut S, validity: Option<&Bitmap>) {
+fn write_validity<S: Sink>(sink: &mut S, validity: Option<&Bitmap>) {
     match validity {
         Some(v) => {
             sink.put(1);
@@ -106,68 +103,48 @@ pub(crate) fn write_validity<S: Sink>(sink: &mut S, validity: Option<&Bitmap>) {
     }
 }
 
-pub(crate) fn read_validity(buf: &[u8], pos: &mut usize) -> Result<Option<Bitmap>> {
-    let present = *buf
-        .get(*pos)
-        .ok_or_else(|| CodecError::Corrupt("validity marker past end".into()))?;
-    *pos += 1;
-    match present {
+fn read_validity(buf: &[u8], pos: &mut usize, rows: usize) -> Result<Option<Bitmap>> {
+    match varint::take(buf, pos, 1)?[0] {
         0 => Ok(None),
-        1 => Ok(Some(read_bitmap(buf, pos)?)),
+        1 => Ok(Some(read_bitmap(buf, pos, Some(rows))?)),
         other => Err(CodecError::Corrupt(format!("bad validity marker {other}"))),
     }
 }
 
-/// Check a decoded Utf8 column whose offsets are already known to be
-/// monotonic and to end at `data.len()`: the payload must be valid UTF-8
-/// and every offset must fall on a character boundary, so each row alone
-/// is valid UTF-8. Byte-level LIKE and the Utf8 `gather`/`filter` rely on
-/// this and never re-check a row.
-pub(crate) fn check_utf8_rows(offsets: &[u32], data: &[u8]) -> Result<()> {
-    let text = std::str::from_utf8(data).map_err(|_| CodecError::Corrupt("utf8 payload".into()))?;
-    if offsets.iter().all(|&o| text.is_char_boundary(o as usize)) {
-        Ok(())
-    } else {
-        Err(CodecError::Corrupt("utf8 offset splits a character".into()))
-    }
-}
-
-/// Write one column (without its schema entry). `packed` puts
-/// bit-packing in the running for integer columns.
-pub(crate) fn write_column<S: Sink>(sink: &mut S, column: &Column, packed: bool) {
-    match column {
-        Column::Int64 { values, validity } => {
+/// Write one column (without its schema entry) in `layout`.
+pub(crate) fn write_column<S: Sink>(sink: &mut S, column: &Column, layout: Layout) {
+    match (column, layout) {
+        (Column::Int64 { values, .. }, Layout::Raw) => {
+            int::write_tagged(sink, int::TAG_PLAIN, values);
+        }
+        (Column::Int64 { values, .. }, Layout::Encoded { packed }) => {
             let (tag, len) = int::choose(values, packed);
             sink.put(tag);
             sink.put_varint(len as u64);
             sink.put_counted(len, |s| int::write_tagged(s, tag, values));
-            write_validity(sink, validity.as_ref());
         }
-        Column::Float64 { values, validity } => {
+        (Column::Float64 { values, .. }, _) => {
             sink.put_varint(values.len() as u64);
             put_le(sink, values, f64::to_le_bytes);
-            write_validity(sink, validity.as_ref());
         }
-        Column::Utf8 {
-            offsets,
-            data,
-            validity,
-        } => {
+        (Column::Utf8 { offsets, data, .. }, Layout::Raw) => {
+            PlainUtf8::new(offsets, data).write_raw(sink);
+        }
+        (Column::Utf8 { offsets, data, .. }, Layout::Encoded { .. }) => {
             write_utf8(sink, offsets, data);
-            write_validity(sink, validity.as_ref());
         }
-        Column::Bool { values, validity } => {
-            write_bitmap(sink, values);
-            write_validity(sink, validity.as_ref());
-        }
+        (Column::Bool { values, .. }, _) => write_bitmap(sink, values),
     }
+    write_validity(sink, column.validity());
 }
 
-/// A Utf8 column's values: dictionary-coded (tag 1) if the dictionary
-/// stream is shorter than the whole plain block, else plain (tag 0).
+/// An encoded Utf8 column's values: dictionary-coded (tag 1) if the
+/// dictionary stream is shorter than the whole plain block, else plain
+/// (tag 0).
 fn write_utf8<S: Sink>(sink: &mut S, offsets: &[u32], data: &[u8]) {
     let plain = PlainUtf8::new(offsets, data);
-    let plain_len = counted(|c| plain.write(c));
+    let deltas_len = counted(|c| int::write_delta(c, plain.deltas()));
+    let plain_len = counted(|c| plain.write(c, deltas_len));
     let dict = Dict::build(offsets, data);
     let dict_len = counted(|c| dict.write(c));
     if dict_len < plain_len {
@@ -176,138 +153,167 @@ fn write_utf8<S: Sink>(sink: &mut S, offsets: &[u32], data: &[u8]) {
         sink.put_counted(dict_len, |s| dict.write(s));
     } else {
         sink.put(0);
-        sink.put_counted(plain_len, |s| plain.write(s));
+        sink.put_counted(plain_len, |s| plain.write(s, deltas_len));
     }
 }
 
-/// The plain Utf8 block: delta-coded offsets (monotone), then the raw
-/// bytes, each length-prefixed.
+/// A Utf8 view's rows as a frame carries them. A sliced view keeps
+/// absolute offsets into a shared (possibly larger) data buffer; the frame
+/// carries only the view's bytes, with offsets rebased to start at 0.
 struct PlainUtf8<'a> {
     offsets: &'a [u32],
     base: u32,
     bytes: &'a [u8],
-    /// Length of the delta-coded offsets.
-    offsets_len: usize,
 }
 
 impl<'a> PlainUtf8<'a> {
     fn new(offsets: &'a [u32], data: &'a [u8]) -> Self {
-        // A sliced view keeps absolute offsets into a shared (possibly
-        // larger) data buffer; the wire carries only the view's bytes,
-        // with offsets rebased to start at 0.
         let base = offsets.first().copied().unwrap_or(0);
         let end = offsets.last().copied().unwrap_or(0);
         PlainUtf8 {
             offsets,
             base,
             bytes: &data[base as usize..end as usize],
-            offsets_len: counted(|c| write_rebased(c, offsets, base)),
         }
     }
 
-    fn write<S: Sink>(&self, sink: &mut S) {
-        sink.put_varint(self.offsets_len as u64);
-        sink.put_counted(self.offsets_len, |s| {
-            write_rebased(s, self.offsets, self.base)
-        });
+    fn deltas(&self) -> impl ExactSizeIterator<Item = i64> + '_ {
+        self.offsets.iter().map(|&o| i64::from(o - self.base))
+    }
+
+    /// The encoded plain block: the offsets delta-coded into `deltas_len`
+    /// bytes, length-prefixed, then the bytes, length-prefixed.
+    fn write<S: Sink>(&self, sink: &mut S, deltas_len: usize) {
+        sink.put_varint(deltas_len as u64);
+        sink.put_counted(deltas_len, |s| int::write_delta(s, self.deltas()));
+        sink.put_varint(self.bytes.len() as u64);
+        sink.put_slice(self.bytes);
+    }
+
+    /// The raw layout: the offset count and the offsets as `u32` words,
+    /// then the bytes, length-prefixed.
+    fn write_raw<S: Sink>(&self, sink: &mut S) {
+        sink.put_varint(self.offsets.len() as u64);
+        put_le(sink, self.offsets, |o| (o - self.base).to_le_bytes());
         sink.put_varint(self.bytes.len() as u64);
         sink.put_slice(self.bytes);
     }
 }
 
-fn write_rebased<S: Sink>(sink: &mut S, offsets: &[u32], base: u32) {
-    int::write_delta(sink, offsets.iter().map(|&o| i64::from(o - base)));
-}
-
 /// Encode one column (without its schema entry).
 pub fn encode_column(out: &mut Vec<u8>, column: &Column) {
-    write_column(out, column, false);
+    write_column(out, column, ENCODED);
 }
 
-/// Decode one column of the given type.
+/// Decode one column of the given type. It may declare at most
+/// [`MAX_EXPANSION`](crate::MAX_EXPANSION) values per byte of `buf`.
 pub fn decode_column(buf: &[u8], pos: &mut usize, dtype: DataType) -> Result<Column> {
-    match dtype {
-        DataType::Int64 => {
-            let tag = *buf
-                .get(*pos)
-                .ok_or_else(|| CodecError::Corrupt("int tag past end".into()))?;
-            *pos += 1;
-            let bytes = varint::read_bytes(buf, pos)?;
-            let values = int::decode_tagged(tag, bytes)?;
-            let validity = read_validity(buf, pos)?;
-            Ok(Column::Int64 {
-                values: values.into(),
-                validity,
-            })
+    read_column(buf, pos, dtype, ENCODED, None)
+}
+
+/// Decode one column that must hold `rows` values, as a segment page's
+/// does: a row count over [`MAX_EXPANSION`](crate::MAX_EXPANSION) per byte
+/// of `buf`, or a column declaring another count, is corrupt before
+/// anything is allocated.
+pub fn decode_page_column(
+    buf: &[u8],
+    pos: &mut usize,
+    dtype: DataType,
+    rows: u64,
+) -> Result<Column> {
+    let rows = declared(rows, None, buf.len())?;
+    read_column(buf, pos, dtype, ENCODED, Some(rows))
+}
+
+/// Read one column of `dtype` in `layout`. Every count it declares must
+/// match `rows` ([`declared`]) before anything is allocated for it.
+pub(crate) fn read_column(
+    buf: &[u8],
+    pos: &mut usize,
+    dtype: DataType,
+    layout: Layout,
+    rows: Option<usize>,
+) -> Result<Column> {
+    let offsets = rows.map(|rows| rows + 1);
+    let mut column = match (dtype, layout) {
+        (DataType::Int64, Layout::Raw) => {
+            Column::from_i64(read_words(buf, pos, rows, i64::from_le_bytes)?)
         }
-        DataType::Float64 => {
-            let n = varint::read_u64(buf, pos)? as usize;
-            let end = n
-                .checked_mul(8)
-                .and_then(|len| pos.checked_add(len))
-                .ok_or_else(|| CodecError::Corrupt("float overflow".into()))?;
-            let raw = buf
-                .get(*pos..end)
-                .ok_or_else(|| CodecError::Corrupt("floats past end".into()))?;
-            *pos = end;
-            let values = raw
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            let validity = read_validity(buf, pos)?;
-            Ok(Column::Float64 { values, validity })
+        (DataType::Int64, Layout::Encoded { .. }) => {
+            let tag = varint::take(buf, pos, 1)?[0];
+            Column::from_i64(int::decode_rows(tag, varint::read_bytes(buf, pos)?, rows)?)
         }
-        DataType::Utf8 => {
-            let tag = *buf
-                .get(*pos)
-                .ok_or_else(|| CodecError::Corrupt("utf8 tag past end".into()))?;
-            *pos += 1;
-            let column = match tag {
-                0 => {
-                    let off_bytes = varint::read_bytes(buf, pos)?;
-                    let offs = int::delta_decode(off_bytes)?;
-                    let data = varint::read_bytes(buf, pos)?.to_vec();
-                    let offsets: Vec<u32> = offs
-                        .iter()
-                        .map(|&o| {
-                            u32::try_from(o)
-                                .map_err(|_| CodecError::Corrupt("negative offset".into()))
-                        })
-                        .collect::<Result<_>>()?;
-                    // Structural validation before trusting the offsets.
-                    if offsets.first() != Some(&0)
-                        || offsets.windows(2).any(|w| w[0] > w[1])
-                        || offsets.last().copied().unwrap_or(0) as usize != data.len()
-                        || offsets.is_empty()
-                    {
-                        return Err(CodecError::Corrupt("bad utf8 offsets".into()));
-                    }
-                    check_utf8_rows(&offsets, &data)?;
-                    Column::Utf8 {
-                        offsets: offsets.into(),
-                        data: data.into(),
-                        validity: None,
-                    }
-                }
-                1 => dict::decode(varint::read_bytes(buf, pos)?)?,
-                other => return Err(CodecError::Corrupt(format!("bad utf8 tag {other}"))),
-            };
-            let validity = read_validity(buf, pos)?;
-            Ok(match (column, validity) {
-                (Column::Utf8 { offsets, data, .. }, validity) => Column::Utf8 {
-                    offsets,
-                    data,
-                    validity,
-                },
-                _ => unreachable!("utf8 decode produces utf8"),
-            })
+        (DataType::Float64, _) => Column::from_f64(read_words(buf, pos, rows, f64::from_le_bytes)?),
+        (DataType::Utf8, Layout::Raw) => {
+            let offsets = read_words(buf, pos, offsets, u32::from_le_bytes)?;
+            plain_utf8(offsets, varint::read_bytes(buf, pos)?)?
         }
-        DataType::Bool => {
-            let values = read_bitmap(buf, pos)?;
-            let validity = read_validity(buf, pos)?;
-            Ok(Column::Bool { values, validity })
-        }
+        (DataType::Utf8, Layout::Encoded { .. }) => match varint::take(buf, pos, 1)?[0] {
+            0 => {
+                let deltas = varint::read_bytes(buf, pos)?;
+                let offsets = int::decode_rows(int::TAG_DELTA, deltas, offsets)?
+                    .into_iter()
+                    .map(|o| {
+                        u32::try_from(o).map_err(|_| CodecError::Corrupt("bad utf8 offset".into()))
+                    })
+                    .collect::<Result<_>>()?;
+                plain_utf8(offsets, varint::read_bytes(buf, pos)?)?
+            }
+            1 => dict::decode(varint::read_bytes(buf, pos)?, rows)?,
+            other => return Err(CodecError::Corrupt(format!("bad utf8 tag {other}"))),
+        },
+        (DataType::Bool, _) => Column::Bool {
+            values: read_bitmap(buf, pos, rows)?,
+            validity: None,
+        },
+    };
+    let nulls = read_validity(buf, pos, column.len())?;
+    match &mut column {
+        Column::Int64 { validity, .. }
+        | Column::Float64 { validity, .. }
+        | Column::Utf8 { validity, .. }
+        | Column::Bool { validity, .. } => *validity = nulls,
     }
+    Ok(column)
+}
+
+/// A `count` varint, then that many little-endian words of `N` bytes.
+fn read_words<T, const N: usize>(
+    buf: &[u8],
+    pos: &mut usize,
+    rows: Option<usize>,
+    from_le: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>> {
+    let n = declared(varint::read_u64(buf, pos)?, rows, buf.len())?;
+    let len = n
+        .checked_mul(N)
+        .ok_or_else(|| CodecError::Corrupt("word count overflow".into()))?;
+    Ok(varint::take(buf, pos, len)?
+        .chunks_exact(N)
+        .map(|word| from_le(word.try_into().expect("N-byte word")))
+        .collect())
+}
+
+/// A plain Utf8 column's values. The offsets must start at 0, never fall
+/// and end at the byte count, and fall on character boundaries of valid
+/// UTF-8, so each row alone is valid UTF-8: byte-level LIKE and the Utf8
+/// `gather`/`filter` rely on this and never re-check a row.
+fn plain_utf8(offsets: Vec<u32>, data: &[u8]) -> Result<Column> {
+    if offsets.first() != Some(&0)
+        || offsets.windows(2).any(|w| w[0] > w[1])
+        || offsets.last().map(|&end| end as usize) != Some(data.len())
+    {
+        return Err(CodecError::Corrupt("bad utf8 offsets".into()));
+    }
+    let text = std::str::from_utf8(data).map_err(|_| CodecError::Corrupt("utf8 payload".into()))?;
+    if !offsets.iter().all(|&o| text.is_char_boundary(o as usize)) {
+        return Err(CodecError::Corrupt("utf8 offset splits a character".into()));
+    }
+    Ok(Column::Utf8 {
+        offsets: offsets.into(),
+        data: data.to_vec().into(),
+        validity: None,
+    })
 }
 
 /// Serialize a scalar with a one-byte type tag (segment footers, zone maps).
@@ -337,40 +343,23 @@ pub fn encode_scalar(out: &mut Vec<u8>, scalar: &df_data::Scalar) {
 /// Deserialize a scalar written by [`encode_scalar`].
 pub fn decode_scalar(buf: &[u8], pos: &mut usize) -> Result<df_data::Scalar> {
     use df_data::Scalar;
-    let tag = *buf
-        .get(*pos)
-        .ok_or_else(|| CodecError::Corrupt("scalar tag past end".into()))?;
-    *pos += 1;
-    Ok(match tag {
+    Ok(match varint::take(buf, pos, 1)?[0] {
         0 => Scalar::Null,
         1 => Scalar::Int(varint::read_i64(buf, pos)?),
-        2 => {
-            let raw = buf
-                .get(*pos..*pos + 8)
-                .ok_or_else(|| CodecError::Corrupt("float scalar past end".into()))?;
-            *pos += 8;
-            Scalar::Float(f64::from_le_bytes(raw.try_into().unwrap()))
-        }
-        3 => {
-            let bytes = varint::read_bytes(buf, pos)?;
-            Scalar::Str(
-                std::str::from_utf8(bytes)
-                    .map_err(|_| CodecError::Corrupt("scalar not utf8".into()))?
-                    .to_string(),
-            )
-        }
-        4 => {
-            let b = *buf
-                .get(*pos)
-                .ok_or_else(|| CodecError::Corrupt("bool scalar past end".into()))?;
-            *pos += 1;
-            Scalar::Bool(b != 0)
-        }
+        2 => Scalar::Float(f64::from_le_bytes(
+            varint::take(buf, pos, 8)?.try_into().expect("8 bytes"),
+        )),
+        3 => Scalar::Str(
+            std::str::from_utf8(varint::read_bytes(buf, pos)?)
+                .map_err(|_| CodecError::Corrupt("scalar not utf8".into()))?
+                .to_string(),
+        ),
+        4 => Scalar::Bool(varint::take(buf, pos, 1)?[0] != 0),
         other => return Err(CodecError::Corrupt(format!("bad scalar tag {other}"))),
     })
 }
 
-fn write_schema<S: Sink>(sink: &mut S, schema: &Schema) {
+pub(crate) fn write_schema<S: Sink>(sink: &mut S, schema: &Schema) {
     sink.put_varint(schema.len() as u64);
     for field in schema.fields() {
         sink.put_varint(field.name.len() as u64);
@@ -385,20 +374,6 @@ pub fn encode_schema(out: &mut Vec<u8>, schema: &Schema) {
     write_schema(out, schema);
 }
 
-/// Write a batch payload: schema, row count, then every column as
-/// `column_writer` lays it out.
-pub(crate) fn write_payload<S: Sink>(
-    sink: &mut S,
-    batch: &Batch,
-    column_writer: impl Fn(&mut S, &Column),
-) {
-    write_schema(sink, batch.schema());
-    sink.put_varint(batch.rows() as u64);
-    for column in batch.columns() {
-        column_writer(sink, column);
-    }
-}
-
 /// Deserialize a schema written by [`encode_schema`].
 pub fn decode_schema(buf: &[u8], pos: &mut usize) -> Result<Schema> {
     let n = varint::read_u64(buf, pos)? as usize;
@@ -407,149 +382,46 @@ pub fn decode_schema(buf: &[u8], pos: &mut usize) -> Result<Schema> {
     }
     let mut fields = Vec::with_capacity(n);
     for _ in 0..n {
-        let name_bytes = varint::read_bytes(buf, pos)?;
-        let name = std::str::from_utf8(name_bytes)
+        let name = std::str::from_utf8(varint::read_bytes(buf, pos)?)
             .map_err(|_| CodecError::Corrupt("field name not utf8".into()))?
             .to_string();
-        let dtype = dtype_from_tag(
-            *buf.get(*pos)
-                .ok_or_else(|| CodecError::Corrupt("dtype past end".into()))?,
-        )?;
-        *pos += 1;
-        let nullable = *buf
-            .get(*pos)
-            .ok_or_else(|| CodecError::Corrupt("nullable past end".into()))?
-            != 0;
-        *pos += 1;
+        let dtype = dtype_from_tag(varint::take(buf, pos, 1)?[0])?;
+        let nullable = varint::take(buf, pos, 1)?[0] != 0;
         fields.push(Field {
             name,
             dtype,
             nullable,
         });
     }
+    // `Schema::new` panics on a repeated name: reject one first.
+    let mut names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+    names.sort_unstable();
+    if let Some(twice) = names.windows(2).find(|w| w[0] == w[1]) {
+        return Err(CodecError::Corrupt(format!(
+            "duplicate field name '{}'",
+            twice[0]
+        )));
+    }
     Ok(Schema::new(fields))
 }
 
-/// Serialize a batch to a wire frame.
+/// Serialize a batch to a DFW1 frame.
 pub fn encode_batch(batch: &Batch, opts: &WireOptions) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(batch.byte_size() / 2 + 64);
-    write_payload(&mut payload, batch, |s, c| write_column(s, c, false));
-
-    let mut flags = 0u8;
-    if opts.compress {
-        let compressed = lz::compress(&payload);
-        if compressed.len() < payload.len() {
-            payload = compressed;
-            flags |= FLAG_COMPRESSED;
-        }
-    }
-    if let Some((key, counter)) = &opts.encrypt {
-        crypto::apply_keystream(key, &Nonce::from_counter(*counter), &mut payload);
-        flags |= FLAG_ENCRYPTED;
-    }
-
-    let mut frame = Vec::with_capacity(payload.len() + 24);
-    write_header(&mut frame, flags, opts, payload.len());
-    frame.extend_from_slice(&payload);
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame
+    frame::encode(batch, Format::Wire(*opts))
 }
 
-/// Magic, flags, the nonce counter when encrypted, and the payload length.
-fn write_header<S: Sink>(sink: &mut S, flags: u8, opts: &WireOptions, payload_len: usize) {
-    sink.put_slice(MAGIC);
-    sink.put(flags);
-    if let Some((_, counter)) = opts.encrypt {
-        sink.put_varint(counter);
-    }
-    sink.put_varint(payload_len as u64);
-}
-
-/// Deserialize a wire frame. `key` must be supplied iff the frame is
-/// encrypted.
+/// Deserialize a frame; `key` must be supplied iff the frame is encrypted.
+/// A DFE1 frame decodes too (see [the crate docs](crate#frames)).
 pub fn decode_batch(frame: &[u8], key: Option<&Key>) -> Result<Batch> {
-    let mut pos = 0usize;
-    let magic = frame
-        .get(..4)
-        .ok_or_else(|| CodecError::Corrupt("frame too short".into()))?;
-    if magic != MAGIC {
-        return Err(CodecError::Corrupt("bad magic".into()));
-    }
-    pos += 4;
-    let flags = *frame
-        .get(pos)
-        .ok_or_else(|| CodecError::Corrupt("flags past end".into()))?;
-    pos += 1;
-    let nonce_counter = if flags & FLAG_ENCRYPTED != 0 {
-        varint::read_u64(frame, &mut pos)?
-    } else {
-        0
-    };
-    let payload_len = varint::read_u64(frame, &mut pos)? as usize;
-    let payload_end = pos
-        .checked_add(payload_len)
-        .ok_or_else(|| CodecError::Corrupt("payload overflow".into()))?;
-    let mut payload = frame
-        .get(pos..payload_end)
-        .ok_or_else(|| CodecError::Corrupt("payload past end".into()))?
-        .to_vec();
-    pos = payload_end;
-    let crc_bytes = frame
-        .get(pos..pos + 4)
-        .ok_or_else(|| CodecError::Corrupt("crc past end".into()))?;
-    if pos + 4 != frame.len() {
-        return Err(CodecError::Corrupt("trailing bytes after frame".into()));
-    }
-    let expected = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    let actual = crc32(&payload);
-    if expected != actual {
-        return Err(CodecError::ChecksumMismatch { expected, actual });
-    }
-
-    if flags & FLAG_ENCRYPTED != 0 {
-        let key = key
-            .ok_or_else(|| CodecError::Corrupt("frame is encrypted but no key supplied".into()))?;
-        crypto::apply_keystream(key, &Nonce::from_counter(nonce_counter), &mut payload);
-    }
-    if flags & FLAG_COMPRESSED != 0 {
-        payload = lz::decompress(&payload)?;
-    }
-
-    let mut p = 0usize;
-    let schema = decode_schema(&payload, &mut p)?.into_ref();
-    let rows = varint::read_u64(&payload, &mut p)? as usize;
-    let mut columns = Vec::with_capacity(schema.len());
-    for field in schema.fields() {
-        let col = decode_column(&payload, &mut p, field.dtype)?;
-        if col.len() != rows {
-            return Err(CodecError::Corrupt(format!(
-                "column '{}' length {} != rows {}",
-                field.name,
-                col.len(),
-                rows
-            )));
-        }
-        columns.push(col);
-    }
-    if p != payload.len() {
-        return Err(CodecError::Corrupt("trailing payload bytes".into()));
-    }
-    Batch::new(schema, columns).map_err(CodecError::from)
+    frame::decode(frame, key)
 }
 
 /// Encoded size of a batch under the given options — the number the
 /// movement ledger charges to a link when this stage's output crosses it.
-///
-/// Without compression nothing is built: a counter runs the writers
-/// [`encode_batch`] runs, for the payload and then the header (encryption
-/// keeps the length), plus the 4-byte CRC. Compression needs the real
-/// payload.
+/// Without compression it is counted, with no frame built and no CRC
+/// computed.
 pub fn wire_size(batch: &Batch, opts: &WireOptions) -> usize {
-    if opts.compress {
-        return encode_batch(batch, opts).len();
-    }
-    let payload = counted(|c| write_payload(c, batch, |s, col| write_column(s, col, false)));
-    counted(|c| write_header(c, 0, opts, payload)) + payload + 4
+    frame::size(batch, Format::Wire(*opts))
 }
 
 #[cfg(test)]
@@ -680,6 +552,21 @@ mod tests {
         write_validity(&mut buf, None);
         let decoded = decode_column(&buf, &mut 0, DataType::Float64);
         assert!(matches!(decoded, Err(CodecError::Corrupt(_))));
+    }
+
+    #[test]
+    fn duplicate_field_names_are_corrupt() {
+        // `Schema::new` panics on a repeated name.
+        let mut buf = Vec::new();
+        varint::write_u64(&mut buf, 2);
+        for _ in 0..2 {
+            varint::write_bytes(&mut buf, b"a");
+            buf.extend_from_slice(&[dtype_tag(DataType::Int64), 0]);
+        }
+        assert!(matches!(
+            decode_schema(&buf, &mut 0),
+            Err(CodecError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl QueryService {
         &self.session
     }
 
-    /// The shared scheduler handle (ledger inspection, decision digests).
+    /// The shared scheduler handle (ledger inspection).
     pub fn scheduler(&self) -> &Arc<SchedulerHandle> {
         &self.sched
     }
@@ -271,8 +271,11 @@ impl QueryService {
         let gate: Arc<dyn ExecGate> = Arc::new(QueryGate::new(self.sched.clone(), query, cancel));
         let executed = self.session.execute_plan_gated(&chosen.plan, Some(gate));
         let credits = self.sched.with(|s| {
+            let credits = s.query_credits(query);
             s.finish_query(query);
-            s.query_credits(query)
+            // The decision log is the harness's: the service keeps none.
+            s.clear_decisions();
+            credits
         });
         self.release(ticket);
         let mut result = executed.map_err(ServeError::Engine)?;
@@ -333,41 +336,28 @@ impl QueryService {
             .offer_ranked(std::iter::once((0, best_specs)).chain(alternatives))
             .map_err(ServeError::PlanRejected)?;
         match verdict {
-            Verdict::Admitted(t) => {
-                let variant = &variants[chosen].plan.variant;
-                let note = format!("admit tenant={tenant} ticket={} variant={variant}", t.0);
-                self.sched.with(|s| s.note(note));
-                Ok((chosen, t))
-            }
-            Verdict::Rejected(why) => {
-                self.sched
-                    .with(|s| s.note(format!("reject tenant={tenant}: {why}")));
-                Err(ServeError::Rejected(why))
-            }
-            Verdict::Queued(t) => {
-                self.sched
-                    .with(|s| s.note(format!("queue tenant={tenant} ticket={}", t.0)));
-                loop {
-                    if cancel.is_cancelled() {
-                        ac.release(t);
-                        return Err(ServeError::Disconnected);
-                    }
-                    if ac.is_admitted(t) {
-                        return Ok((chosen, t));
-                    }
-                    let (g, timeout) = self
-                        .admission_cv
-                        .wait_timeout(ac, GATE_WAIT)
-                        .expect("admission lock poisoned");
-                    ac = g;
-                    if timeout.timed_out() {
-                        ac.release(t);
-                        return Err(ServeError::Rejected(format!(
-                            "admission wait exceeded {GATE_WAIT:?}"
-                        )));
-                    }
+            Verdict::Admitted(t) => Ok((chosen, t)),
+            Verdict::Rejected(why) => Err(ServeError::Rejected(why)),
+            Verdict::Queued(t) => loop {
+                if cancel.is_cancelled() {
+                    ac.release(t);
+                    return Err(ServeError::Disconnected);
                 }
-            }
+                if ac.is_admitted(t) {
+                    return Ok((chosen, t));
+                }
+                let (g, timeout) = self
+                    .admission_cv
+                    .wait_timeout(ac, GATE_WAIT)
+                    .expect("admission lock poisoned");
+                ac = g;
+                if timeout.timed_out() {
+                    ac.release(t);
+                    return Err(ServeError::Rejected(format!(
+                        "admission wait exceeded {GATE_WAIT:?}"
+                    )));
+                }
+            },
         }
     }
 
@@ -462,6 +452,31 @@ mod tests {
         assert!(matches!(err, ServeError::Engine(_)));
         svc.scheduler().with(|s| {
             assert_eq!(s.ledger().granted("carol"), 0);
+            assert!(s.ledger().check_balanced().is_ok());
+        });
+    }
+
+    #[test]
+    fn scheduler_keeps_no_state_for_served_queries() {
+        let svc = service();
+        let tenants = [
+            svc.register_tenant(TenantSpec::new("frank", 1)),
+            svc.register_tenant(TenantSpec::new("grace", 2)),
+        ];
+        let sql = "SELECT COUNT(*) AS n FROM orders WHERE amount > 10.0";
+        std::thread::scope(|scope| {
+            for t in tenants {
+                let svc = &svc;
+                scope.spawn(move || {
+                    for _ in 0..500 {
+                        svc.run_sql(t, sql, CancelToken::new()).unwrap();
+                    }
+                });
+            }
+        });
+        svc.scheduler().with(|s| {
+            assert_eq!(s.live_queries(), 0);
+            assert!(s.decisions().is_empty(), "{:?}", s.decisions().first());
             assert!(s.ledger().check_balanced().is_ok());
         });
     }

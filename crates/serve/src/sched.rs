@@ -22,7 +22,8 @@
 //! conservation invariant (`granted == returned` once the system drains)
 //! the fault-injection suite checks after disconnects, verify failures and
 //! admission rejections. Every decision is appended to a log so harness
-//! runs can be compared byte-for-byte.
+//! runs can be compared byte-for-byte; the log is the harness's, and the
+//! service clears it as each query ends. A finished query leaves no state.
 
 use std::collections::BTreeMap;
 
@@ -44,7 +45,6 @@ struct QueryState {
     /// Whether a credit is currently attached to an in-flight batch.
     in_use: bool,
     granted_total: u64,
-    finished: bool,
 }
 
 /// The multi-query scheduler. Single-threaded state machine; the server
@@ -118,9 +118,7 @@ impl FairScheduler {
             .queries
             .iter()
             .filter(|(_, q)| {
-                !q.finished
-                    && (q.held > 0 || q.in_use)
-                    && self.registry.spec(q.tenant).priority < priority
+                (q.held > 0 || q.in_use) && self.registry.spec(q.tenant).priority < priority
             })
             .map(|(&qid, _)| qid)
             .collect();
@@ -131,7 +129,6 @@ impl FairScheduler {
                 held: 0,
                 in_use: false,
                 granted_total: 0,
-                finished: false,
             },
         );
         self.decisions.push(format!(
@@ -152,7 +149,7 @@ impl FairScheduler {
         let Some(state) = self.queries.get(&q.0) else {
             return;
         };
-        if !state.finished && state.held == 0 && !self.waiting.contains(&q.0) {
+        if state.held == 0 && !self.waiting.contains(&q.0) {
             self.waiting.push(q.0);
         }
         self.dispense();
@@ -204,7 +201,7 @@ impl FairScheduler {
         self.waiting.iter().any(|other| {
             self.queries
                 .get(other)
-                .is_some_and(|o| !o.finished && self.registry.spec(o.tenant).priority > mine)
+                .is_some_and(|o| self.registry.spec(o.tenant).priority > mine)
         })
     }
 
@@ -226,22 +223,14 @@ impl FairScheduler {
     }
 
     /// Query is done (or aborted): return any in-flight and held credits,
-    /// leave the wait queue, and run a dispense round. Idempotent.
+    /// leave the wait queue, forget the query, and run a dispense round.
+    /// Read [`FairScheduler::query_credits`] before. Idempotent.
     pub fn finish_query(&mut self, q: QueryId) {
-        let Some(state) = self.queries.get_mut(&q.0) else {
+        let Some(state) = self.queries.remove(&q.0) else {
             return;
         };
-        if state.finished {
-            return;
-        }
-        state.finished = true;
         let tenant = self.registry.spec(state.tenant).name.clone();
-        let mut giving_back = state.held;
-        if state.in_use {
-            giving_back += 1;
-            state.in_use = false;
-        }
-        state.held = 0;
+        let giving_back = state.held + u64::from(state.in_use);
         if giving_back > 0 {
             self.ledger.repay(&tenant, giving_back);
             self.outstanding -= giving_back;
@@ -251,13 +240,7 @@ impl FairScheduler {
         self.dispense();
     }
 
-    /// Append an external decision (admission verdicts) to the log so the
-    /// harness digest covers the whole control plane.
-    pub fn note(&mut self, msg: impl Into<String>) {
-        self.decisions.push(msg.into());
-    }
-
-    /// Total credits ever granted to the query.
+    /// Total credits ever granted to the query while it is live.
     pub fn query_credits(&self, q: QueryId) -> u64 {
         self.queries.get(&q.0).map_or(0, |s| s.granted_total)
     }
@@ -284,6 +267,17 @@ impl FairScheduler {
     /// The decision log as one string — the harness determinism digest.
     pub fn decision_digest(&self) -> String {
         self.decisions.join("\n")
+    }
+
+    /// Drop the decision log: a service that serves queries without end
+    /// keeps none.
+    pub fn clear_decisions(&mut self) {
+        self.decisions.clear();
+    }
+
+    /// Queries begun and not yet finished.
+    pub fn live_queries(&self) -> usize {
+        self.queries.len()
     }
 
     /// One stride dispense round: hand out credits while slots remain and

@@ -266,7 +266,7 @@ impl SegmentReader {
         }
         let mut pos = 0usize;
         let dtype = self.schema.field(column).dtype;
-        let col = wire::decode_column(body, &mut pos, dtype)?;
+        let col = wire::decode_page_column(body, &mut pos, dtype, self.pages[page].rows)?;
         if pos != body.len() {
             return Err(StorageError::Corrupt("trailing block bytes".into()));
         }

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use rheo::check::{check, Gen};
 use rheo::codec::wire::{decode_batch, encode_batch, wire_size, WireOptions};
-use rheo::codec::{crypto, int, lz};
+use rheo::codec::{crypto, int, lz, varint, CodecError};
 use rheo::core::error::EngineError;
 use rheo::core::kernel::Program;
 use rheo::core::logical::{AggCall, AggFn, JoinType, LogicalPlan};
@@ -528,6 +528,192 @@ fn lz_decoder_never_panics_on_garbage() {
         let len = g.usize_in(0, 255);
         let data = g.vec_of(len, Gen::byte);
         let _ = lz::decompress(&data); // must not panic
+    });
+}
+
+// ------------------------------------------------ decoder bounds and fuzz
+//
+// CI runs these under `ulimit -v 4000000`: a decoder that trusts a count
+// and allocates for it aborts the process there instead of failing a test.
+
+/// A width-0 bit-pack stream: 2^40 copies of one value in 8 bytes.
+fn width_zero_stream() -> Vec<u8> {
+    let mut stream = Vec::new();
+    varint::write_u64(&mut stream, 1 << 40);
+    varint::write_i64(&mut stream, 7);
+    stream.push(0);
+    assert_eq!(stream.len(), 8);
+    stream
+}
+
+#[test]
+fn decode_cap_bitpack_width_zero() {
+    // Trusted, the count asks for 8.8 TB.
+    assert!(matches!(
+        int::bitpack_decode(&width_zero_stream()),
+        Err(CodecError::Corrupt(_))
+    ));
+}
+
+#[test]
+fn decode_cap_rle_run() {
+    // One run of 2^34 in 11 bytes: trusted, 137 GB.
+    let mut stream = Vec::new();
+    varint::write_u64(&mut stream, 1 << 34);
+    varint::write_i64(&mut stream, 7);
+    varint::write_u64(&mut stream, 1 << 34);
+    assert_eq!(stream.len(), 11);
+    assert!(matches!(
+        int::rle_decode(&stream),
+        Err(CodecError::Corrupt(_))
+    ));
+}
+
+#[test]
+fn decode_cap_edge_frame_rows() {
+    use rheo::codec::checksum::crc32;
+    use rheo::codec::edge;
+    use rheo::codec::wire::encode_schema;
+    // A DFE1 `columnar` frame carrying the width-0 stream under a valid
+    // CRC, which is an integrity check, not a bound. Declaring the
+    // stream's 2^40 rows, or one row, it is corrupt before allocating.
+    for rows in [1u64 << 40, 1] {
+        let mut payload = Vec::new();
+        encode_schema(
+            &mut payload,
+            &Schema::new(vec![Field::new("x", DataType::Int64)]),
+        );
+        varint::write_u64(&mut payload, rows);
+        payload.push(int::TAG_BITPACK);
+        varint::write_bytes(&mut payload, &width_zero_stream());
+        payload.push(0); // no validity bitmap
+        let mut frame = b"DFE1".to_vec();
+        frame.push(1); // columnar
+        varint::write_bytes(&mut frame, &payload);
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        assert_eq!(frame.len(), if rows == 1 { 27 } else { 32 });
+        assert!(
+            matches!(edge::decode(&frame), Err(CodecError::Corrupt(_))),
+            "{rows} rows"
+        );
+    }
+}
+
+#[test]
+fn decode_cap_dict_column() {
+    use rheo::codec::wire::decode_column;
+    // A dictionary-coded Utf8 column of one 60,000-byte entry and 70,000
+    // one-byte codes: trusted, 4.2 GB of rows.
+    let mut dict = Vec::new();
+    varint::write_u64(&mut dict, 1);
+    varint::write_bytes(&mut dict, &[b'a'; 60_000]);
+    varint::write_u64(&mut dict, 70_000);
+    dict.resize(dict.len() + 70_000, 0);
+    let mut column = vec![1]; // the dictionary tag
+    varint::write_bytes(&mut column, &dict);
+    column.push(0); // no validity bitmap
+    assert_eq!(column.len(), 130_012);
+    assert!(matches!(
+        decode_column(&column, &mut 0, DataType::Utf8),
+        Err(CodecError::Corrupt(_))
+    ));
+}
+
+#[test]
+fn decode_cap_lz_declared_size() {
+    // 70,000 literal bytes declaring 4.6 GB of output, within LZ's cap of
+    // 2^16 bytes per input byte: reserved up front, the size alone aborts.
+    let mut stream = Vec::new();
+    varint::write_u64(&mut stream, 70_000 << 16);
+    varint::write_bytes(&mut stream, &[7; 70_000]);
+    varint::write_u64(&mut stream, 0);
+    assert!(matches!(
+        lz::decompress(&stream),
+        Err(CodecError::Corrupt(_))
+    ));
+}
+
+/// Decode `frame` through both fronts. Each returns a batch or a typed
+/// error; a batch must be whole enough to read every row of.
+fn decode_through_both_fronts(frame: &[u8], key: Option<&crypto::Key>) {
+    use rheo::codec::edge;
+    for batch in [decode_batch(frame, key), edge::decode(frame)]
+        .into_iter()
+        .flatten()
+    {
+        batch.canonical_rows();
+    }
+}
+
+#[test]
+fn frame_decode_returns_typed_errors() {
+    use rheo::codec::checksum::crc32;
+    use rheo::codec::edge::{self, EdgeEncoding};
+    let key = crypto::Key::from_seed(11);
+    let sealed = WireOptions {
+        compress: true,
+        encrypt: Some((key, 5)),
+    };
+    // Every frame kind of every corpus batch, with the key its decoder
+    // gets and where its payload starts.
+    let mut frames = Vec::new();
+    for batch in codec_corpus() {
+        let encrypted = encode_batch(&batch, &sealed);
+        frames.push((encrypted.clone(), Some(key)));
+        frames.push((encrypted, None));
+        for opts in [WireOptions::plain(), WireOptions::compressed()] {
+            frames.push((encode_batch(&batch, &opts), None));
+        }
+        for encoding in EdgeEncoding::ALL {
+            frames.push((edge::encode(&batch, encoding), None));
+        }
+    }
+    let frames: Vec<_> = frames
+        .into_iter()
+        .map(|(frame, key)| {
+            let mut pos = 5;
+            if frame.starts_with(b"DFW1") && frame[4] & 2 != 0 {
+                varint::read_u64(&frame, &mut pos).unwrap(); // nonce counter
+            }
+            let len = varint::read_u64(&frame, &mut pos).unwrap() as usize;
+            assert_eq!(pos + len + 4, frame.len());
+            (frame, key, pos)
+        })
+        .collect();
+    check("frame_decode_returns_typed_errors", 1024, |g| {
+        // Random bytes, bare and framed under either magic with a valid
+        // CRC, so that they reach the LZ and payload decoders.
+        let len = g.usize_in(0, 300);
+        let noise = g.vec_of(len, Gen::byte);
+        decode_through_both_fronts(&noise, Some(&key));
+        let mut framed = g.pick(&[b"DFW1", b"DFE1"]).to_vec();
+        let tag = g.usize_in(0, 4) as u8;
+        framed.push(tag);
+        if framed.starts_with(b"DFW1") && tag & 2 != 0 {
+            varint::write_u64(&mut framed, g.u64());
+        }
+        varint::write_bytes(&mut framed, &noise);
+        framed.extend_from_slice(&crc32(&noise).to_le_bytes());
+        decode_through_both_fronts(&framed, g.bool().then_some(&key));
+
+        // A corpus frame with one to eight bytes replaced or bit-flipped,
+        // half of them in the header and the payload's first 16 bytes,
+        // then its CRC recomputed so the damage gets past the checksum.
+        let (frame, frame_key, start) = g.pick(&frames);
+        let mut damaged = frame.clone();
+        for _ in 0..g.usize_in(1, 8) {
+            let last = if g.bool() { start + 16 } else { damaged.len() };
+            let at = g.usize_in(0, last.min(damaged.len()) - 1);
+            damaged[at] = if g.bool() {
+                g.byte()
+            } else {
+                damaged[at] ^ 1 << g.usize_in(0, 7)
+            };
+        }
+        let end = damaged.len() - 4;
+        let crc = crc32(&damaged[*start..end]);
+        damaged[end..].copy_from_slice(&crc.to_le_bytes());
+        decode_through_both_fronts(&damaged, frame_key.as_ref());
     });
 }
 
