@@ -9,8 +9,10 @@
 //! encoding plus once under the cost-based selector, and account both the
 //! executed fabric-edge ledger bytes and the simulated completion time.
 
+use std::sync::Arc;
+
 use df_codec::edge::EdgeEncoding;
-use df_core::exec::push::{execute_graph, CodecPolicy, ExecEnv};
+use df_core::exec::push::{execute_graph, CodecPolicy, ExecEnv, ExecOutcome};
 use df_core::expr::{col, lit};
 use df_core::logical::{AggCall, LogicalPlan};
 use df_core::ops::AggMode;
@@ -20,6 +22,7 @@ use df_data::Batch;
 use df_fabric::flow::FlowSim;
 use df_fabric::link::LinkTech;
 use df_fabric::topology::{DisaggregatedConfig, Topology};
+use df_sim::Tracer;
 
 use crate::report::{fmt_util, ExpReport};
 use crate::workload;
@@ -59,6 +62,14 @@ fn placed_shuffle(topo: &Topology, stream: &Batch) -> PhysicalPlan {
     )
 }
 
+/// The disaggregated cluster with a 25 GbE network.
+fn ethernet() -> Topology {
+    Topology::disaggregated(&DisaggregatedConfig {
+        network: LinkTech::Ethernet { gbits: 25 },
+        ..DisaggregatedConfig::default()
+    })
+}
+
 fn sim_completion(graph: &PipelineGraph, topo: &Topology, name: &str) -> df_sim::SimDuration {
     let cpu = topo.expect_device("compute0.cpu");
     let specs = graph.to_flow_specs(cpu, name).expect("verified graph");
@@ -95,10 +106,7 @@ pub fn run(scale: Scale) -> ExpReport {
     ]);
 
     let stream = workload::telemetry(scale.rows, 64, scale.seed);
-    let topo = Topology::disaggregated(&DisaggregatedConfig {
-        network: LinkTech::Ethernet { gbits: 25 },
-        ..DisaggregatedConfig::default()
-    });
+    let topo = ethernet();
     let plan = placed_shuffle(&topo, &stream);
     let env = |codec: CodecPolicy| ExecEnv {
         storage: None,
@@ -212,4 +220,56 @@ pub fn run(scale: Scale) -> ExpReport {
          faster than the accelerator)",
     );
     report
+}
+
+/// The shuffle under the cost-based selector on `topo`.
+fn cost_selected(topo: &Topology, scale: Scale, tracer: Option<Arc<Tracer>>) -> ExecOutcome {
+    let stream = workload::telemetry(scale.rows, 64, scale.seed);
+    let graph = PipelineGraph::compile(
+        &placed_shuffle(topo, &stream),
+        None,
+        Some(topo),
+        DEFAULT_QUEUE_CAPACITY,
+    );
+    let env = ExecEnv {
+        topology: Some(topo),
+        tracer,
+        codec: CodecPolicy::Auto,
+        ..ExecEnv::in_memory()
+    };
+    execute_graph(&graph, &env, "cost-selected").expect("cost-selected shuffle")
+}
+
+/// Trace E15's cost-selected shuffle on 25 GbE: the filter on storage.nic,
+/// with the edge encode the cost model picks, feeds the CPU's aggregate
+/// over a fabric edge, so it runs on its own `exec.push.p0` lane.
+pub fn trace_run(scale: Scale) -> Arc<Tracer> {
+    let tracer = Arc::new(Tracer::new());
+    cost_selected(&ethernet(), scale, Some(tracer.clone()));
+    tracer
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::tests::lane_spans;
+
+    #[test]
+    fn cost_model_compresses_on_25gbe_and_keeps_rdma_plain() {
+        let rdma = Topology::disaggregated(&DisaggregatedConfig::default());
+        for (topo, pick) in [
+            (ethernet(), EdgeEncoding::ColumnarLz),
+            (rdma, EdgeEncoding::Plain),
+        ] {
+            let out = cost_selected(&topo, Scale::quick(), None);
+            assert_eq!(out.codec_decisions[0].encoding, pick);
+        }
+    }
+
+    #[test]
+    fn trace_has_a_lane_for_the_nic_producer() {
+        let tracer = trace_run(Scale::quick());
+        tracer.validate().unwrap();
+        assert!(lane_spans(&tracer, "exec.push.p0") > 0);
+    }
 }

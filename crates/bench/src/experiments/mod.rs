@@ -65,6 +65,7 @@ pub fn traceable() -> Vec<(&'static str, TraceFn)> {
         ("E5", e05_scatter_join::trace_run),
         ("E6", e06_nic_count::trace_run),
         ("E7", e07_near_memory::trace_run),
+        ("E15", e15_wire_compression::trace_run),
     ]
 }
 

@@ -119,6 +119,7 @@ pub type Result<T> = std::result::Result<T, CodecError>;
 /// produce, per byte of the input that declares them: RLE runs, width-0
 /// bit-packing and LZ matches expand without limit otherwise. At 2^16 a
 /// frame payload of 20 bytes may still carry a million constant rows.
+/// [`lz::compress`] stays under it: a match carries at most 2^16 bytes.
 pub const MAX_EXPANSION: usize = 1 << 16;
 
 /// The most bytes a dictionary-coded Utf8 column may decode to per byte of

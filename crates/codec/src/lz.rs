@@ -1,22 +1,40 @@
 //! LZ-lite: a byte-level LZ77 block compressor with a 4-byte hash matcher.
 //!
-//! This is the generic "compression" pipeline stage (§1) applied to whole
-//! frames on the wire and to storage pages. The format is LZ4-like —
-//! alternating literal runs and (length, distance) matches — chosen because
-//! both encoder and decoder stream in one pass, which is exactly the
-//! stateless, non-blocking property the paper requires of data-path
-//! operators (§3.3).
+//! This is the generic "compression" pipeline stage (§1), applied to whole
+//! frame payloads: DFW1 with `compress`, DFE1 `lz` and `columnar+lz`. The
+//! format is LZ4-like — alternating literal runs and (length, distance)
+//! matches — chosen because both encoder and decoder stream in one pass,
+//! which is exactly the stateless, non-blocking property the paper
+//! requires of data-path operators (§3.3).
 //!
 //! Frame layout: `varint uncompressed_len`, then repeated sequences of
 //! `varint literal_len, literal bytes, varint match_len, varint distance`.
 //! A `match_len` of 0 terminates a sequence without a match (only valid as
 //! the final sequence). Minimum real match length is 4.
+//!
+//! The parse is greedy and skips ahead on misses, as LZ4's acceleration
+//! does. At each position it hashes the next 4-byte word, takes the last
+//! position hashed to the same slot as the candidate, and on a verified
+//! match extends it eight bytes at a time. On a miss it steps
+//! `1 + misses / 32` bytes, where `misses` counts the misses since the last
+//! match: a stretch with no repeats, such as a column of random doubles,
+//! is hashed at a few positions per hundred bytes instead of at every one,
+//! and a match resets the step to one byte. A match carries at most 2^16
+//! bytes and a sequence takes at least three (literal length, match
+//! length, distance), so no stream [`compress`] writes expands by more than
+//! 2^16 / 3 bytes per byte: [`decompress`] accepts up to
+//! [`MAX_EXPANSION`] (2^16). A longer run becomes several matches.
 
 use crate::varint;
 use crate::{CodecError, Result, MAX_EXPANSION};
 
 const MIN_MATCH: usize = 4;
+/// The longest match one sequence carries; a longer run becomes several.
+const MAX_MATCH: usize = MAX_EXPANSION;
 const HASH_BITS: u32 = 15;
+/// Every `1 << SKIP_SHIFT` consecutive misses lengthen the parse's step by
+/// one byte.
+const SKIP_SHIFT: u32 = 5;
 
 /// The 4-byte little-endian word at `at`.
 #[inline]
@@ -37,21 +55,38 @@ fn hash4(v: u32) -> usize {
 
 /// Compress `input` into an LZ-lite frame.
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    parse(input, 0).0
+}
+
+/// The frame [`compress`] writes, and how many positions its parse hashed.
+/// A table slot holds the low 32 bits of `origin` plus the last position
+/// hashed to it, and an empty slot reads as position 0; the distance back
+/// to a candidate is the wrapped difference. Past 4 GiB a slot may name a
+/// position a multiple of 4 GiB after the one it was written for, which
+/// the word comparison rejects like any other false candidate. `compress` starts
+/// at origin 0; a test starts near `u32::MAX` to wrap within a small input.
+fn parse(input: &[u8], origin: u32) -> (Vec<u8>, usize) {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     varint::write_u64(&mut out, input.len() as u64);
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
+    let mut table = vec![origin; 1 << HASH_BITS];
     let mut pos = 0usize;
     let mut literal_start = 0usize;
+    let mut misses = 0usize;
+    let mut hashed = 0usize;
     while pos + MIN_MATCH <= input.len() {
         let v = word4(input, pos);
         let h = hash4(v);
-        let candidate = table[h];
-        table[h] = pos;
-        if candidate != usize::MAX && candidate < pos && word4(input, candidate) == v {
-            // Extend the match as far as it goes, eight bytes at a time:
-            // the first differing byte is the lowest set byte of the XOR.
+        let stamp = origin.wrapping_add(pos as u32);
+        let candidate = pos - stamp.wrapping_sub(table[h]) as usize;
+        table[h] = stamp;
+        hashed += 1;
+        if candidate < pos && word4(input, candidate) == v {
+            // Extend the match as far as it goes, up to `MAX_MATCH`, eight
+            // bytes at a time: the first differing byte is the lowest set
+            // byte of the XOR.
+            let end = input.len().min(pos + MAX_MATCH);
             let mut len = MIN_MATCH;
-            while pos + len + 8 <= input.len() {
+            while pos + len + 8 <= end {
                 let diff = word8(input, candidate + len) ^ word8(input, pos + len);
                 if diff != 0 {
                     len += diff.trailing_zeros() as usize / 8;
@@ -59,7 +94,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
                 }
                 len += 8;
             }
-            while pos + len < input.len() && input[candidate + len] == input[pos + len] {
+            while pos + len < end && input[candidate + len] == input[pos + len] {
                 len += 1;
             }
             let distance = pos - candidate;
@@ -69,15 +104,17 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
             varint::write_u64(&mut out, distance as u64);
             pos += len;
             literal_start = pos;
+            misses = 0;
         } else {
-            pos += 1;
+            pos += 1 + (misses >> SKIP_SHIFT);
+            misses += 1;
         }
     }
     // Trailing literals.
     varint::write_u64(&mut out, (input.len() - literal_start) as u64);
     out.extend_from_slice(&input[literal_start..]);
     varint::write_u64(&mut out, 0); // terminator: no match
-    out
+    (out, hashed)
 }
 
 /// Decompress an LZ-lite frame.
@@ -141,16 +178,6 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Compression ratio achieved on `input` (plain / compressed); >= 1.0 means
-/// the codec helped. Used by the wire layer to decide whether to keep the
-/// compressed form.
-pub fn ratio(input: &[u8]) -> f64 {
-    if input.is_empty() {
-        return 1.0;
-    }
-    input.len() as f64 / compress(input).len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,17 +199,69 @@ the quick brown fox jumps again and again and again"
         }
     }
 
-    #[test]
-    fn roundtrip_incompressible() {
-        // Pseudo-random bytes: should round-trip even if it expands.
-        let mut state = 0x12345u64;
-        let data: Vec<u8> = (0..4096)
+    /// `len` pseudo-random bytes from `seed`.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
             .map(|_| {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 (state >> 33) as u8
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn roundtrip_incompressible() {
+        // Pseudo-random bytes: should round-trip even if it expands.
+        let data = noise(4096, 0x12345);
         assert_eq!(decompress(&compress(&data)).unwrap(), data);
+    }
+
+    #[test]
+    fn parse_skips_over_incompressible_bytes() {
+        // A per-byte parse hashes every position of 1 MiB of noise; the
+        // skipping parse hashes under 1% of them.
+        let data = noise(1 << 20, 7);
+        let (frame, hashed) = parse(&data, 0);
+        assert!(
+            hashed <= data.len() / 8,
+            "hashed {hashed} of {} positions",
+            data.len()
+        );
+        assert_eq!(decompress(&frame).unwrap(), data);
+    }
+
+    #[test]
+    fn a_repeat_after_noise_is_still_found() {
+        // 256 KiB of noise, then its first 64 KiB again: the step is long
+        // by the end of the noise, yet the parse lands in the repeat and
+        // matches the rest of it, so the repeat costs under 512 bytes.
+        let mut data = noise(1 << 18, 9);
+        data.extend_from_within(..1 << 16);
+        let frame = compress(&data);
+        assert!(
+            frame.len() < (1 << 18) + 512,
+            "frame {} for {} bytes",
+            frame.len(),
+            data.len()
+        );
+        assert_eq!(decompress(&frame).unwrap(), data);
+    }
+
+    #[test]
+    fn positions_past_4_gib_wrap_the_table() {
+        // Started short of 2^32, the position stamps wrap inside the input,
+        // as they do 4 GiB into a real one; the frame must not change.
+        let mut data = noise(3000, 3);
+        for i in 0..20_000 {
+            data.push(data[i * 7 % 3000]);
+        }
+        data.extend(noise(5000, 4));
+        let frame = compress(&data);
+        for origin in [u32::MAX - 4000, u32::MAX - 20_000, u32::MAX] {
+            assert_eq!(parse(&data, origin).0, frame, "origin {origin}");
+        }
+        assert_eq!(decompress(&frame).unwrap(), data);
     }
 
     #[test]
@@ -250,10 +329,5 @@ the quick brown fox jumps again and again and again"
                 "period {period}"
             );
         }
-    }
-
-    #[test]
-    fn ratio_reports_gain() {
-        assert!(ratio(&vec![0u8; 4096]) > 10.0);
     }
 }

@@ -393,16 +393,7 @@ pub fn decode_schema(buf: &[u8], pos: &mut usize) -> Result<Schema> {
             nullable,
         });
     }
-    // `Schema::new` panics on a repeated name: reject one first.
-    let mut names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-    names.sort_unstable();
-    if let Some(twice) = names.windows(2).find(|w| w[0] == w[1]) {
-        return Err(CodecError::Corrupt(format!(
-            "duplicate field name '{}'",
-            twice[0]
-        )));
-    }
-    Ok(Schema::new(fields))
+    Schema::try_new(fields).map_err(|e| CodecError::Corrupt(e.to_string()))
 }
 
 /// Serialize a batch to a DFW1 frame.
@@ -552,6 +543,36 @@ mod tests {
         write_validity(&mut buf, None);
         let decoded = decode_column(&buf, &mut 0, DataType::Float64);
         assert!(matches!(decoded, Err(CodecError::Corrupt(_))));
+    }
+
+    #[test]
+    fn wide_schema_roundtrips_and_rejects_a_repeat_at_either_end() {
+        // 40,000 fields: checked by sorting, not by comparing every pair.
+        let width = 40_000;
+        let fields: Vec<Field> = (0..width)
+            .map(|i| Field::new(format!("f{i}"), DataType::Int64))
+            .collect();
+        let schema = Schema::new(fields.clone());
+        let mut buf = Vec::new();
+        encode_schema(&mut buf, &schema);
+        let mut pos = 0;
+        assert_eq!(decode_schema(&buf, &mut pos).unwrap(), schema);
+        assert_eq!(pos, buf.len());
+        for (at, from) in [(1, 0), (width - 1, width - 2)] {
+            let mut repeated = fields.clone();
+            repeated[at].name = repeated[from].name.clone();
+            // `Schema::new` would panic: write the fields one by one.
+            let mut buf = Vec::new();
+            varint::write_u64(&mut buf, width as u64);
+            for field in &repeated {
+                varint::write_bytes(&mut buf, field.name.as_bytes());
+                buf.extend_from_slice(&[dtype_tag(field.dtype), 0]);
+            }
+            assert!(
+                matches!(decode_schema(&buf, &mut 0), Err(CodecError::Corrupt(_))),
+                "field {at} repeats field {from}"
+            );
+        }
     }
 
     #[test]

@@ -56,20 +56,39 @@ pub struct Schema {
 /// Schemas are shared widely (every batch holds one); `Arc` keeps that cheap.
 pub type SchemaRef = Arc<Schema>;
 
+/// The widest schema [`Schema::try_new`] checks by comparing every pair.
+const PAIRWISE_FIELDS: usize = 32;
+
 impl Schema {
     /// A schema from fields. Panics on duplicate names — that is a
-    /// programming error, not a data error.
+    /// programming error, not a data error; [`Schema::try_new`] is the
+    /// check for fields read from outside.
     pub fn new(fields: Vec<Field>) -> Self {
-        for i in 0..fields.len() {
-            for j in (i + 1)..fields.len() {
-                assert_ne!(
-                    fields[i].name, fields[j].name,
-                    "duplicate field name '{}'",
-                    fields[i].name
-                );
-            }
+        Schema::try_new(fields).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A schema from fields, or [`DataError::InvalidArgument`] when a name
+    /// repeats. Up to `PAIRWISE_FIELDS` fields compare every pair, which
+    /// allocates nothing; wider schemas sort their names, so a crafted
+    /// schema of many fields costs `n log n`, not `n²`.
+    pub fn try_new(fields: Vec<Field>) -> Result<Self> {
+        let repeated = if fields.len() <= PAIRWISE_FIELDS {
+            fields
+                .iter()
+                .enumerate()
+                .find(|(i, f)| fields[i + 1..].iter().any(|g| g.name == f.name))
+                .map(|(_, f)| f.name.as_str())
+        } else {
+            let mut names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+            names.sort_unstable();
+            names.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+        };
+        match repeated {
+            Some(name) => Err(DataError::InvalidArgument(format!(
+                "duplicate field name '{name}'"
+            ))),
+            None => Ok(Schema { fields }),
         }
-        Schema { fields }
     }
 
     /// The empty schema (zero columns).
@@ -182,6 +201,28 @@ mod tests {
             Field::new("x", DataType::Int64),
             Field::new("x", DataType::Utf8),
         ]);
+    }
+
+    #[test]
+    fn try_new_finds_a_repeat_by_pairs_and_by_sorting() {
+        for width in [2, PAIRWISE_FIELDS, PAIRWISE_FIELDS + 1, 1000] {
+            let distinct: Vec<Field> = (0..width)
+                .map(|i| Field::new(format!("f{i}"), DataType::Int64))
+                .collect();
+            assert_eq!(Schema::try_new(distinct.clone()).unwrap().len(), width);
+            // The last name repeats the first, or the middle one its neighbour.
+            for (at, from) in [(width - 1, 0), (width / 2, width / 2 - 1)] {
+                let mut repeated = distinct.clone();
+                repeated[at].name = repeated[from].name.clone();
+                assert!(
+                    matches!(
+                        Schema::try_new(repeated),
+                        Err(DataError::InvalidArgument(msg)) if msg.contains("duplicate field name")
+                    ),
+                    "width {width}, {at} repeats {from}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -426,35 +426,91 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
+/// The payload a frame carries, decrypted with `key` when it is sealed, and
+/// whether its header says LZ packed it.
+fn frame_payload(frame: &[u8], key: &crypto::Key) -> (Vec<u8>, bool) {
+    let mut pos = 5;
+    let wire = frame.starts_with(b"DFW1");
+    let nonce = (wire && frame[4] & 2 != 0).then(|| varint::read_u64(frame, &mut pos).unwrap());
+    let mut payload = varint::read_bytes(frame, &mut pos).unwrap().to_vec();
+    if let Some(counter) = nonce {
+        crypto::apply_keystream(key, &crypto::Nonce::from_counter(counter), &mut payload);
+    }
+    let lz = if wire {
+        frame[4] & 1 != 0
+    } else {
+        frame[4] >= 2
+    };
+    (payload, lz)
+}
+
 #[test]
 fn codec_frames_match_parent_digest() {
     use rheo::codec::edge::{self, EdgeEncoding};
-    let key = crypto::Key::from_seed(11);
-    let wire_opts = [
-        WireOptions::plain(),
-        WireOptions::compressed(),
-        WireOptions {
-            compress: true,
-            encrypt: Some((key, 5)),
-        },
-    ];
     let mut total = 0usize;
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for batch in codec_corpus() {
-        for opts in &wire_opts {
-            let frame = encode_batch(&batch, opts);
-            total += frame.len();
-            digest = fnv1a(digest, &frame);
-        }
-        for encoding in EdgeEncoding::ALL {
-            let frame = edge::encode(&batch, encoding);
+        let frames = [
+            encode_batch(&batch, &WireOptions::plain()),
+            edge::encode(&batch, EdgeEncoding::Plain),
+            edge::encode(&batch, EdgeEncoding::Columnar),
+        ];
+        for frame in frames {
             total += frame.len();
             digest = fnv1a(digest, &frame);
         }
     }
-    // Pinned at the commit before the counting encoder and word-at-a-time
-    // kernels: every frame byte must stay identical.
-    assert_eq!((total, digest), (6_579_717, 14_920_649_991_020_434_162));
+    // The frames that carry no LZ, pinned at the commit before the LZ parse
+    // skipped ahead on misses: every one of their bytes must stay identical.
+    assert_eq!((total, digest), (3_798_694, 16_446_797_528_433_033_815));
+}
+
+#[test]
+fn codec_lz_frames_unpack_to_parent_payloads() {
+    use rheo::codec::edge::{self, EdgeEncoding};
+    let key = crypto::Key::from_seed(11);
+    let sealed = WireOptions {
+        compress: true,
+        encrypt: Some((key, 5)),
+    };
+    let mut total = 0usize;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for batch in codec_corpus() {
+        // Each LZ frame next to its non-LZ counterpart, whose payload the
+        // digest above pins.
+        let wire_plain = encode_batch(&batch, &WireOptions::plain());
+        let pairs = [
+            (
+                encode_batch(&batch, &WireOptions::compressed()),
+                &wire_plain,
+            ),
+            (encode_batch(&batch, &sealed), &wire_plain),
+            (
+                edge::encode(&batch, EdgeEncoding::Lz),
+                &edge::encode(&batch, EdgeEncoding::Plain),
+            ),
+            (
+                edge::encode(&batch, EdgeEncoding::ColumnarLz),
+                &edge::encode(&batch, EdgeEncoding::Columnar),
+            ),
+        ];
+        for (frame, counterpart) in pairs {
+            let (want, _) = frame_payload(counterpart, &key);
+            let (payload, packed) = frame_payload(&frame, &key);
+            if packed {
+                assert_eq!(lz::decompress(&payload).unwrap(), want);
+            } else {
+                // Only DFW1 may keep a payload LZ did not shrink.
+                assert!(frame.starts_with(b"DFW1"));
+                assert_eq!(payload, want);
+            }
+            total += frame.len();
+            digest = fnv1a(digest, &frame);
+        }
+    }
+    // The LZ frames' own bytes, pinned at the commit that made the parse
+    // skip ahead on misses.
+    assert_eq!((total, digest), (2_792_906, 3_567_933_805_954_834_507));
 }
 
 #[test]
@@ -535,6 +591,90 @@ fn lz_decoder_never_panics_on_garbage() {
 //
 // CI runs these under `ulimit -v 4000000`: a decoder that trusts a count
 // and allocates for it aborts the process there instead of failing a test.
+
+#[test]
+fn lz_roundtrip_long_zero_run() {
+    // In one match, 1 MiB of zeros packs into 11 bytes, past the decoder's
+    // cap of 2^16 output bytes per input byte: a match stops at 2^16 bytes.
+    let data = vec![0u8; 1 << 20];
+    assert_eq!(lz::decompress(&lz::compress(&data)).unwrap(), data);
+}
+
+#[test]
+fn lz_roundtrip_constant_edge_frame() {
+    use rheo::codec::edge::{self, EdgeEncoding};
+    // 400,000 rows of one constant Int64 column: in one match, the DFE1
+    // `lz` frame would be 39 bytes, past the decoder's cap.
+    let batch = batch_of(vec![("c", Column::from_i64(vec![7; 400_000]))]);
+    for encoding in EdgeEncoding::ALL {
+        let frame = edge::encode(&batch, encoding);
+        assert_eq!(edge::decode(&frame).unwrap(), batch, "{encoding:?}");
+    }
+    for opts in [WireOptions::plain(), WireOptions::compressed()] {
+        let frame = encode_batch(&batch, &opts);
+        assert_eq!(decode_batch(&frame, None).unwrap(), batch);
+    }
+}
+
+/// Up to eight stretches of the shapes the LZ parse treats differently:
+/// runs of one byte up to 1 MiB long (one unsplit match could pass the
+/// decoder's cap), repeats of earlier bytes (which overlap themselves when
+/// they start near the end), and random bytes.
+fn lz_input(g: &mut Gen) -> Vec<u8> {
+    let mut data = Vec::new();
+    for _ in 0..g.usize_in(0, 8) {
+        match g.usize_in(0, 2) {
+            0 => {
+                let byte = g.byte();
+                let len = g.usize_in(1, 1 << 20);
+                data.resize(data.len() + len, byte);
+            }
+            1 if !data.is_empty() => {
+                let start = g.usize_in(0, data.len() - 1);
+                for i in 0..g.usize_in(1, 100_000) {
+                    data.push(data[start + i]);
+                }
+            }
+            _ => {
+                let len = g.usize_in(1, 20_000);
+                data.extend(g.vec_of(len, Gen::byte));
+            }
+        }
+    }
+    data
+}
+
+#[test]
+fn lz_roundtrip_runs_repeats_and_mutations() {
+    check("lz_roundtrip_runs_repeats_and_mutations", 256, |g| {
+        let data = lz_input(g);
+        let frame = lz::compress(&data);
+        assert_eq!(lz::decompress(&frame).unwrap(), data);
+        // One to eight bytes replaced or bit-flipped, then maybe cut short
+        // or extended: decoding returns the declared size or `Corrupt`.
+        let mut damaged = frame.clone();
+        for _ in 0..g.usize_in(1, 8) {
+            let at = g.usize_in(0, damaged.len() - 1);
+            damaged[at] = if g.bool() {
+                g.byte()
+            } else {
+                damaged[at] ^ 1 << g.usize_in(0, 7)
+            };
+        }
+        match g.usize_in(0, 2) {
+            0 => damaged.truncate(g.usize_in(0, damaged.len())),
+            1 => damaged.push(g.byte()),
+            _ => {}
+        }
+        match lz::decompress(&damaged) {
+            Ok(out) => {
+                let declared = varint::read_u64(&damaged, &mut 0).unwrap();
+                assert_eq!(out.len() as u64, declared);
+            }
+            Err(e) => assert!(matches!(e, CodecError::Corrupt(_)), "{e:?}"),
+        }
+    });
+}
 
 /// A width-0 bit-pack stream: 2^40 copies of one value in 8 bytes.
 fn width_zero_stream() -> Vec<u8> {
