@@ -1,5 +1,5 @@
 //! Benches for the engine core: E1 (Figure 1, pull vs push) and ablations
-//! A1 (execution model), A2 (batch size), A6 (kernel VM overhead).
+//! A1 (execution model), A2 (batch size), A6 (device filter overhead).
 
 use df_bench::experiments::e01_conventional::plan;
 use df_bench::microbench::Bench;
@@ -40,7 +40,8 @@ fn main() {
         }
     }
 
-    // A6: interpreted kernel VM vs native vectorized filter evaluation.
+    // A6: the device filter (the lowered offload predicate) vs native
+    // vectorized filter evaluation. The IDs keep their kernel-VM names.
     {
         let mut group = bench.group("a6_kernel_vm");
         let native = plan(&fact, 8192, false);

@@ -29,8 +29,9 @@ use crate::workload;
 use super::Scale;
 
 /// E1's plan: `fact` in `batch_rows`-row batches, filtered on
-/// `l_quantity < 10` (natively or through the kernel VM), then grouped by
-/// `l_region` with a count and a revenue sum. Unplaced throughout.
+/// `l_quantity < 10` (natively or through the lowered offload predicate a
+/// device filter runs), then grouped by `l_region` with a count and a
+/// revenue sum. Unplaced throughout.
 pub fn plan(fact: &Batch, batch_rows: usize, use_kernel: bool) -> PhysicalPlan {
     let calls = vec![
         AggCall::count_star("n"),

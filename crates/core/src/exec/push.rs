@@ -413,15 +413,36 @@ impl<'a, 'b> Runner<'a, 'b> {
     }
 
     /// End the query after the failure `cause`: every part queue no
-    /// consumer has taken hangs up, waking the producers blocked on it, and
-    /// no channel starts from here on. Surviving fragments still drain the
-    /// parts they hold to the end of their streams.
+    /// consumer has taken hangs up, waking the producers blocked on it, no
+    /// channel starts from here on, and every source stops at its next
+    /// batch boundary ([`Runner::admit`]), so the parts surviving fragments
+    /// hold soon reach their end of stream.
     fn abort(&self, cause: String) {
         let _ = self.aborted.set(cause);
         for state in &self.states {
             if let Some(receivers) = lock_tolerant(state).receivers.as_mut() {
                 receivers.iter_mut().for_each(|rx| *rx = None);
             }
+        }
+    }
+
+    /// Fail once the query has aborted.
+    fn check_aborted(&self) -> Result<()> {
+        match self.aborted.get() {
+            Some(cause) => Err(EngineError::Internal(format!("query aborted: {cause}"))),
+            None => Ok(()),
+        }
+    }
+
+    /// The step a source takes before every batch it emits: stop if the
+    /// query has aborted, then check in with the cross-query gate — the
+    /// cooperative yield point where a preempted pipeline gives its
+    /// credits back and waits for a new grant.
+    fn admit(&self, pid: usize) -> Result<()> {
+        self.check_aborted()?;
+        match &self.env.gate {
+            Some(gate) => gate.acquire(pid),
+            None => Ok(()),
         }
     }
 
@@ -671,10 +692,8 @@ impl<'a, 'b> Runner<'a, 'b> {
             }
         }
 
-        // Stream the source through the chain. Concrete sources check in
-        // with the cross-query gate before every batch they emit — the
-        // cooperative yield point where a preempted pipeline gives its
-        // credits back and waits for a new grant.
+        // Stream the source through the chain. Concrete sources pass
+        // `admit` before every batch they emit.
         let first_target = specs.first().map_or(parent_dev, |o| o.device);
         match &p.source {
             PipelineSource::Values {
@@ -682,9 +701,7 @@ impl<'a, 'b> Runner<'a, 'b> {
             } => {
                 let _source = open_span(trace, "values", &[]);
                 for batch in batches {
-                    if let Some(gate) = &self.env.gate {
-                        gate.acquire(pid)?;
-                    }
+                    self.admit(pid)?;
                     self.charge_handoff(pid, *device, first_target, batch, specs.is_empty());
                     self.feed(pid, &mut ops, specs, parent_dev, trace, batch.clone(), sink)?;
                 }
@@ -700,9 +717,7 @@ impl<'a, 'b> Runner<'a, 'b> {
                 let ops = &mut ops;
                 let stats =
                     source::scan_streaming(self.env.storage, table, request, &mut |batch| {
-                        if let Some(gate) = &self.env.gate {
-                            gate.acquire(pid)?;
-                        }
+                        self.admit(pid)?;
                         self.charge_handoff(pid, device, first_target, &batch, specs.is_empty());
                         self.feed(
                             pid,
@@ -733,9 +748,7 @@ impl<'a, 'b> Runner<'a, 'b> {
                 let punct_every = spec.punct_every.max(1);
                 let mut since_punct = 0u64;
                 while let Some(batch) = gen.next_batch() {
-                    if let Some(gate) = &self.env.gate {
-                        gate.acquire(pid)?;
-                    }
+                    self.admit(pid)?;
                     self.charge_handoff(pid, *device, first_target, &batch, specs.is_empty());
                     self.feed(pid, &mut ops, specs, parent_dev, trace, batch, sink)?;
                     since_punct += 1;
@@ -941,9 +954,7 @@ impl<'a, 'b> Runner<'a, 'b> {
     ) -> Result<()> {
         let rx = {
             let mut state = lock_tolerant(&self.states[cid]);
-            if let Some(cause) = self.aborted.get() {
-                return Err(EngineError::Internal(format!("query aborted: {cause}")));
-            }
+            self.check_aborted()?;
             let receivers = state.receivers.get_or_insert_with(|| {
                 let ch = &self.channels[cid];
                 let (txs, rxs): (Vec<_>, Vec<_>) = ch

@@ -17,30 +17,15 @@ fn require_storage(storage: Option<&SmartStorage>) -> Result<&SmartStorage> {
 
 /// Stream a storage scan, invoking `on_batch` per page-sized batch. The
 /// pushed-down request executes at the storage server; stats describe what
-/// the scan touched vs returned. Errors raised by `on_batch` abort the
-/// stream and are returned verbatim.
+/// the scan touched vs returned. An error raised by `on_batch` ends the
+/// scan before its next page and is returned verbatim.
 pub fn scan_streaming(
     storage: Option<&SmartStorage>,
     table: &str,
     request: &ScanRequest,
     on_batch: &mut dyn FnMut(Batch) -> Result<()>,
 ) -> Result<ScanStats> {
-    let storage = require_storage(storage)?;
-    let mut inner_err: Option<EngineError> = None;
-    let stats = storage
-        .scan_streaming(table, request, &mut |batch| {
-            if inner_err.is_some() {
-                return;
-            }
-            if let Err(e) = on_batch(batch) {
-                inner_err = Some(e);
-            }
-        })
-        .map_err(EngineError::from)?;
-    match inner_err {
-        Some(e) => Err(e),
-        None => Ok(stats),
-    }
+    require_storage(storage)?.scan_streaming(table, request, on_batch)
 }
 
 /// Materialize a storage scan into a batch vector (Volcano starts from a

@@ -10,9 +10,9 @@
 //! Layered bottom-up:
 //!
 //! - [`expr`] — expressions with vectorized evaluation
-//! - [`kernel`] — the accelerator programming model (§7.2): a register-file
-//!   plus bytecode program compiled from expressions, the pushdown compiler
-//!   into the storage predicate language, and a regex engine
+//! - [`kernel`] — the accelerator programming model (§7.2): the one
+//!   lowering from expressions into the offload predicate language that
+//!   storage, NIC and near-memory filters run, and a regex engine
 //! - [`logical`] — logical plans and a builder API
 //! - [`ops`] — push-based physical operators (filter, project, aggregate,
 //!   hash join, sort, limit)

@@ -1,19 +1,21 @@
-//! The filter operator: host-vectorized or via an installed device kernel.
+//! The filter operator: host-vectorized, or through the offload predicate
+//! an in-path device runs.
 
 use df_data::{Batch, SchemaRef};
+use df_storage::predicate::StoragePredicate;
 
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::expr::Expr;
-use crate::kernel::Program;
+use crate::kernel::to_storage_predicate;
 use crate::ops::Operator;
 
 /// How the predicate is evaluated.
 enum Mode {
     /// Native vectorized evaluation (CPU placement).
     Host(Expr),
-    /// Interpreted kernel program (accelerator placement) — exercises the
-    /// exact code path an in-path device would run (§7.2).
-    Kernel(Program),
+    /// The lowered offload predicate (accelerator placement) — exercises
+    /// the exact code path an in-path device would run (§7.2).
+    Kernel(StoragePredicate),
 }
 
 /// Keep rows matching a predicate.
@@ -35,11 +37,14 @@ impl FilterOp {
         }
     }
 
-    /// Kernel-evaluated filter: compiles the predicate to device bytecode.
-    /// Fails if the predicate is not offloadable.
+    /// Kernel-evaluated filter: lowers the predicate to the offload
+    /// predicate language once. Fails if the predicate is not offloadable.
     pub fn kernel(predicate: &Expr, schema: SchemaRef) -> Result<FilterOp> {
+        let lowered = to_storage_predicate(predicate).ok_or_else(|| {
+            EngineError::Plan(format!("predicate '{predicate}' is not offloadable"))
+        })?;
         Ok(FilterOp {
-            mode: Mode::Kernel(Program::compile_predicate(predicate)?),
+            mode: Mode::Kernel(lowered),
             schema,
             rows_in: 0,
             rows_out: 0,
@@ -65,7 +70,7 @@ impl Operator for FilterOp {
         self.rows_in += batch.rows() as u64;
         let selection = match &self.mode {
             Mode::Host(expr) => expr.eval_predicate(&batch)?,
-            Mode::Kernel(program) => program.run(&batch)?,
+            Mode::Kernel(predicate) => predicate.evaluate(&batch)?,
         };
         let out = if selection.all_set() {
             batch

@@ -19,7 +19,7 @@ use df_storage::smart::{PreAggSpec, ScanRequest};
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
-use crate::kernel::{to_storage_predicate, Program};
+use crate::kernel::to_storage_predicate;
 use crate::logical::{AggCall, AggFn, LogicalPlan};
 use crate::ops::AggMode;
 use crate::physical::{PhysNode, PhysicalPlan};
@@ -378,12 +378,19 @@ impl Optimizer {
             Expr::And(children) => children.clone(),
             other => vec![other.clone()],
         };
+        // The one lowering decides both placements: a conjunct that lowers
+        // may go to storage, and the residual may go to the NIC or the
+        // near-memory unit only if every one of its conjuncts lowers.
         let mut pushed: Vec<StoragePredicate> = Vec::new();
         let mut residual: Vec<Expr> = Vec::new();
+        let mut offloadable = true;
         for c in conjuncts {
             match to_storage_predicate(&c) {
                 Some(p) if policy.filter && self.site.storage_is_smart => pushed.push(p),
-                _ => residual.push(c),
+                lowered => {
+                    offloadable &= lowered.is_some();
+                    residual.push(c);
+                }
             }
         }
         let node = if pushed.is_empty() {
@@ -420,8 +427,7 @@ impl Optimizer {
             Expr::And(residual)
         };
         // Residual placement: NIC or near-memory accelerator when the
-        // policy asks for it and the kernel compiles; otherwise CPU.
-        let offloadable = Program::compile_predicate(&residual_pred).is_ok();
+        // policy asks for it and the residual lowers; otherwise CPU.
         let (device, use_kernel) = if policy.nic_filter && offloadable {
             (self.site.smart_nic, true)
         } else if policy.near_mem_filter && offloadable {
@@ -674,6 +680,30 @@ mod tests {
             .expect("nic-filter variant");
         let text = nic.plan.explain();
         assert!(text.contains("[kernel]"), "{text}");
+    }
+
+    #[test]
+    fn column_pair_residual_stays_on_cpu() {
+        // `id < v` compares two columns, which the offload predicate
+        // language cannot express: the device policies keep the filter on
+        // the CPU (their plans then duplicate cpu-only's and are dropped).
+        let optimizer = Optimizer::new(topo()).unwrap();
+        let plan = LogicalPlan::scan("t", table_schema())
+            .filter(col("id").lt(col("v")))
+            .unwrap();
+        let rewritten = rewrite::rewrite(plan.clone()).unwrap();
+        let on_cpu = format!("Filter: (id < v) @{}", optimizer.site.cpu);
+        for policy in POLICIES {
+            if policy.nic_filter || policy.near_mem_filter {
+                let node = optimizer.build(&rewritten, policy).unwrap().unwrap();
+                let text = node.explain();
+                assert!(text.contains(&on_cpu), "{}: {text}", policy.name);
+            }
+        }
+        let variants = optimizer.variants(&plan, &profiles()).unwrap();
+        assert!(variants
+            .iter()
+            .all(|v| !v.plan.explain().contains("[kernel]")));
     }
 
     #[test]

@@ -85,16 +85,7 @@ pub fn selectivity(expr: &Expr, profile: Option<&TableProfile>) -> f64 {
         Expr::Not(inner) => 1.0 - selectivity(inner, profile),
         Expr::Cmp { op, left, right } => match (left.as_ref(), right.as_ref()) {
             (Expr::Col(c), Expr::Lit(v)) => cmp_selectivity(c, *op, v, profile),
-            (Expr::Lit(v), Expr::Col(c)) => {
-                let flipped = match op {
-                    CmpOp::Lt => CmpOp::Gt,
-                    CmpOp::Le => CmpOp::Ge,
-                    CmpOp::Gt => CmpOp::Lt,
-                    CmpOp::Ge => CmpOp::Le,
-                    other => *other,
-                };
-                cmp_selectivity(c, flipped, v, profile)
-            }
+            (Expr::Lit(v), Expr::Col(c)) => cmp_selectivity(c, op.flipped(), v, profile),
             _ => defaults::RANGE,
         },
         Expr::Between { expr, low, high } => match expr.as_ref() {

@@ -57,8 +57,9 @@ pub enum PhysNode {
         predicate: Expr,
         /// Placement.
         device: Option<DeviceId>,
-        /// Evaluate via the kernel VM (accelerator emulation) instead of
-        /// the native vectorized path.
+        /// Evaluate through the lowered offload predicate, as an in-path
+        /// device runs it (accelerator emulation), instead of the native
+        /// vectorized path.
         use_kernel: bool,
     },
     /// Expression projection.

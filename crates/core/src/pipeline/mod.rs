@@ -55,7 +55,8 @@ pub enum OperatorSpec {
     Filter {
         /// Predicate over the input schema.
         predicate: Expr,
-        /// Evaluate via the kernel VM instead of the native path.
+        /// Evaluate through the lowered offload predicate instead of the
+        /// native path.
         use_kernel: bool,
         /// Input schema.
         input_schema: SchemaRef,

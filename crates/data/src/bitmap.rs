@@ -2,8 +2,8 @@
 //!
 //! A [`Bitmap`] stores one bit per row in `u64` words. Filters produce
 //! selection bitmaps; `Batch::filter` consumes them. Accelerator kernels
-//! (storage, NIC, near-memory) also exchange selections in this format, so
-//! it doubles as the "mask" register file format of the kernel VM.
+//! (storage, NIC, near-memory) also exchange selections in this format, and
+//! the predicate kernel's three-valued masks are pairs of bitmaps.
 
 /// A fixed-length packed bitmap.
 #[derive(Debug, Clone, PartialEq, Eq)]

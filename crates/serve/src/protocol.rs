@@ -144,7 +144,8 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<()> {
 
 /// Read one frame. A clean EOF at a frame boundary is
 /// [`ServeError::Disconnected`]; a short read inside a frame is a
-/// protocol error.
+/// protocol error. The payload buffer grows as bytes arrive, so a peer's
+/// length prefix alone allocates nothing.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
@@ -158,9 +159,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
     if len == 0 || len > MAX_FRAME {
         return Err(ServeError::Protocol(format!("bad frame length {len}")));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)
-        .map_err(|_| ServeError::Protocol("frame truncated".into()))?;
+    let mut payload = Vec::new();
+    let read = r.take(u64::from(len)).read_to_end(&mut payload);
+    if read.is_err() || payload.len() != len as usize {
+        return Err(ServeError::Protocol("frame truncated".into()));
+    }
     let body = &payload[1..];
     let mut at = 0usize;
     let frame = match payload[0] {
@@ -298,6 +301,36 @@ mod tests {
             read_frame(&mut short),
             Err(ServeError::Protocol(_))
         ));
+    }
+
+    /// Serves its bytes, then EOF, recording the largest buffer it is
+    /// asked to fill.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn declared_length_alone_allocates_nothing() {
+        // A prefix declaring 64 MiB, one payload byte, then EOF.
+        let mut bytes = MAX_FRAME.to_le_bytes().to_vec();
+        bytes.push(8);
+        let mut reader = Recording {
+            bytes: &bytes,
+            largest: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut reader),
+            Err(ServeError::Protocol(_))
+        ));
+        assert!(reader.largest <= 64 << 10, "filled {}", reader.largest);
     }
 
     #[test]

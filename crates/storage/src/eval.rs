@@ -1,9 +1,9 @@
 //! The predicate kernel every device runs: column-at-a-time, three-valued.
 //!
-//! §7.2 installs one kernel on every device in the data path. Smart storage
-//! ([`crate::predicate`]), the NIC and near-memory filters, host filters
-//! (`Expr`) and the device VM (`Program`) all lower onto the functions here,
-//! so they cannot disagree.
+//! §7.2 installs one kernel on every device in the data path. The offload
+//! predicate ([`crate::predicate`]), which smart storage, the NIC and the
+//! near-memory filters run, and host filters (`Expr`) both lower onto the
+//! functions here, so they cannot disagree.
 //!
 //! A predicate evaluates to a [`Mask`]: a `(truth, known)` bitmap pair with
 //! `truth ⊆ known`. A row is TRUE where `truth` is set, FALSE where only

@@ -15,11 +15,11 @@
 //! - [`pattern`] — a SQL `LIKE` matcher on UTF-8 bytes (the AQUA-style
 //!   pushdown predicate)
 //! - [`eval`] — the one column-at-a-time, three-valued predicate kernel
-//!   that storage, NIC, near-memory, host and device-VM filters all run
+//!   that storage, NIC, near-memory and host filters all run
 //! - [`agg`] — the one hash-aggregation kernel (bounded partial, final and
 //!   merge modes) that storage, NIC and CPU group-bys all run
-//! - [`predicate`] — the self-contained predicate language the engine
-//!   pushes down to storage
+//! - [`predicate`] — the one offload predicate language: the engine pushes
+//!   it down to storage and installs it on NIC and near-memory filters
 //! - [`smart`] — the smart-storage server: streaming, stateless, page-at-a-
 //!   time execution of projection, selection, LIKE, and bounded
 //!   pre-aggregation (on [`agg`]'s kernel), with byte-level billing (bytes

@@ -1,20 +1,20 @@
-//! The predicate language the engine pushes down to storage.
+//! The one offload predicate language: what the engine pushes down to
+//! storage and installs on NIC and near-memory filters.
 //!
 //! Deliberately self-contained (no dependency on the engine's expression
 //! tree): this is the "kernel" a smart storage server accepts over the wire
-//! (§3.3, §7.2). It supports exactly the operations the paper identifies as
-//! storage-pushable — comparisons, ranges, LIKE, null tests, and boolean
-//! combinations — and can both *evaluate* on a batch and *prune* with zone
-//! maps. Evaluation runs on the shared kernel in [`crate::eval`] with SQL's
-//! three-valued (Kleene) logic, so a pushed-down predicate selects exactly
-//! the rows the host's `Expr` and the device VM select.
+//! and an in-path device runs (§3.3, §7.2). It supports exactly the
+//! operations the paper identifies as pushable — comparisons, ranges, LIKE,
+//! null tests, and boolean combinations — and can both *evaluate* on a
+//! batch and *prune* with zone maps. Evaluation runs on the shared kernel
+//! in [`crate::eval`] with SQL's three-valued (Kleene) logic, so an
+//! offloaded predicate selects exactly the rows the host's `Expr` selects.
 
 use df_data::{Batch, Bitmap, Scalar};
 
 use crate::eval::{self, Mask, Operand};
 use crate::pattern::LikePattern;
 use crate::zonemap::{CmpOp, ZoneMap};
-use crate::Result;
 
 /// A predicate evaluable by the storage layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,13 +106,14 @@ impl StoragePredicate {
     }
 
     /// Evaluate over a batch, producing a selection bitmap: the rows where
-    /// the predicate is TRUE under SQL's three-valued logic.
-    pub fn evaluate(&self, batch: &Batch) -> Result<Bitmap> {
+    /// the predicate is TRUE under SQL's three-valued logic. Fails on a
+    /// missing column or a LIKE over a non-string column.
+    pub fn evaluate(&self, batch: &Batch) -> df_data::Result<Bitmap> {
         Ok(self.mask(batch)?.into_selection())
     }
 
     /// Three-valued evaluation on the shared predicate kernel.
-    fn mask(&self, batch: &Batch) -> Result<Mask> {
+    fn mask(&self, batch: &Batch) -> df_data::Result<Mask> {
         let rows = batch.rows();
         let col = |name: &str| batch.column_by_name(name).map(Operand::Col);
         Ok(match self {

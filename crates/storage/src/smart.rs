@@ -170,13 +170,17 @@ impl SmartStorage {
     }
 
     /// Execute a pushed-down scan, streaming output batches through `sink`.
-    /// Returns the execution statistics.
-    pub fn scan_streaming(
+    /// Returns the execution statistics. An error from `sink` ends the scan
+    /// at once: no further page is read.
+    pub fn scan_streaming<E>(
         &self,
         table: &str,
         request: &ScanRequest,
-        sink: &mut dyn FnMut(Batch),
-    ) -> Result<ScanStats> {
+        sink: &mut dyn FnMut(Batch) -> std::result::Result<(), E>,
+    ) -> std::result::Result<ScanStats, E>
+    where
+        E: From<StorageError>,
+    {
         let schema = self.tables.schema(table)?;
         let readers = self.tables.open_segments(table)?;
         let mut stats = ScanStats::default();
@@ -220,7 +224,8 @@ impl SmartStorage {
                 };
                 spec.kernel(mode, &schema)
             })
-            .transpose()?;
+            .transpose()
+            .map_err(StorageError::Data)?;
         let mut emitted_rows = 0u64;
 
         'segments: for reader in &readers {
@@ -249,8 +254,13 @@ impl SmartStorage {
                 // Evaluate the predicate, then gather only the returned (or
                 // pre-aggregated) columns at the selected rows: a
                 // predicate-only column is never copied.
-                let selection = request.predicate.evaluate(&batch)?;
-                let projected = batch.project_names(&projected_cols)?;
+                let selection = request
+                    .predicate
+                    .evaluate(&batch)
+                    .map_err(StorageError::Data)?;
+                let projected = batch
+                    .project_names(&projected_cols)
+                    .map_err(StorageError::Data)?;
                 // A projection with no column has no rows to return.
                 if projected.is_empty() || selection.none_set() {
                     continue;
@@ -258,11 +268,12 @@ impl SmartStorage {
                 let filtered = if selection.all_set() {
                     projected
                 } else {
-                    projected.filter(&selection)?
+                    projected.filter(&selection).map_err(StorageError::Data)?
                 };
                 // Pre-aggregate or pass through, then emit.
                 let out = if let Some(kernel) = preagg.as_mut() {
-                    let Some(flushed) = kernel.push(filtered)?.pop() else {
+                    let Some(flushed) = kernel.push(filtered).map_err(StorageError::Data)?.pop()
+                    else {
                         continue;
                     };
                     flushed
@@ -273,7 +284,7 @@ impl SmartStorage {
                 if !out.is_empty() {
                     stats.rows_returned += out.rows() as u64;
                     stats.bytes_returned += wire::wire_size(&out, &WireOptions::plain()) as u64;
-                    sink(out);
+                    sink(out)?;
                 }
                 if let Some(limit) = request.limit {
                     if emitted_rows >= limit {
@@ -284,12 +295,12 @@ impl SmartStorage {
         }
         // Final pre-aggregation flush.
         if let Some(kernel) = preagg.as_mut() {
-            for out in kernel.finish()? {
+            for out in kernel.finish().map_err(StorageError::Data)? {
                 let out = self.apply_limit(out, &mut emitted_rows, request.limit);
                 if !out.is_empty() {
                     stats.rows_returned += out.rows() as u64;
                     stats.bytes_returned += wire::wire_size(&out, &WireOptions::plain()) as u64;
-                    sink(out);
+                    sink(out)?;
                 }
             }
         }
@@ -306,7 +317,10 @@ impl SmartStorage {
     /// Execute a scan, collecting the output batches.
     pub fn scan(&self, table: &str, request: &ScanRequest) -> Result<(Vec<Batch>, ScanStats)> {
         let mut out = Vec::new();
-        let stats = self.scan_streaming(table, request, &mut |b| out.push(b))?;
+        let stats = self.scan_streaming(table, request, &mut |b| {
+            out.push(b);
+            Ok::<(), StorageError>(())
+        })?;
         Ok((out, stats))
     }
 

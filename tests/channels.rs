@@ -3,11 +3,13 @@
 //! tests pin what that one runtime guarantees on exchange plans: a codec
 //! decision only where a codec was compiled or [`CodecPolicy::Auto`] asks
 //! for one, a producer failure that reaches every consumer of its
-//! channel, typed, without hanging, and a consumer's own failure that ends
-//! the query.
+//! channel, typed, without hanging, a consumer's own failure that ends
+//! the query, and sources that stop at their next batch once a failure
+//! has ended it.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use rheo::bench::workload;
@@ -21,6 +23,9 @@ use rheo::core::pipeline::{PipelineGraph, DEFAULT_QUEUE_CAPACITY};
 use rheo::core::scaleout::{cluster_hash_join_plan, fan_out, split_round_robin};
 use rheo::data::{Batch, SchemaRef};
 use rheo::fabric::{ClusterConfig, Topology};
+use rheo::storage::object::{MemObjectStore, ObjectStoreRef};
+use rheo::storage::smart::{ScanRequest, SmartStorage};
+use rheo::storage::table::TableStore;
 
 const ON: (&str, &str) = ("o_orderkey", "l_orderkey");
 
@@ -243,4 +248,143 @@ fn failing_join_fragment_ends_the_query() {
         .expect("query returns within 10 s")
         .expect_err("a failed join fragment fails the query");
     assert!(matches!(err, EngineError::Data(_)), "{err:?}");
+}
+
+#[test]
+fn failing_filter_stops_its_storage_scan() {
+    // One pipeline: a scan of orders(20k), five pages, under
+    // `o_orderkey AND o_orderkey`, a type error at the first batch. The
+    // scan ends there and reads one page's blocks, not every page's.
+    let store: ObjectStoreRef = Arc::new(MemObjectStore::new());
+    let tables = TableStore::new(store.clone());
+    let orders = workload::orders(20_000, 1);
+    tables
+        .create_and_load("orders", std::slice::from_ref(&orders))
+        .unwrap();
+    let storage = SmartStorage::new(tables);
+    let readers = storage.tables().open_segments("orders").unwrap();
+    let [reader] = &readers[..] else {
+        panic!("one segment");
+    };
+    assert_eq!(reader.n_pages(), 5);
+    let page_bytes = |page| -> u64 { reader.page(page).blocks.iter().map(|b| b.len).sum() };
+    let every_page: u64 = (0..reader.n_pages()).map(page_bytes).sum();
+    let filter = |predicate| {
+        let scan = PhysNode::StorageScan {
+            table: "orders".into(),
+            request: ScanRequest::full(),
+            schema: orders.schema().clone(),
+            device: None,
+        };
+        PhysicalPlan::new(
+            PhysNode::Filter {
+                input: Box::new(scan),
+                predicate,
+                device: None,
+                use_kernel: false,
+            },
+            "filter",
+        )
+    };
+    let env = ExecEnv {
+        storage: Some(&storage),
+        ..ExecEnv::in_memory()
+    };
+    store.reset_stats();
+    execute(&filter(col("o_orderkey").lt(lit(0))), &env).unwrap();
+    let opening = store.stats().bytes_read - every_page;
+    store.reset_stats();
+    let err = execute(&filter(col("o_orderkey").and(col("o_orderkey"))), &env)
+        .expect_err("the filter fails");
+    assert!(matches!(err, EngineError::Data(_)), "{err:?}");
+    assert_eq!(store.stats().bytes_read, opening + page_bytes(0));
+}
+
+/// Fails pipeline `failing` at its first batch. Every other pipeline's
+/// first batch waits until the failed producer's thread has exited, which
+/// it does after recording the abort; the gate counts every batch the
+/// others start.
+struct AbortWatch {
+    failing: usize,
+    exited: Arc<(Mutex<bool>, Condvar)>,
+    sibling_batches: AtomicUsize,
+}
+
+/// Raises its flag when the thread holding it exits.
+struct OnExit(Arc<(Mutex<bool>, Condvar)>);
+
+impl Drop for OnExit {
+    fn drop(&mut self) {
+        let (exited, signal) = &*self.0;
+        if let Ok(mut exited) = exited.lock() {
+            *exited = true;
+        }
+        signal.notify_all();
+    }
+}
+
+thread_local! {
+    static ON_EXIT: RefCell<Option<OnExit>> = const { RefCell::new(None) };
+}
+
+impl ExecGate for AbortWatch {
+    fn acquire(&self, pipeline: usize) -> Result<()> {
+        if pipeline == self.failing {
+            ON_EXIT.with(|slot| *slot.borrow_mut() = Some(OnExit(self.exited.clone())));
+            return Err(EngineError::Placement("device lost mid-query".into()));
+        }
+        if self.sibling_batches.fetch_add(1, Ordering::SeqCst) == 0 {
+            let (exited, signal) = &*self.exited;
+            let timeout = Duration::from_secs(10);
+            let (guard, wait) = signal
+                .wait_timeout_while(exited.lock().unwrap(), timeout, |exited| !*exited)
+                .unwrap();
+            drop(guard);
+            assert!(!wait.timed_out(), "the failing fragment never exited");
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn sibling_fragment_stops_after_an_abort() {
+    // A gather over two fragments of 10 batches each. Fragment 0 fails
+    // at its first batch; fragment 1 may finish the batch it is in but
+    // must start no other.
+    let orders = workload::orders(2000, 1);
+    let plan = PhysicalPlan::new(
+        PhysNode::Filter {
+            input: Box::new(PhysNode::Values {
+                schema: orders.schema().clone(),
+                batches: orders.split(100).unwrap(),
+                device: None,
+            }),
+            predicate: col("o_orderkey").lt(lit(1000)),
+            device: None,
+            use_kernel: false,
+        },
+        "filter",
+    );
+    let graph = PipelineGraph::compile(
+        &fan_out(&plan, 2).unwrap(),
+        None,
+        None,
+        DEFAULT_QUEUE_CAPACITY,
+    );
+    let gather = &graph.channels()[0];
+    assert_eq!((gather.producers.len(), gather.parts), (2, 1));
+    let gate = Arc::new(AbortWatch {
+        failing: gather.producers[0],
+        exited: Arc::new((Mutex::new(false), Condvar::new())),
+        sibling_batches: AtomicUsize::new(0),
+    });
+    let env = ExecEnv {
+        gate: Some(gate.clone()),
+        ..ExecEnv::in_memory()
+    };
+    let err = execute_graph(&graph, &env, "fan-out").expect_err("fragment 0 fails");
+    assert!(matches!(err, EngineError::Placement(_)), "{err:?}");
+    // 0 when the abort lands before fragment 1's first batch.
+    let started = gate.sibling_batches.load(Ordering::SeqCst);
+    assert!(started <= 1, "fragment 1 started {started} batches");
 }

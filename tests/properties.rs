@@ -14,9 +14,8 @@ use rheo::check::{check, Gen};
 use rheo::codec::wire::{decode_batch, encode_batch, wire_size, WireOptions};
 use rheo::codec::{crypto, int, lz, varint, CodecError};
 use rheo::core::error::EngineError;
-use rheo::core::kernel::Program;
 use rheo::core::logical::{AggCall, AggFn, JoinType, LogicalPlan};
-use rheo::core::ops::{AggMode, HashAggOp, HashJoinOp, Operator};
+use rheo::core::ops::{AggMode, FilterOp, HashAggOp, HashJoinOp, Operator};
 use rheo::data::batch::batch_of;
 use rheo::data::partition::hash_row_seeded;
 use rheo::data::sort::{is_sorted, sort_batch, SortKey};
@@ -858,6 +857,85 @@ fn frame_decode_returns_typed_errors() {
 }
 
 #[test]
+fn serve_frame_decode_returns_typed_errors() {
+    use rheo::serve::protocol::{decode_result, encode_result, read_frame, write_frame, Frame};
+    // One valid frame of every kind, the Batch frame carrying a real
+    // result batch.
+    let corpus: Vec<Vec<u8>> = [
+        Frame::Hello {
+            tenant: "tenant-é".into(),
+            weight: 3,
+            priority: 1,
+        },
+        Frame::HelloOk,
+        Frame::Query {
+            sql: "SELECT l_region FROM lineitem WHERE l_comment LIKE '%urgent%'".into(),
+        },
+        Frame::Batch(encode_result(&rheo::bench::workload::lineitem(40, 1))),
+        Frame::Done {
+            rows: 40,
+            credits: 7,
+        },
+        Frame::Error("engine: boom".into()),
+        Frame::Rejected("over budget".into()),
+        Frame::Bye,
+    ]
+    .iter()
+    .map(|frame| {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, frame).unwrap();
+        bytes
+    })
+    .collect();
+    // A frame or a typed error; a batch frame's payload decodes to a
+    // batch or a typed error too.
+    let read = |bytes: &[u8]| {
+        let frame = read_frame(&mut &bytes[..]);
+        if let Ok(Frame::Batch(payload)) = &frame {
+            if let Ok(batch) = decode_result(payload) {
+                batch.canonical_rows();
+            }
+        }
+        frame
+    };
+    check("serve_frame_decode_returns_typed_errors", 1024, |g| {
+        let len = g.usize_in(0, 64);
+        let mut noise = g.vec_of(len, Gen::byte);
+        let _ = read(&noise);
+        // The same noise behind a plausible length prefix.
+        let declared = g.usize_in(1, 80) as u32;
+        noise.splice(0..0, declared.to_le_bytes());
+        let _ = read(&noise);
+
+        let frame = g.pick(&corpus);
+        let n = g.usize_in(1, 8);
+        let mut bytes = frame.clone();
+        match g.usize_in(0, 2) {
+            0 => {
+                for _ in 0..n {
+                    let at = g.usize_in(0, bytes.len() - 1);
+                    bytes[at] = if g.bool() {
+                        g.byte()
+                    } else {
+                        bytes[at] ^ 1 << g.usize_in(0, 7)
+                    };
+                }
+                let _ = read(&bytes);
+            }
+            1 => {
+                bytes.truncate(frame.len().saturating_sub(n));
+                assert!(read(&bytes).is_err(), "a truncated frame must fail");
+            }
+            _ => {
+                // Bytes past the frame belong to the next one.
+                bytes.extend(g.vec_of(n, Gen::byte));
+                assert_eq!(read(&bytes).unwrap(), read(frame).unwrap());
+            }
+        }
+    });
+}
+
+#[test]
 fn rowpage_roundtrip() {
     check("rowpage_roundtrip", 64, |g| {
         let batch = arb_batch(g, 100);
@@ -868,32 +946,6 @@ fn rowpage_roundtrip() {
 }
 
 // ------------------------------------------------------ device kernels
-
-#[test]
-fn kernel_vm_matches_host_eval() {
-    check("kernel_vm_matches_host_eval", 64, |g| {
-        use rheo::core::expr::{col, lit};
-        let batch = arb_batch(g, 100);
-        let bound = g.i64();
-        let pattern_chars = ['a', 'b', 'c', 'z', '%', '_'];
-        let pattern = g.string_from(&pattern_chars, 6);
-        let negate = g.bool();
-        let mut expr = col("i")
-            .gt(lit(bound))
-            .or(col("s").like(pattern))
-            .and(col("b").eq(lit(true)))
-            .or(col("i").is_null());
-        if negate {
-            expr = expr.not();
-        }
-        let host = expr.eval_predicate(&batch).unwrap();
-        let device = Program::compile_predicate(&expr)
-            .unwrap()
-            .run(&batch)
-            .unwrap();
-        assert_eq!(host, device);
-    });
-}
 
 #[test]
 fn pushdown_matches_host_eval() {
@@ -1082,8 +1134,27 @@ fn arb_predicate(
     }
 }
 
+/// True when `expr` compares two columns, the one shape `arb_predicate`
+/// makes that the offload predicate language cannot express.
+fn has_column_pair(expr: &rheo::core::expr::Expr) -> bool {
+    use rheo::core::expr::Expr;
+    match expr {
+        Expr::Cmp { left, right, .. } => {
+            matches!(
+                (left.as_ref(), right.as_ref()),
+                (Expr::Col(_), Expr::Col(_))
+            )
+        }
+        Expr::And(children) | Expr::Or(children) => children.iter().any(has_column_pair),
+        Expr::Not(inner) => has_column_pair(inner),
+        _ => false,
+    }
+}
+
 /// Every predicate evaluator against an independent reference: the
-/// row-at-a-time `Expr::eval_row`, keeping only rows that are `TRUE`.
+/// row-at-a-time `Expr::eval_row`, keeping only rows that are `TRUE`. The
+/// host runs every predicate; one lowers to the offload language, which
+/// storage and the device filter run, exactly when it has no column pair.
 #[test]
 fn predicate_kernel_matches_eval_row() {
     check("predicate_kernel_matches_eval_row", 256, |g| {
@@ -1091,8 +1162,8 @@ fn predicate_kernel_matches_eval_row() {
         let offset = g.usize_in(1, whole.rows());
         let view = whole.slice(offset, g.usize_in(0, whole.rows() - offset));
         let expr = arb_predicate(g, &whole, 3, true);
-        let program = Program::compile_predicate(&expr).unwrap();
         let pushed = rheo::core::kernel::to_storage_predicate(&expr);
+        assert_eq!(pushed.is_some(), !has_column_pair(&expr), "lowers: {expr}");
         for batch in [&whole, &view] {
             let schema = batch.schema();
             let reference: Vec<usize> = (0..batch.rows())
@@ -1104,13 +1175,32 @@ fn predicate_kernel_matches_eval_row() {
                 reference,
                 "host: {expr}"
             );
-            assert_eq!(ones(program.run(batch).unwrap()), reference, "vm: {expr}");
-            if let Some(p) = &pushed {
-                assert_eq!(
-                    ones(p.evaluate(batch).unwrap()),
-                    reference,
-                    "storage: {expr}"
-                );
+            let device = FilterOp::kernel(&expr, schema.clone());
+            let Some(p) = &pushed else {
+                assert!(device.is_err(), "device: {expr}");
+                continue;
+            };
+            assert_eq!(
+                ones(p.evaluate(batch).unwrap()),
+                reference,
+                "storage: {expr}"
+            );
+            // The device filter keeps exactly the reference rows, in order
+            // (floats compared by total order, so NaN rows match).
+            let kept: Vec<Vec<Scalar>> = device
+                .unwrap()
+                .push(batch.clone())
+                .unwrap()
+                .iter()
+                .flat_map(|b| (0..b.rows()).map(|r| b.row(r)).collect::<Vec<_>>())
+                .collect();
+            assert_eq!(kept.len(), reference.len(), "device: {expr}");
+            for (row, &r) in kept.iter().zip(&reference) {
+                let same = row
+                    .iter()
+                    .zip(batch.row(r))
+                    .all(|(a, b)| a.total_cmp(&b).is_eq());
+                assert!(same, "device: {expr}");
             }
         }
     });
