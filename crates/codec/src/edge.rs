@@ -6,11 +6,12 @@
 //! transport property. This module defines the per-edge menu — plain,
 //! per-column light encodings (dict/RLE/delta/bit-packing), LZ block
 //! compression, or both — as a self-describing frame so the consumer end
-//! of an edge needs no out-of-band configuration. The pipeline-graph IR
-//! places the paired `Compress`/`Decompress` stages
-//! (`df_core::pipeline::CodecStage`) and the executors call [`encode`] /
-//! [`decode`] at the single fabric-edge charging site, so the movement
-//! ledger accounts *encoded* bytes.
+//! of an edge needs no out-of-band configuration. A pipeline-graph edge
+//! carries its encoding and byte ratio (`df_core::pipeline::PipelineEdge`),
+//! priced as a `Compress` stage at the producer tip and a `Decompress`
+//! stage at the consumer, and the executors call [`encode`] / [`decode`]
+//! at the single fabric-edge charging site, so the movement ledger
+//! accounts *encoded* bytes.
 //!
 //! A `DFE1` frame is the one frame grammar of [`crate::wire`]'s `DFW1`
 //! frames, with the encoding as its tag: `plain` and `lz` lay columns out
@@ -56,11 +57,6 @@ impl EdgeEncoding {
             EdgeEncoding::Lz => "lz",
             EdgeEncoding::ColumnarLz => "columnar+lz",
         }
-    }
-
-    /// Parse a name produced by [`EdgeEncoding::name`].
-    pub fn from_name(name: &str) -> Option<EdgeEncoding> {
-        EdgeEncoding::ALL.into_iter().find(|e| e.name() == name)
     }
 
     /// Whether this encoding needs Compress/Decompress stages on the edge.
@@ -223,13 +219,5 @@ mod tests {
         let mut frame = encode(&b, EdgeEncoding::Plain);
         frame[4] = 9;
         assert!(decode(&frame).is_err());
-    }
-
-    #[test]
-    fn names_roundtrip() {
-        for enc in EdgeEncoding::ALL {
-            assert_eq!(EdgeEncoding::from_name(enc.name()), Some(enc));
-        }
-        assert_eq!(EdgeEncoding::from_name("zstd"), None);
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! - [`varint`] — LEB128/zigzag primitives shared by the integer codecs
 //! - [`int`] — RLE, delta, and bit-packing codecs for integer columns
-//! - [`edge`] — the fabric-edge front: per-edge batch encodings placed as
-//!   Compress/Decompress pipeline stages, in `DFE1` frames
+//! - [`edge`] — the fabric-edge front: per-edge batch encodings, encoded
+//!   at the producer tip and decoded at the consumer, in `DFE1` frames
 //! - [`lz`] — a byte-level LZ77-style block compressor (LZ-lite)
 //! - [`checksum`] — CRC32 (the storage "decode/error-check" step)
 //! - [`crypto`] — ChaCha20 stream cipher (educational implementation)

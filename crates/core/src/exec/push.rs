@@ -26,15 +26,15 @@
 //!   [`CodecPolicy::Auto`], encodes each batch into a self-describing
 //!   frame, charges the ledger the **encoded** bytes, and is decoded on
 //!   the consumer side; every other pair edge moves raw batches;
-//! - **failure** — a producer that fails records its error before its
-//!   senders drop, so every consumer of the channel fails too: the first
-//!   with the producer's own typed error, the rest with an internal error
-//!   naming it. A consumer that fails hangs up its queue; a producer stops
-//!   once every part has hung up and leaves the consumers' errors to win.
-//!   Either failure, or one of the root pipeline, aborts the query: every
-//!   part queue no consumer has taken yet hangs up, so no producer waits
-//!   on a part whose consumer will never come, and no channel starts
-//!   after that;
+//! - **failure** — the query records its first genuine failure (a
+//!   producer's own, a consumer's own or the root's), typed, once, and
+//!   returns exactly that error. A producer that fails aborts the query
+//!   before its senders drop, so every consumer of the channel sees the
+//!   abort at its end of stream and fails too. A consumer that fails hangs
+//!   up its queue; a producer stops once every part has hung up and leaves
+//!   the consumers' errors to win. The abort hangs up every part queue no
+//!   consumer has taken yet, so no producer waits on a part whose consumer
+//!   will never come, and no channel starts after that;
 //! - **local edges** — same-placement handoffs stay plain function calls
 //!   and execute inline, preserving the exact single-threaded behavior.
 //! - **punctuation** — a [`PipelineSource::Stream`] emits a frontier
@@ -224,23 +224,28 @@ pub fn execute(plan: &PhysicalPlan, env: &ExecEnv) -> Result<ExecOutcome> {
 /// Execute a compiled pipeline graph.
 pub fn execute_graph(graph: &PipelineGraph, env: &ExecEnv, variant: &str) -> Result<ExecOutcome> {
     graph.verify_or_err(env.topology)?;
-    let runner = Runner::new(graph, env);
+    let mut runner = Runner::new(graph, env);
     let mut batches = Vec::new();
     {
         let trace = runner.trace(runner.root_lane);
         let _query = open_span(trace, &format!("query [{variant}]"), &[]);
         std::thread::scope(|scope| {
-            runner
-                .run_pipeline(scope, graph.root, trace, None, &mut |flow| {
-                    if let Flow::Data(b) = flow {
-                        batches.push(b);
-                    }
-                    Ok(())
-                })
-                .inspect_err(|e| runner.abort(e.to_string()))
-        })?;
+            let root = runner.run_pipeline(scope, graph.root, trace, None, &mut |flow| {
+                if let Flow::Data(b) = flow {
+                    batches.push(b);
+                }
+                Ok(())
+            });
+            if let Err(e) = root {
+                runner.abort(e);
+            }
+        });
     }
-    Ok(runner.into_outcome(batches))
+    // Once the query has aborted, it fails with its first genuine error.
+    match runner.failure.take() {
+        Some(e) => Err(e),
+        None => Ok(runner.into_outcome(batches)),
+    }
 }
 
 /// What moves through a pipeline sink: data, or an in-band frontier
@@ -302,19 +307,10 @@ struct Account {
     window_lags: Vec<i64>,
 }
 
-/// Run-time state of one channel.
-#[derive(Default)]
-struct ChannelState {
-    /// One receiver per part, created by the first consumer to drain the
-    /// channel (which also starts every producer); each consumer takes
-    /// its own.
-    receivers: Option<Vec<Option<Receiver<EdgeMsg>>>>,
-    /// The first producer failure, recorded *before* that producer's
-    /// senders drop, so every consumer's end of stream happens after it:
-    /// the typed error, which the first consumer to see it takes, and its
-    /// message, which the other consumers report.
-    failure: Option<(Option<EngineError>, String)>,
-}
+/// Run-time state of one channel: one receiver per part, created by the
+/// first consumer to drain the channel (which also starts every
+/// producer); each consumer takes its own.
+type PartQueues = Option<Vec<Option<Receiver<EdgeMsg>>>>;
 
 /// Lock a mutex, tolerating poisoning: a poisoned channel lock means a
 /// producer thread panicked, and that panic is re-raised at scope join —
@@ -368,10 +364,10 @@ struct Runner<'a, 'b> {
     channels: Vec<Channel>,
     /// Per edge: the channel and part it feeds (None for local edges).
     part_of_edge: Vec<Option<(usize, usize)>>,
-    /// Per channel: its queues and failure record.
-    states: Vec<Mutex<ChannelState>>,
-    /// The message of the failure that aborted the query, once one has.
-    aborted: OnceLock<String>,
+    /// Per channel: its part queues.
+    states: Vec<Mutex<PartQueues>>,
+    /// The first genuine failure of the query; set once it has aborted.
+    failure: OnceLock<EngineError>,
 }
 
 impl<'a, 'b> Runner<'a, 'b> {
@@ -408,19 +404,21 @@ impl<'a, 'b> Runner<'a, 'b> {
             states: channels.iter().map(|_| Mutex::default()).collect(),
             channels,
             part_of_edge,
-            aborted: OnceLock::new(),
+            failure: OnceLock::new(),
         }
     }
 
-    /// End the query after the failure `cause`: every part queue no
+    /// End the query after the failure `cause`, which becomes the query's
+    /// error unless an earlier one already has: every part queue no
     /// consumer has taken hangs up, waking the producers blocked on it, no
     /// channel starts from here on, and every source stops at its next
     /// batch boundary ([`Runner::admit`]), so the parts surviving fragments
-    /// hold soon reach their end of stream.
-    fn abort(&self, cause: String) {
-        let _ = self.aborted.set(cause);
+    /// hold soon reach their end of stream. Every error the abort causes
+    /// arises after `cause` is recorded, so none can take its place.
+    fn abort(&self, cause: EngineError) {
+        let _ = self.failure.set(cause);
         for state in &self.states {
-            if let Some(receivers) = lock_tolerant(state).receivers.as_mut() {
+            if let Some(receivers) = lock_tolerant(state).as_mut() {
                 receivers.iter_mut().for_each(|rx| *rx = None);
             }
         }
@@ -428,7 +426,7 @@ impl<'a, 'b> Runner<'a, 'b> {
 
     /// Fail once the query has aborted.
     fn check_aborted(&self) -> Result<()> {
-        match self.aborted.get() {
+        match self.failure.get() {
             Some(cause) => Err(EngineError::Internal(format!("query aborted: {cause}"))),
             None => Ok(()),
         }
@@ -955,7 +953,7 @@ impl<'a, 'b> Runner<'a, 'b> {
         let rx = {
             let mut state = lock_tolerant(&self.states[cid]);
             self.check_aborted()?;
-            let receivers = state.receivers.get_or_insert_with(|| {
+            let receivers = state.get_or_insert_with(|| {
                 let ch = &self.channels[cid];
                 let (txs, rxs): (Vec<_>, Vec<_>) = ch
                     .credits
@@ -985,13 +983,8 @@ impl<'a, 'b> Runner<'a, 'b> {
             })?;
         }
         // Clean end of stream means every producer dropped its senders,
-        // which happens after any failure record.
-        match lock_tolerant(&self.states[cid]).failure.as_mut() {
-            None => Ok(()),
-            Some((typed, message)) => Err(typed.take().unwrap_or_else(|| {
-                EngineError::Internal(format!("channel {cid} producer failed: {message}"))
-            })),
-        }
+        // which a failed producer does only after aborting the query.
+        self.check_aborted()
     }
 
     /// Body of one producer thread: run the producer pipeline, split every
@@ -1076,17 +1069,12 @@ impl<'a, 'b> Runner<'a, 'b> {
             span.annotate("credit_waits", credit_waits);
         }
         drop(span);
-        // Record a genuine failure before `txs` drops, and only then abort
-        // the query, so no error the abort causes can be recorded ahead of
-        // it; a hang-up of every part stays silent — the consumers' own
-        // errors win.
+        // Abort before `txs` drops, so every consumer's end of stream
+        // finds the abort; a hang-up of every part stays silent — the
+        // consumers' own errors win.
         if let Err(e) = result {
             if txs.iter().any(Option::is_some) {
-                let message = e.to_string();
-                lock_tolerant(&self.states[cid])
-                    .failure
-                    .get_or_insert_with(|| (Some(e), message.clone()));
-                self.abort(message);
+                self.abort(e);
             }
         }
     }

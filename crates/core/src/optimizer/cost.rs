@@ -157,7 +157,17 @@ pub fn estimate_node(node: &PhysNode, profiles: &Profiles) -> (f64, f64) {
             let (rows, _) = estimate_node(input, profiles);
             (rows, rows * avg_row_width(schema) as f64)
         }
+        // A windowed aggregate's wstart column multiplies groups by the
+        // open-window count, which the sqrt heuristic already absorbs at
+        // estimate precision.
         PhysNode::Aggregate {
+            input,
+            group_by,
+            mode,
+            final_schema,
+            ..
+        }
+        | PhysNode::WindowAggregate {
             input,
             group_by,
             mode,
@@ -172,28 +182,6 @@ pub fn estimate_node(node: &PhysNode, profiles: &Profiles) -> (f64, f64) {
             };
             let rows = match mode {
                 // Partial stages may flush several copies of a group.
-                AggMode::Partial { .. } => (groups * 1.5).min(in_rows.max(1.0)),
-                _ => groups,
-            };
-            (rows, rows * avg_row_width(final_schema) as f64)
-        }
-        PhysNode::WindowAggregate {
-            input,
-            group_by,
-            mode,
-            final_schema,
-            ..
-        } => {
-            // Same group-cardinality heuristic as Aggregate; the wstart
-            // column multiplies groups by the open-window count, which the
-            // sqrt heuristic already absorbs at estimate precision.
-            let (in_rows, _) = estimate_node(input, profiles);
-            let groups = if group_by.is_empty() {
-                1.0
-            } else {
-                in_rows.sqrt().max(1.0).min(in_rows)
-            };
-            let rows = match mode {
                 AggMode::Partial { .. } => (groups * 1.5).min(in_rows.max(1.0)),
                 _ => groups,
             };
@@ -377,23 +365,6 @@ pub fn cost_plan(
     })
 }
 
-fn children_of(node: &PhysNode) -> Vec<&PhysNode> {
-    match node {
-        PhysNode::StorageScan { .. } | PhysNode::Values { .. } | PhysNode::StreamScan { .. } => {
-            vec![]
-        }
-        PhysNode::Filter { input, .. }
-        | PhysNode::Project { input, .. }
-        | PhysNode::Aggregate { input, .. }
-        | PhysNode::WindowAggregate { input, .. }
-        | PhysNode::Sort { input, .. }
-        | PhysNode::TopK { input, .. }
-        | PhysNode::Limit { input, .. } => vec![input],
-        PhysNode::HashJoin { build, probe, .. } => vec![build, probe],
-        PhysNode::Exchange { inputs, .. } => inputs.iter().collect(),
-    }
-}
-
 fn walk(
     node: &PhysNode,
     topology: &Topology,
@@ -439,7 +410,7 @@ fn walk(
         }
     }
 
-    for child in children_of(node) {
+    for child in node.children() {
         walk(child, topology, profiles, default_device, Some(device), acc)?;
     }
     Ok(())
@@ -461,7 +432,8 @@ pub fn node_input_bytes(node: &PhysNode, profiles: &Profiles) -> f64 {
             };
             stored * frac
         }
-        other => children_of(other)
+        other => other
+            .children()
             .iter()
             .map(|c| estimate_node(c, profiles).1)
             .sum(),

@@ -568,26 +568,6 @@ impl Channel {
     }
 }
 
-/// One half of an edge's codec pair: where the encode (or decode) runs
-/// and the byte ratio the cost model prices it at.
-///
-/// A non-plain [`PipelineEdge::encoding`] is realized as a `Compress`
-/// stage pinned to the producer tip and a `Decompress` stage pinned to
-/// the consumer — the §2.2 "compression as an explicit, offloadable
-/// plan stage". [`PipelineGraph::verify`] rejects unpaired or
-/// illegally-placed stages; [`PipelineGraph::to_flow_specs`] prices them
-/// into the flow simulation (codec cycles at the device's service rate,
-/// downstream link bytes scaled by `ratio`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CodecStage {
-    /// Device hosting the codec work (None = the session CPU).
-    pub device: Option<DeviceId>,
-    /// [`OpClass::Compress`] or [`OpClass::Decompress`].
-    pub op_class: OpClass,
-    /// Estimated encoded/plain byte ratio of the edge's traffic.
-    pub ratio: f64,
-}
-
 /// A typed handoff between two pipelines.
 #[derive(Debug, Clone)]
 pub struct PipelineEdge {
@@ -616,12 +596,15 @@ pub struct PipelineEdge {
     /// stream-fed input edge that drops its punctuation.
     pub punctuated: bool,
     /// How batches are encoded on the wire. `Plain` (the compile default)
-    /// charges raw batch bytes and needs no codec stages.
+    /// charges raw batch bytes and runs no codec. Any other encoding is
+    /// the §2.2 "compression as an explicit, offloadable plan stage" at
+    /// the edge's two ends: the encode runs on `from_device`, where the
+    /// bytes leave, and the decode on `to_device`, where they arrive.
     pub encoding: EdgeEncoding,
-    /// Encode stage at the producer tip (paired with `decompress`).
-    pub compress: Option<CodecStage>,
-    /// Decode stage at the consumer (paired with `compress`).
-    pub decompress: Option<CodecStage>,
+    /// Estimated encoded/plain byte ratio of a codec edge's traffic, which
+    /// [`PipelineGraph::to_flow_specs`] prices the link bytes at (1.0 on a
+    /// plain edge).
+    pub codec_ratio: f64,
 }
 
 impl PipelineEdge {
@@ -811,8 +794,7 @@ impl Compiler<'_> {
             // pipeline's source is known.
             punctuated: false,
             encoding: EdgeEncoding::Plain,
-            compress: None,
-            decompress: None,
+            codec_ratio: 1.0,
         });
         id
     }
@@ -1122,34 +1104,19 @@ impl PipelineGraph {
         g.to_flow_specs(default_device, name)
     }
 
-    /// Install `encoding` on edge `edge`, creating (or clearing, for
-    /// [`EdgeEncoding::Plain`]) the paired codec stages. The `Compress`
-    /// stage is pinned to the producer tip's device and the `Decompress`
-    /// stage to the consumer's, so the work happens exactly where the
-    /// bytes leave and arrive; `ratio` is the estimated encoded/plain
-    /// byte ratio the cost model prices the edge at.
+    /// Install `encoding` on edge `edge`, encoded where the bytes leave
+    /// (the producer tip's device) and decoded where they arrive (the
+    /// consumer's); `ratio` is the estimated encoded/plain byte ratio the
+    /// cost model prices the edge at (ignored for [`EdgeEncoding::Plain`]).
     ///
     /// The result still has to pass [`PipelineGraph::verify`]: a non-plain
-    /// encoding on a local edge, or a codec device that does not advertise
-    /// the op class, is rejected there with a typed error.
+    /// encoding on a local edge, a ratio that is not positive and finite,
+    /// or an endpoint that does not advertise its codec op class is
+    /// rejected there with a typed error.
     pub fn set_edge_encoding(&mut self, edge: usize, encoding: EdgeEncoding, ratio: f64) {
         let e = &mut self.edges[edge];
         e.encoding = encoding;
-        if encoding.is_plain() {
-            e.compress = None;
-            e.decompress = None;
-        } else {
-            e.compress = Some(CodecStage {
-                device: e.from_device,
-                op_class: OpClass::Compress,
-                ratio,
-            });
-            e.decompress = Some(CodecStage {
-                device: e.to_device,
-                op_class: OpClass::Decompress,
-                ratio,
-            });
-        }
+        e.codec_ratio = if encoding.is_plain() { 1.0 } else { ratio };
     }
 
     /// The channel table: every fabric edge outside an exchange, in edge
@@ -1361,34 +1328,35 @@ impl PipelineGraph {
         PipelineSpec::new(name, stages, source_bytes)
     }
 
-    /// Price an edge's codec pair into a flow spec: a `Compress` stage at
-    /// the producer tip whose selectivity is the encoded/plain ratio (so
-    /// every link between the pair carries *encoded* bytes and the device
+    /// Price a codec edge into a flow spec: a `Compress` stage at the
+    /// producer tip whose selectivity is the encoded/plain ratio (so every
+    /// link between the two ends carries *encoded* bytes and the device
     /// pays codec cycles at its `Compress` rate), and a `Decompress` stage
     /// at the consumer restoring the plain byte stream (selectivity
-    /// `1/ratio`).
+    /// `1/ratio`). A plain edge adds no stage.
     fn push_codec_stages(
         &self,
         stages: &mut Vec<StageSpec>,
         edge: &PipelineEdge,
         default_device: DeviceId,
     ) {
-        let (Some(c), Some(d)) = (&edge.compress, &edge.decompress) else {
+        if edge.encoding.is_plain() {
             return;
-        };
+        }
+        let ratio = edge.codec_ratio;
         stages.push(
             StageSpec::new(
-                c.device.or(edge.from_device).unwrap_or(default_device),
+                edge.from_device.unwrap_or(default_device),
                 OpClass::Compress,
-                c.ratio,
+                ratio,
             )
             .with_queue(self.queue_capacity),
         );
         stages.push(
             StageSpec::new(
-                d.device.or(edge.to_device).unwrap_or(default_device),
+                edge.to_device.unwrap_or(default_device),
                 OpClass::Decompress,
-                if d.ratio > 0.0 { 1.0 / d.ratio } else { 1.0 },
+                if ratio > 0.0 { 1.0 / ratio } else { 1.0 },
             )
             .with_queue(self.queue_capacity),
         );

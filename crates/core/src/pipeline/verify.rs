@@ -44,8 +44,7 @@ use df_data::{DataType, SchemaRef};
 use df_fabric::{DeviceId, OpClass, Topology};
 
 use super::{
-    CodecStage, EdgeKind, EdgeRole, ExchangeKind, OperatorSpec, PipelineEdge, PipelineGraph,
-    PipelineSource,
+    EdgeKind, EdgeRole, ExchangeKind, OperatorSpec, PipelineEdge, PipelineGraph, PipelineSource,
 };
 use crate::expr::Expr;
 use crate::ops::AggMode;
@@ -158,18 +157,18 @@ pub enum VerifyError {
         /// The edge.
         edge: usize,
     },
-    /// An edge's codec stages do not form a legal Compress/Decompress pair
-    /// (missing half, wrong op class, stage on a plain or local edge,
-    /// un-pinned endpoint, or a non-positive ratio).
+    /// An edge's codec cannot run as compiled: a non-plain encoding on a
+    /// local edge (nothing crosses the fabric to encode), or a
+    /// `codec_ratio` that is not positive and finite.
     CodecPairingBroken {
         /// The edge.
         edge: usize,
-        /// What is wrong with the pair.
+        /// What is wrong with the codec.
         detail: String,
     },
-    /// A codec stage is placed on a device that does not advertise its op
-    /// class (e.g. `Compress` on the near-memory accelerator, which only
-    /// decompresses).
+    /// An end of a codec edge is placed on a device that does not
+    /// advertise the codec's op class there (e.g. `Compress` at a producer
+    /// tip on the near-memory accelerator, which only decompresses).
     IllegalCodecPlacement {
         /// The edge.
         edge: usize,
@@ -1209,20 +1208,14 @@ impl Verifier<'_> {
         }
     }
 
-    /// Codec discipline: a non-plain encoding needs a Compress/Decompress
-    /// pair pinned to the edge's endpoints, on devices that advertise the
-    /// op classes; a plain edge must carry no codec stages at all. The
-    /// checksum discipline (every edge frame is CRC-protected) is a
-    /// property of the `df_codec::edge` frame format itself, so only the
-    /// stage legality needs verifying here.
+    /// Codec discipline: a non-plain encoding must cross the fabric, carry
+    /// a positive, finite `codec_ratio`, and run on endpoints that
+    /// advertise the op classes (`Compress` on the producer tip,
+    /// `Decompress` on the consumer). The checksum discipline (every edge
+    /// frame is CRC-protected) is a property of the `df_codec::edge` frame
+    /// format itself, so only the codec's placement needs verifying here.
     fn check_codec(&mut self, eid: usize, edge: &PipelineEdge) {
         if edge.encoding.is_plain() {
-            if edge.compress.is_some() || edge.decompress.is_some() {
-                self.push(VerifyError::CodecPairingBroken {
-                    edge: eid,
-                    detail: "plain edge carries codec stages".into(),
-                });
-            }
             return;
         }
         if !edge.crosses_devices() {
@@ -1234,92 +1227,39 @@ impl Verifier<'_> {
                 ),
             });
         }
-        let (Some(c), Some(d)) = (&edge.compress, &edge.decompress) else {
+        if !(edge.codec_ratio > 0.0 && edge.codec_ratio.is_finite()) {
             self.push(VerifyError::CodecPairingBroken {
                 edge: eid,
-                detail: format!(
-                    "'{}' encoding requires a Compress/Decompress pair (compress {}, decompress {})",
-                    edge.encoding,
-                    if edge.compress.is_some() { "present" } else { "missing" },
-                    if edge.decompress.is_some() { "present" } else { "missing" },
-                ),
+                detail: format!("codec ratio {} is not positive finite", edge.codec_ratio),
             });
+        }
+        let Some(topology) = self.topology else {
             return;
         };
-        if c.op_class != OpClass::Compress {
-            self.push(VerifyError::CodecPairingBroken {
-                edge: eid,
-                detail: format!("encode stage carries class {} (want Compress)", c.op_class),
-            });
-        }
-        if d.op_class != OpClass::Decompress {
-            self.push(VerifyError::CodecPairingBroken {
-                edge: eid,
-                detail: format!(
-                    "decode stage carries class {} (want Decompress)",
-                    d.op_class
-                ),
-            });
-        }
-        if c.device != edge.from_device {
-            self.push(VerifyError::CodecPairingBroken {
-                edge: eid,
-                detail: format!(
-                    "compress stage placed on {:?}, producer tip is {:?} (encode must run where the bytes leave)",
-                    c.device, edge.from_device
-                ),
-            });
-        }
-        if d.device != edge.to_device {
-            self.push(VerifyError::CodecPairingBroken {
-                edge: eid,
-                detail: format!(
-                    "decompress stage placed on {:?}, consumer is {:?} (decode must run where the bytes arrive)",
-                    d.device, edge.to_device
-                ),
-            });
-        }
-        for (what, stage) in [("compress", c), ("decompress", d)] {
-            if !(stage.ratio > 0.0 && stage.ratio.is_finite()) {
-                self.push(VerifyError::CodecPairingBroken {
+        let n_devices = topology.devices().len();
+        let ends = [
+            (edge.from_device, OpClass::Compress),
+            (edge.to_device, OpClass::Decompress),
+        ];
+        for (device, class) in ends {
+            let Some(dev) = device else { continue };
+            if (dev.0 as usize) >= n_devices {
+                self.push(VerifyError::Malformed {
+                    detail: format!(
+                        "edge {eid}: codec device {dev} not in topology ({n_devices} devices)"
+                    ),
+                });
+                continue;
+            }
+            let meta = topology.device(dev);
+            if !meta.profile.supports(class) {
+                self.push(VerifyError::IllegalCodecPlacement {
                     edge: eid,
-                    detail: format!("{what} stage ratio {} is not positive finite", stage.ratio),
+                    device: dev,
+                    device_name: meta.name.clone(),
+                    class,
                 });
             }
-        }
-        if c.ratio != d.ratio {
-            self.push(VerifyError::CodecPairingBroken {
-                edge: eid,
-                detail: format!(
-                    "pair disagrees on ratio: compress {} vs decompress {}",
-                    c.ratio, d.ratio
-                ),
-            });
-        }
-        if let Some(topology) = self.topology {
-            let n_devices = topology.devices().len();
-            let check = |errors: &mut Vec<VerifyError>, stage: &CodecStage| {
-                let Some(dev) = stage.device else { return };
-                if (dev.0 as usize) >= n_devices {
-                    errors.push(VerifyError::Malformed {
-                        detail: format!(
-                            "edge {eid}: codec device {dev} not in topology ({n_devices} devices)"
-                        ),
-                    });
-                    return;
-                }
-                let meta = topology.device(dev);
-                if !meta.profile.supports(stage.op_class) {
-                    errors.push(VerifyError::IllegalCodecPlacement {
-                        edge: eid,
-                        device: dev,
-                        device_name: meta.name.clone(),
-                        class: stage.op_class,
-                    });
-                }
-            };
-            check(&mut self.errors, c);
-            check(&mut self.errors, d);
         }
     }
 
@@ -1636,48 +1576,6 @@ mod tests {
     }
 
     #[test]
-    fn unpaired_codec_stage_is_flagged() {
-        let topo = topo();
-        let plan = placed_plan(&topo);
-        let mut g = PipelineGraph::compile(&plan, None, Some(&topo), DEFAULT_QUEUE_CAPACITY);
-        let eid = g
-            .edges
-            .iter()
-            .find(|e| e.crosses_devices())
-            .expect("fabric edge")
-            .id;
-        g.set_edge_encoding(eid, df_codec::edge::EdgeEncoding::Lz, 0.5);
-        // Drop the decode half: bytes would arrive encoded with nobody to
-        // restore them.
-        g.edges[eid].decompress = None;
-        let errs = g.verify(Some(&topo)).unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| matches!(e, VerifyError::CodecPairingBroken { edge, .. } if *edge == eid)),
-            "errs: {errs:?}"
-        );
-    }
-
-    #[test]
-    fn codec_stages_on_plain_edge_are_flagged() {
-        let topo = topo();
-        let plan = placed_plan(&topo);
-        let mut g = PipelineGraph::compile(&plan, None, Some(&topo), DEFAULT_QUEUE_CAPACITY);
-        let eid = g
-            .edges
-            .iter()
-            .find(|e| e.crosses_devices())
-            .expect("fabric edge")
-            .id;
-        g.set_edge_encoding(eid, df_codec::edge::EdgeEncoding::Columnar, 0.4);
-        g.edges[eid].encoding = df_codec::edge::EdgeEncoding::Plain;
-        let errs = g.verify(Some(&topo)).unwrap_err();
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, VerifyError::CodecPairingBroken { .. })));
-    }
-
-    #[test]
     fn illegally_placed_codec_stage_is_flagged() {
         let topo = topo();
         let plan = placed_plan(&topo);
@@ -1688,9 +1586,8 @@ mod tests {
             .find(|e| e.crosses_devices())
             .expect("fabric edge")
             .id;
-        g.set_edge_encoding(eid, df_codec::edge::EdgeEncoding::Columnar, 0.4);
         // The near-memory accelerator decompresses but cannot compress:
-        // hosting the encode half there must be rejected.
+        // an encoding on an edge it produces must be rejected.
         let nma = topo.expect_device("compute0.mem");
         let from = g.edges[eid].from;
         // Keep pinning consistent so only the placement violation fires.
@@ -1698,8 +1595,7 @@ mod tests {
             op.device = Some(nma);
         }
         g.edges[eid].from_device = Some(nma);
-        let stage = g.edges[eid].compress.as_mut().expect("compress stage");
-        stage.device = Some(nma);
+        g.set_edge_encoding(eid, df_codec::edge::EdgeEncoding::Columnar, 0.4);
         let errs = g.verify(Some(&topo)).unwrap_err();
         assert!(
             errs.iter().any(|e| matches!(
@@ -1836,8 +1732,7 @@ mod tests {
             to_device: None,
             punctuated: false,
             encoding: df_codec::edge::EdgeEncoding::Plain,
-            compress: None,
-            decompress: None,
+            codec_ratio: 1.0,
         });
         let errs = g.verify(Some(&topo)).unwrap_err();
         assert!(errs

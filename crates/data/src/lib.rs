@@ -21,7 +21,7 @@
 //! - [`schema`] — fields and schemas
 //! - [`batch`] — record batches and selection/gather utilities
 //! - [`partition`] — the canonical deterministic hash partitioner (shared
-//!   by Exchange edges, on a NIC or a CPU, and partitioned storage)
+//!   by every Exchange producer, on a NIC or a CPU)
 //! - [`rowpage`] — a fixed-layout row-major page (HTAP transposition target)
 //! - [`sort`] — multi-key sort permutations over batches
 //! - [`error`] — the crate error type

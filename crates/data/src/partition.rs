@@ -1,13 +1,12 @@
 //! Deterministic hash partitioning — the canonical partition function for
 //! every exchange in the system.
 //!
-//! The Exchange operator in the pipeline-graph IR (whose producer may run
-//! on a NIC) and partitioned storage both route rows with *this* function,
-//! so a row hashed on host 3's NIC lands in the same partition a storage
-//! node computed when it laid out the table. The hash is FNV-1a over the
-//! type-tagged canonical bytes of the key scalars; a seed is XORed into
-//! the offset basis so independent exchanges in one plan decorrelate
-//! (seed 0 reproduces the historical unseeded function bit-for-bit).
+//! Every producer of an Exchange in the pipeline-graph IR routes rows with
+//! *this* function, whether it runs on a NIC or a CPU, so a row hashed on
+//! host 3's NIC lands in the same partition host 1's CPU would pick. The
+//! hash is FNV-1a over the type-tagged canonical bytes of the key scalars;
+//! a seed is XORed into the offset basis so independent exchanges in one
+//! plan decorrelate.
 
 use crate::batch::Batch;
 use crate::column::Column;
@@ -19,7 +18,7 @@ const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// FNV-1a hash of the canonical bytes of the key values of one row,
 /// with `seed` folded into the offset basis. Deterministic across devices
-/// and hosts, so every NIC and storage node partitions identically. Reads
+/// and hosts, so every NIC and CPU partitions identically. Reads
 /// each value as a borrowed [`ValueRef`], so a string key allocates
 /// nothing.
 pub fn hash_row_seeded(columns: &[&Column], row: usize, seed: u64) -> u64 {
@@ -49,11 +48,6 @@ pub fn hash_row_seeded(columns: &[&Column], row: usize, seed: u64) -> u64 {
         }
     }
     hash
-}
-
-/// The unseeded hash (seed 0) — what [`hash_row_seeded`] historically was.
-pub fn hash_row(columns: &[&Column], row: usize) -> u64 {
-    hash_row_seeded(columns, row, 0)
 }
 
 /// A total, deterministic hash partitioner over named key columns.
@@ -236,15 +230,6 @@ mod tests {
                 .map(|row| hash_row_seeded(&cols, row, seed))
                 .collect();
             assert_eq!(got, want, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn seed_zero_matches_unseeded_hash() {
-        let batch = keyed(64);
-        let cols: Vec<&Column> = vec![batch.column(0), batch.column(1)];
-        for row in 0..batch.rows() {
-            assert_eq!(hash_row(&cols, row), hash_row_seeded(&cols, row, 0));
         }
     }
 

@@ -121,14 +121,6 @@ impl Scalar {
         }
     }
 
-    /// The bool payload, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Scalar::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Approximate in-memory size in bytes (for movement accounting).
     pub fn byte_size(&self) -> usize {
         match self {

@@ -112,16 +112,6 @@ impl OpClass {
             OpClass::Count => "count",
         }
     }
-
-    /// Whether the class needs unbounded operator state. Streaming devices
-    /// (storage controllers, NICs) only host stateless/bounded-state stages
-    /// (§3.3: "probably has to be mostly stateless").
-    pub fn needs_unbounded_state(self) -> bool {
-        matches!(
-            self,
-            OpClass::AggregateFinal | OpClass::JoinBuild | OpClass::JoinProbe | OpClass::Sort
-        )
-    }
 }
 
 impl fmt::Display for OpClass {
@@ -319,16 +309,6 @@ impl DeviceProfile {
         self.rate(op)
             .map(|bw| bw.time_for_bytes(bytes) + self.per_chunk_overhead)
     }
-
-    /// Override one rate (calibration / ablation hooks).
-    pub fn set_rate(&mut self, op: OpClass, bw: Bandwidth) {
-        self.rates.insert(op, bw);
-    }
-
-    /// Remove support for an op class.
-    pub fn remove_op(&mut self, op: OpClass) {
-        self.rates.remove(&op);
-    }
 }
 
 #[cfg(test)]
@@ -388,22 +368,5 @@ mod tests {
     fn unsupported_op_yields_none() {
         let p = DeviceProfile::reference(DeviceKind::PlainNic);
         assert!(p.service_time(OpClass::Filter, 100).is_none());
-    }
-
-    #[test]
-    fn state_classification() {
-        assert!(OpClass::JoinBuild.needs_unbounded_state());
-        assert!(!OpClass::Filter.needs_unbounded_state());
-        assert!(!OpClass::AggregatePartial.needs_unbounded_state());
-    }
-
-    #[test]
-    fn profile_overrides() {
-        let mut p = DeviceProfile::reference(DeviceKind::PlainNic);
-        assert!(!p.supports(OpClass::Filter));
-        p.set_rate(OpClass::Filter, Bandwidth::gbytes_per_sec(1.0));
-        assert!(p.supports(OpClass::Filter));
-        p.remove_op(OpClass::Filter);
-        assert!(!p.supports(OpClass::Filter));
     }
 }

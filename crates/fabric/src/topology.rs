@@ -261,15 +261,6 @@ impl Topology {
             .fold(SimDuration::ZERO, |acc, l| acc + l)
     }
 
-    /// Store-and-forward transfer time for `bytes` along a route.
-    pub fn route_transfer_time(&self, route: &Route, bytes: u64) -> SimDuration {
-        route
-            .links
-            .iter()
-            .map(|&l| self.link(l).transfer_time(bytes))
-            .fold(SimDuration::ZERO, |acc, t| acc + t)
-    }
-
     // -------------------------------------------------------------- hosts
 
     /// Which host a device belongs to (`None` for shared infrastructure).
@@ -284,34 +275,6 @@ impl Topology {
             .filter_map(|d| d.host)
             .max()
             .map_or(0, |h| h as usize + 1)
-    }
-
-    /// The devices belonging to host `host`, in id order.
-    pub fn host_devices(&self, host: u32) -> Vec<DeviceId> {
-        self.devices
-            .iter()
-            .filter(|d| d.host == Some(host))
-            .map(|d| d.id)
-            .collect()
-    }
-
-    /// Route between two hosts' CPUs — the canonical inter-host path an
-    /// exchange edge follows (cpu → nic → switch → nic → cpu). Falls back
-    /// to the first tagged device of each host if a host has no CPU.
-    pub fn route_between_hosts(&self, a: u32, b: u32) -> Option<Route> {
-        let anchor = |host: u32| -> Option<DeviceId> {
-            let tagged: Vec<&DeviceMeta> = self
-                .devices
-                .iter()
-                .filter(|d| d.host == Some(host))
-                .collect();
-            tagged
-                .iter()
-                .find(|d| matches!(d.profile.kind, DeviceKind::Cpu { .. }))
-                .or(tagged.first())
-                .map(|d| d.id)
-        };
-        self.route(anchor(a)?, anchor(b)?)
     }
 
     // ------------------------------------------------------------ builders
@@ -400,7 +363,7 @@ impl Topology {
 
     /// An N-host scale-out cluster: every host owns a full data path
     /// (storage, NIC, CPU, memory) and all hosts meet at one switch —
-    /// the substrate for partitioned tables and Exchange shuffles (§4.4).
+    /// the substrate for Exchange shuffles (§4.4).
     ///
     /// Device names: `switch`, `host{i}.ssd`, `host{i}.nic`,
     /// `host{i}.cpu`, `host{i}.mem`. Per-host links: `ssd —pcie— cpu`,
@@ -633,20 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn route_transfer_time_sums_hops() {
-        let t = Topology::conventional_server();
-        let ssd = t.expect_device("host.ssd");
-        let mem = t.expect_device("host.mem");
-        let route = t.route(ssd, mem).unwrap();
-        let direct: SimDuration = route
-            .links
-            .iter()
-            .map(|&l| t.link(l).transfer_time(1 << 20))
-            .fold(SimDuration::ZERO, |a, b| a + b);
-        assert_eq!(t.route_transfer_time(&route, 1 << 20), direct);
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate device name")]
     fn duplicate_names_rejected() {
         let mut t = Topology::new();
@@ -690,7 +639,8 @@ mod tests {
         assert_eq!(t.devices().len(), 1 + 4 * 4);
         assert_eq!(t.host_of(t.expect_device("switch")), None);
         for i in 0..4u32 {
-            assert_eq!(t.host_devices(i).len(), 4);
+            let on_host = t.devices().iter().filter(|d| d.host == Some(i));
+            assert_eq!(on_host.count(), 4);
             for suffix in ["ssd", "nic", "cpu", "mem"] {
                 let dev = t.expect_device(&format!("host{i}.{suffix}"));
                 assert_eq!(t.host_of(dev), Some(i));
@@ -704,13 +654,15 @@ mod tests {
     #[test]
     fn cluster_cross_host_route_goes_via_switch() {
         let t = Topology::cluster(8, &ClusterConfig::default());
-        let route = t.route_between_hosts(1, 6).unwrap();
+        let (cpu1, cpu6) = (t.expect_device("host1.cpu"), t.expect_device("host6.cpu"));
+        let route = t.route(cpu1, cpu6).unwrap();
         // cpu -> nic -> switch -> nic -> cpu.
         assert_eq!(route.links.len(), 4);
         let switch = t.expect_device("switch");
         assert!(route.devices.contains(&switch));
         // Same-host "route" is local.
-        assert!(t.route_between_hosts(3, 3).unwrap().is_local());
+        let cpu3 = t.expect_device("host3.cpu");
+        assert!(t.route(cpu3, cpu3).unwrap().is_local());
         // The bottleneck is the configured network.
         let bw = t.route_bandwidth(&route).unwrap();
         assert!((bw.as_gbytes_per_sec() - 12.5).abs() < 1e-9);

@@ -13,20 +13,14 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::metrics::Metrics;
 use crate::time::{SimDuration, SimTime};
-
-/// Identifier of a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
 
 type Action = Box<dyn FnOnce(&mut Simulation)>;
 
 struct Event {
     time: SimTime,
     seq: u64,
-    id: EventId,
-    action: Option<Action>,
+    action: Action,
 }
 
 impl PartialEq for Event {
@@ -53,23 +47,24 @@ impl Ord for Event {
 /// A deterministic discrete-event simulation.
 ///
 /// ```
+/// use std::cell::Cell;
+/// use std::rc::Rc;
 /// use df_sim::{Simulation, SimDuration};
 ///
+/// let ticks = Rc::new(Cell::new(0));
 /// let mut sim = Simulation::new();
-/// sim.schedule(SimDuration::from_micros(5), |sim| {
-///     sim.metrics_mut().counter("ticks").add(1);
+/// let counter = ticks.clone();
+/// sim.schedule(SimDuration::from_micros(5), move |_| {
+///     counter.set(counter.get() + 1);
 /// });
 /// sim.run();
 /// assert_eq!(sim.now().nanos(), 5_000);
-/// assert_eq!(sim.metrics().counter_value("ticks"), 1);
+/// assert_eq!(ticks.get(), 1);
 /// ```
 pub struct Simulation {
     now: SimTime,
     queue: BinaryHeap<Event>,
     next_seq: u64,
-    cancelled: std::collections::HashSet<EventId>,
-    metrics: Metrics,
-    executed: u64,
 }
 
 impl Default for Simulation {
@@ -85,9 +80,6 @@ impl Simulation {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
             next_seq: 0,
-            cancelled: std::collections::HashSet::new(),
-            metrics: Metrics::new(),
-            executed: 0,
         }
     }
 
@@ -97,23 +89,8 @@ impl Simulation {
         self.now
     }
 
-    /// Total number of events executed so far.
-    pub fn events_executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Shared metrics registry for model components.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Mutable access to the metrics registry.
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
     /// Schedule `action` to run `delay` after the current instant.
-    pub fn schedule<F>(&mut self, delay: SimDuration, action: F) -> EventId
+    pub fn schedule<F>(&mut self, delay: SimDuration, action: F)
     where
         F: FnOnce(&mut Simulation) + 'static,
     {
@@ -122,81 +99,35 @@ impl Simulation {
 
     /// Schedule `action` at an absolute instant. Instants in the past are
     /// clamped to "now" (the event still runs, immediately).
-    pub fn schedule_at<F>(&mut self, at: SimTime, action: F) -> EventId
+    pub fn schedule_at<F>(&mut self, at: SimTime, action: F)
     where
         F: FnOnce(&mut Simulation) + 'static,
     {
-        let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let id = EventId(seq);
         self.queue.push(Event {
-            time: at,
+            time: at.max(self.now),
             seq,
-            id,
-            action: Some(Box::new(action)),
+            action: Box::new(action),
         });
-        id
-    }
-
-    /// Cancel a previously scheduled event. Cancelling an already-executed
-    /// or unknown event is a no-op.
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
     }
 
     /// Run a single event if one is pending; returns `false` when the queue
     /// is empty.
     pub fn step(&mut self) -> bool {
-        while let Some(mut ev) = self.queue.pop() {
-            if self.cancelled.remove(&ev.id) {
-                continue;
-            }
-            debug_assert!(ev.time >= self.now, "time must be monotonic");
-            self.now = ev.time;
-            self.executed += 1;
-            let action = ev.action.take().expect("event action present");
-            action(self);
-            return true;
-        }
-        false
+        let Some(ev) = self.queue.pop() else {
+            return false;
+        };
+        debug_assert!(ev.time >= self.now, "time must be monotonic");
+        self.now = ev.time;
+        (ev.action)(self);
+        true
     }
 
     /// Run until the event queue drains. Returns the final instant.
     pub fn run(&mut self) -> SimTime {
         while self.step() {}
         self.now
-    }
-
-    /// Run until the queue drains or the clock passes `deadline`, whichever
-    /// comes first. Events scheduled after the deadline remain queued.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while let Some(ev) = self.queue.peek() {
-            if ev.time > deadline {
-                break;
-            }
-            self.step();
-        }
-        self.now = self.now.max(self.now).min(deadline.max(self.now));
-        self.now
-    }
-
-    /// Run with a safety cap on executed events; returns `true` if the queue
-    /// drained before the cap. Useful to detect accidental event storms in
-    /// tests.
-    pub fn run_capped(&mut self, max_events: u64) -> bool {
-        let start = self.executed;
-        while self.executed - start < max_events {
-            if !self.step() {
-                return true;
-            }
-        }
-        self.queue.is_empty()
-    }
-
-    /// Number of events still pending (including cancelled-but-unpopped).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -255,50 +186,18 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_execution() {
-        let hits = Rc::new(RefCell::new(0u32));
-        let mut sim = Simulation::new();
-        let h = hits.clone();
-        let id = sim.schedule(SimDuration::from_nanos(5), move |_| {
-            *h.borrow_mut() += 1;
-        });
-        sim.cancel(id);
-        sim.run();
-        assert_eq!(*hits.borrow(), 0);
-        assert_eq!(sim.events_executed(), 0);
-    }
-
-    #[test]
-    fn run_until_leaves_future_events() {
-        let mut sim = Simulation::new();
-        sim.schedule(SimDuration::from_nanos(10), |_| {});
-        sim.schedule(SimDuration::from_nanos(100), |_| {});
-        sim.run_until(SimTime(50));
-        assert_eq!(sim.pending(), 1);
-        assert_eq!(sim.events_executed(), 1);
-    }
-
-    #[test]
-    fn run_capped_detects_storms() {
-        let mut sim = Simulation::new();
-        // An infinite self-rescheduling loop.
-        fn forever(sim: &mut Simulation) {
-            sim.schedule(SimDuration::from_nanos(1), forever);
-        }
-        forever(&mut sim);
-        assert!(!sim.run_capped(1000));
-    }
-
-    #[test]
     fn past_schedule_clamps_to_now() {
+        let ran = Rc::new(RefCell::new(false));
         let mut sim = Simulation::new();
-        sim.schedule(SimDuration::from_nanos(10), |sim| {
+        let flag = ran.clone();
+        sim.schedule(SimDuration::from_nanos(10), move |sim| {
             // Absolute time 3 is in the past once we're at t=10.
-            sim.schedule_at(SimTime(3), |sim| {
+            sim.schedule_at(SimTime(3), move |sim| {
                 assert_eq!(sim.now(), SimTime(10));
+                *flag.borrow_mut() = true;
             });
         });
         sim.run();
-        assert_eq!(sim.events_executed(), 2);
+        assert!(*ran.borrow());
     }
 }

@@ -10,7 +10,7 @@
 //! Modules:
 //! - [`time`] — nanosecond simulated time and rate/duration arithmetic
 //! - [`event`] — the event queue and simulation driver
-//! - [`metrics`] — counters, gauges and fixed-bound histograms
+//! - [`metrics`] — a fixed-bound histogram (the serving harness's latencies)
 //! - [`rng`] — a small deterministic SplitMix64/xoshiro RNG
 //! - [`trace`] — hierarchical span/event tracing on per-device lanes
 
@@ -20,8 +20,8 @@ pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use event::{EventId, Simulation};
-pub use metrics::{Counter, Histogram, Metrics};
+pub use event::Simulation;
+pub use metrics::Histogram;
 pub use rng::SimRng;
 pub use time::{Bandwidth, SimDuration, SimTime};
 pub use trace::{LaneId, LaneKind, SpanGuard, Tracer};

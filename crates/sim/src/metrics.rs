@@ -1,38 +1,5 @@
-//! Lightweight metrics for simulation models: named counters, gauges, and
-//! fixed-boundary histograms.
-//!
-//! The fabric components record bytes-per-link, queue occupancies, message
-//! counts, and latency distributions here; the experiment harness reads them
-//! out to build the paper-figure tables.
-
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Increment by `delta`.
-    #[inline]
-    pub fn add(&mut self, delta: u64) {
-        self.value = self.value.saturating_add(delta);
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
+//! A fixed-boundary histogram with count, sum, min and max: the latency
+//! distributions the serving harness records per tenant.
 
 /// A histogram with caller-supplied bucket upper bounds plus an implicit
 /// overflow bucket. Also tracks count/sum/min/max for summary statistics.
@@ -132,117 +99,9 @@ impl Histogram {
     }
 }
 
-/// A registry of named counters, gauges, and histograms.
-///
-/// Names are `&'static str`-like strings; the registry is a `BTreeMap` so
-/// report output is deterministically ordered.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl Metrics {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Metrics::default()
-    }
-
-    /// Get or create the counter `name`.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_string()).or_default()
-    }
-
-    /// Read a counter; 0 if absent.
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, |c| c.get())
-    }
-
-    /// Set the gauge `name`.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
-    /// Read a gauge; 0.0 if absent.
-    pub fn gauge_value(&self, name: &str) -> f64 {
-        self.gauges.get(name).copied().unwrap_or(0.0)
-    }
-
-    /// Get or create the histogram `name` with an exponential layout.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::exponential(40))
-    }
-
-    /// Read-only access to a histogram, if present.
-    pub fn histogram_ref(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), v.get()))
-    }
-
-    /// Iterate gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Reset everything (between experiment repetitions).
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
-    }
-}
-
-impl fmt::Display for Metrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (name, v) in self.counters() {
-            writeln!(f, "{name}: {v}")?;
-        }
-        for (name, v) in self.gauges() {
-            writeln!(f, "{name}: {v:.3}")?;
-        }
-        for (name, h) in &self.histograms {
-            writeln!(
-                f,
-                "{name}: n={} mean={:.1} min={} p50={} p99={} max={}",
-                h.count(),
-                h.mean(),
-                h.min(),
-                h.quantile(0.5),
-                h.quantile(0.99),
-                h.max()
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate() {
-        let mut m = Metrics::new();
-        m.counter("bytes").add(10);
-        m.counter("bytes").add(5);
-        assert_eq!(m.counter_value("bytes"), 15);
-        assert_eq!(m.counter_value("missing"), 0);
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let mut m = Metrics::new();
-        m.set_gauge("util", 0.5);
-        m.set_gauge("util", 0.9);
-        assert!((m.gauge_value("util") - 0.9).abs() < 1e-12);
-    }
 
     #[test]
     fn histogram_summary_stats() {
@@ -296,32 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn counter_add_saturates_instead_of_wrapping() {
-        let mut c = Counter::default();
-        c.add(u64::MAX - 1);
-        c.add(5);
-        assert_eq!(c.get(), u64::MAX);
-        c.inc();
-        assert_eq!(c.get(), u64::MAX);
-        c.add(u64::MAX);
-        assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
     fn empty_histogram_is_sane() {
         let h = Histogram::exponential(4);
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.quantile(0.5), 0);
-    }
-
-    #[test]
-    fn display_is_deterministic() {
-        let mut m = Metrics::new();
-        m.counter("zeta").inc();
-        m.counter("alpha").inc();
-        let s = m.to_string();
-        assert!(s.find("alpha").unwrap() < s.find("zeta").unwrap());
     }
 }

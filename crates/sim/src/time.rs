@@ -32,12 +32,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// This instant expressed in (fractional) milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// This instant expressed in (fractional) seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {

@@ -24,12 +24,13 @@
 //!   time execution of projection, selection, LIKE, and bounded
 //!   pre-aggregation (on [`agg`]'s kernel), with byte-level billing (bytes
 //!   scanned vs returned)
-//! - [`table`] — multi-segment tables and their statistics
+//! - [`table`] — multi-segment tables and their statistics. A table is not
+//!   partitioned: scale-out plans deal each host its own share of the rows
+//!   and move rows between hosts only through an Exchange
 
 pub mod agg;
 pub mod eval;
 pub mod object;
-pub mod partition;
 pub mod pattern;
 pub mod predicate;
 pub mod segment;

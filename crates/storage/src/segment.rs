@@ -181,6 +181,7 @@ pub struct SegmentReader {
     key: String,
     schema: SchemaRef,
     pages: Vec<PageMeta>,
+    rows: u64,
 }
 
 impl SegmentReader {
@@ -206,8 +207,12 @@ impl SegmentReader {
             return Err(StorageError::Corrupt("page count implausible".into()));
         }
         let mut pages = Vec::with_capacity(n_pages);
+        let mut total_rows = 0u64;
         for _ in 0..n_pages {
             let rows = varint::read_u64(&footer, &mut pos)?;
+            total_rows = total_rows
+                .checked_add(rows)
+                .ok_or_else(|| StorageError::Corrupt("page row counts overflow".into()))?;
             let mut blocks = Vec::with_capacity(schema.len());
             for _ in 0..schema.len() {
                 let offset = varint::read_u64(&footer, &mut pos)?;
@@ -225,6 +230,7 @@ impl SegmentReader {
             key: key.to_string(),
             schema,
             pages,
+            rows: total_rows,
         })
     }
 
@@ -240,7 +246,7 @@ impl SegmentReader {
 
     /// Total rows in the segment.
     pub fn rows(&self) -> u64 {
-        self.pages.iter().map(|p| p.rows).sum()
+        self.rows
     }
 
     /// Page metadata (zone maps etc.).

@@ -3,9 +3,9 @@
 //! tests pin what that one runtime guarantees on exchange plans: a codec
 //! decision only where a codec was compiled or [`CodecPolicy::Auto`] asks
 //! for one, a producer failure that reaches every consumer of its
-//! channel, typed, without hanging, a consumer's own failure that ends
-//! the query, and sources that stop at their next batch once a failure
-//! has ended it.
+//! channel without hanging, a consumer's own failure that ends the query,
+//! the query's first typed error as its result, and sources that stop at
+//! their next batch once a failure has ended it.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -208,6 +208,50 @@ fn failing_build_producer_fails_every_join_fragment() {
         .expect("query returns within 20 s")
         .expect_err("a failed build producer fails the query");
     assert!(err.to_string().contains("device lost mid-query"), "{err}");
+}
+
+#[test]
+fn first_typed_error_wins_every_run() {
+    // The plan above, 100 times over. Every run must return the gate's own
+    // placement error, not the `query aborted` error of a sibling whose
+    // source stopped after the abort and whose failure reached the root's
+    // gather first.
+    let topology = Topology::cluster(2, &ClusterConfig::default());
+    let orders = workload::orders(2000, 1);
+    let lineitem = workload::lineitem(8000, 1);
+    let plan = cluster_join(
+        &topology,
+        &orders,
+        &deal(&orders, 50),
+        &lineitem,
+        &deal(&lineitem, 200),
+    );
+    let graph = PipelineGraph::compile(&plan, None, Some(&topology), DEFAULT_QUEUE_CAPACITY);
+    let failing = graph.channels()[0].producers[0];
+    let (done, result) = mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..100 {
+            let gated = ExecEnv {
+                gate: Some(Arc::new(FailingGate {
+                    pipeline: Some(failing),
+                    after: 3,
+                    seen: AtomicUsize::new(0),
+                })),
+                ..env(&topology, CodecPolicy::AsCompiled)
+            };
+            let _ = done.send(execute_graph(&graph, &gated, "failing").map(|o| o.rows()));
+        }
+    });
+    for run in 0..100 {
+        let err = result
+            .recv_timeout(Duration::from_secs(20))
+            .expect("every run returns within 20 s")
+            .expect_err("a failed build producer fails the query");
+        assert!(
+            matches!(err, EngineError::Placement(_)),
+            "run {run}: {err:?}"
+        );
+    }
 }
 
 #[test]

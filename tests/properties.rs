@@ -912,14 +912,8 @@ fn serve_frame_decode_returns_typed_errors() {
         let mut bytes = frame.clone();
         match g.usize_in(0, 2) {
             0 => {
-                for _ in 0..n {
-                    let at = g.usize_in(0, bytes.len() - 1);
-                    bytes[at] = if g.bool() {
-                        g.byte()
-                    } else {
-                        bytes[at] ^ 1 << g.usize_in(0, 7)
-                    };
-                }
+                let len = bytes.len();
+                damage(g, &mut bytes, 0..len, n);
                 let _ = read(&bytes);
             }
             1 => {
@@ -932,6 +926,281 @@ fn serve_frame_decode_returns_typed_errors() {
                 assert_eq!(read(&bytes).unwrap(), read(frame).unwrap());
             }
         }
+    });
+}
+
+/// Replace or bit-flip `n` bytes of `bytes[range]`.
+fn damage(g: &mut Gen, bytes: &mut [u8], range: std::ops::Range<usize>, n: usize) {
+    for _ in 0..n {
+        let at = g.usize_in(range.start, range.end - 1);
+        bytes[at] = if g.bool() {
+            g.byte()
+        } else {
+            bytes[at] ^ 1 << g.usize_in(0, 7)
+        };
+    }
+}
+
+/// Read every row of a decoded column, so a column that decodes but is
+/// not whole (offsets past its data, a short bitmap) fails the test.
+fn read_every_row(column: &Column) {
+    for row in 0..column.len() {
+        column.scalar_at(row);
+    }
+}
+
+/// Open the segment at `key`, then read every column of every page: each
+/// step returns its value or a typed error.
+fn open_and_read_segment(store: &rheo::storage::object::ObjectStoreRef, key: &str) {
+    use rheo::storage::segment::SegmentReader;
+    let Ok(reader) = SegmentReader::open(store.clone(), key) else {
+        return;
+    };
+    reader.rows();
+    for page in 0..reader.n_pages() {
+        for column in 0..reader.schema().len() {
+            if let Ok(column) = reader.read_column(page, column) {
+                read_every_row(&column);
+            }
+        }
+    }
+}
+
+#[test]
+fn segment_open_returns_typed_errors() {
+    use rheo::codec::checksum::crc32;
+    use rheo::codec::wire::{encode_scalar, encode_schema};
+    use rheo::storage::segment::SegmentReader;
+    let store = MemObjectStore::shared();
+    // Real segments of every non-empty corpus batch, in pages of 512 rows,
+    // each with where its footer starts and where its first block lies.
+    let tables = TableStore::new(store.clone());
+    let mut segments = Vec::new();
+    for (i, batch) in codec_corpus().iter().enumerate() {
+        if batch.is_empty() {
+            continue;
+        }
+        let table = format!("t{i}");
+        tables.create(&table, batch.schema()).unwrap();
+        tables
+            .append(&table, std::slice::from_ref(batch), 1 << 20, 512)
+            .unwrap();
+        for key in tables.segments(&table) {
+            let bytes = store.get(&key).unwrap();
+            let tail = bytes.len() - 8;
+            let footer_len = u32::from_le_bytes(bytes[tail..tail + 4].try_into().unwrap());
+            let reader = SegmentReader::open(store.clone(), &key).unwrap();
+            let block = &reader.page(0).blocks[0];
+            let first_block = block.offset as usize..(block.offset + block.len) as usize;
+            segments.push((bytes, tail - footer_len as usize, first_block));
+        }
+    }
+    let dtypes = [
+        DataType::Int64,
+        DataType::Float64,
+        DataType::Utf8,
+        DataType::Bool,
+    ];
+    check("segment_open_returns_typed_errors", 1024, |g| {
+        // A random object that ends in a plausible footer length and the
+        // magic: blocks of random bytes under valid CRCs, and a footer
+        // that is random bytes, or a schema and page directory over those
+        // blocks with random row counts and zone maps.
+        let mut object = Vec::new();
+        let mut blocks = Vec::new();
+        for _ in 0..g.usize_in(0, 6) {
+            let len = g.usize_in(0, 40);
+            let body = g.vec_of(len, Gen::byte);
+            blocks.push((object.len() as u64, len as u64 + 4));
+            object.extend_from_slice(&body);
+            object.extend_from_slice(&crc32(&body).to_le_bytes());
+        }
+        let footer_start = object.len();
+        if g.bool() {
+            let len = g.usize_in(0, 64);
+            object.extend(g.vec_of(len, Gen::byte));
+        } else {
+            let fields: Vec<Field> = (0..g.usize_in(0, 3))
+                .map(|i| Field::new(format!("c{i}"), *g.pick(&dtypes)))
+                .collect();
+            encode_schema(&mut object, &Schema::new(fields.clone()));
+            let pages = g.usize_in(0, 3);
+            varint::write_u64(&mut object, pages as u64);
+            for _ in 0..pages {
+                let small = g.u64() % 64;
+                let rows = *g.pick(&[0, 1, small, 1 << 40, u64::MAX]);
+                varint::write_u64(&mut object, rows);
+                for _ in &fields {
+                    let (offset, len) = match blocks.is_empty() || g.usize_in(0, 5) == 0 {
+                        true => (g.u64() % 512, g.u64() % 64),
+                        false => *g.pick(&blocks),
+                    };
+                    varint::write_u64(&mut object, offset);
+                    varint::write_u64(&mut object, len);
+                    for _ in 0..2 {
+                        let zone = match g.usize_in(0, 2) {
+                            0 => Scalar::Null,
+                            1 => Scalar::Int(g.i64()),
+                            _ => Scalar::Str(g.string_from(&SMALL_CHARS, 4)),
+                        };
+                        encode_scalar(&mut object, &zone);
+                    }
+                    varint::write_u64(&mut object, g.u64() % 64);
+                    varint::write_u64(&mut object, g.u64() % 64);
+                }
+            }
+        }
+        let mut footer_len = (object.len() - footer_start) as u32;
+        if g.usize_in(0, 3) == 0 {
+            footer_len = g.usize_in(0, object.len()) as u32;
+        }
+        object.extend_from_slice(&footer_len.to_le_bytes());
+        object.extend_from_slice(b"DFSG");
+        store.put("fuzz/random", object).unwrap();
+        open_and_read_segment(&store, "fuzz/random");
+
+        // A real segment with one to eight bytes of its footer or tail
+        // damaged, cut out or inserted (a cut or an insertion keeps the
+        // footer length in step half the time), or with a block's bytes
+        // damaged under a recomputed CRC.
+        let (segment, footer_start, first_block) = g.pick(&segments);
+        let (mut bytes, footer_start) = (segment.clone(), *footer_start);
+        let n = g.usize_in(1, 8);
+        let tail = bytes.len() - 8;
+        match g.usize_in(0, 3) {
+            0 => {
+                let len = bytes.len();
+                damage(g, &mut bytes, footer_start..len, n);
+            }
+            1 | 2 => {
+                let at = g.usize_in(footer_start, tail);
+                let mut footer_len = (tail - footer_start) as u32;
+                if g.bool() {
+                    let n = n.min(tail - at);
+                    bytes.drain(at..at + n);
+                    footer_len -= n as u32;
+                } else {
+                    let inserted = g.vec_of(n, Gen::byte);
+                    bytes.splice(at..at, inserted);
+                    footer_len += n as u32;
+                }
+                if g.bool() {
+                    let tail = bytes.len() - 8;
+                    bytes[tail..tail + 4].copy_from_slice(&footer_len.to_le_bytes());
+                }
+            }
+            _ => {
+                let body = first_block.start..first_block.end - 4;
+                damage(g, &mut bytes, body.clone(), n);
+                let crc = crc32(&bytes[body.clone()]);
+                bytes[body.end..first_block.end].copy_from_slice(&crc.to_le_bytes());
+            }
+        }
+        store.put("fuzz/damaged", bytes).unwrap();
+        open_and_read_segment(&store, "fuzz/damaged");
+    });
+}
+
+#[test]
+fn stream_decoders_return_typed_errors() {
+    use rheo::codec::wire::{
+        decode_column, decode_page_column, decode_scalar, decode_schema, encode_column,
+        encode_scalar, encode_schema,
+    };
+    let dtypes = [
+        DataType::Int64,
+        DataType::Float64,
+        DataType::Utf8,
+        DataType::Bool,
+    ];
+    // Every decoder over `bytes`: each returns its value or a typed error.
+    let decode_all = |g: &mut Gen, bytes: &[u8]| {
+        let mut pos = 0;
+        while varint::read_u64(bytes, &mut pos).is_ok() {}
+        let mut pos = 0;
+        while varint::read_i64(bytes, &mut pos).is_ok() {}
+        let mut pos = 0;
+        while varint::read_bytes(bytes, &mut pos).is_ok() {}
+        let _ = int::rle_decode(bytes);
+        let _ = int::bitpack_decode(bytes);
+        let _ = int::delta_decode(bytes);
+        let _ = int::decode_tagged(int::TAG_PLAIN, bytes);
+        if let Ok(schema) = decode_schema(bytes, &mut 0) {
+            schema.len();
+        }
+        let _ = decode_scalar(bytes, &mut 0);
+        for dtype in dtypes {
+            if let Ok(column) = decode_column(bytes, &mut 0, dtype) {
+                read_every_row(&column);
+            }
+            let small = g.u64() % 1024;
+            let rows = *g.pick(&[0, 1, small, 1 << 40, u64::MAX]);
+            if let Ok(column) = decode_page_column(bytes, &mut 0, dtype, rows) {
+                read_every_row(&column);
+            }
+        }
+        // The same bytes as the stream of a dictionary-coded Utf8 column
+        // and of each integer codec.
+        let mut dict = vec![1];
+        varint::write_bytes(&mut dict, bytes);
+        dict.push(0);
+        if let Ok(column) = decode_column(&dict, &mut 0, DataType::Utf8) {
+            read_every_row(&column);
+        }
+        for tag in [int::TAG_RLE, int::TAG_DELTA, int::TAG_BITPACK] {
+            let mut ints = vec![tag];
+            varint::write_bytes(&mut ints, bytes);
+            ints.push(0);
+            if let Ok(column) = decode_column(&ints, &mut 0, DataType::Int64) {
+                read_every_row(&column);
+            }
+        }
+    };
+    check("stream_decoders_return_typed_errors", 1024, |g| {
+        let len = g.usize_in(0, 300);
+        let noise = g.vec_of(len, Gen::byte);
+        decode_all(g, &noise);
+
+        // A valid stream of one decoder, with one to eight bytes damaged,
+        // cut off or appended.
+        let batch = arb_codec_batch(g, 64);
+        let mut stream = Vec::new();
+        match g.usize_in(0, 4) {
+            0 => {
+                for _ in 0..g.usize_in(1, 8) {
+                    varint::write_u64(&mut stream, g.u64() >> g.usize_in(0, 63));
+                    varint::write_i64(&mut stream, g.i64() >> g.usize_in(0, 63));
+                }
+            }
+            1 => {
+                let Column::Int64 { values, .. } = batch.column(5) else {
+                    panic!("the shaped column is Int64");
+                };
+                let tag = *g.pick(&[
+                    int::TAG_PLAIN,
+                    int::TAG_RLE,
+                    int::TAG_DELTA,
+                    int::TAG_BITPACK,
+                ]);
+                stream = int::encode_tagged(tag, values);
+            }
+            2 => encode_schema(&mut stream, batch.schema()),
+            3 => {
+                let row = g.usize_in(0, batch.rows() - 1);
+                encode_scalar(&mut stream, &batch.column(g.usize_in(0, 5)).scalar_at(row));
+            }
+            _ => encode_column(&mut stream, batch.column(g.usize_in(0, 5))),
+        }
+        let n = g.usize_in(1, 8);
+        match g.usize_in(0, 2) {
+            0 if !stream.is_empty() => {
+                let len = stream.len();
+                damage(g, &mut stream, 0..len, n);
+            }
+            1 => stream.truncate(stream.len().saturating_sub(n)),
+            _ => stream.extend(g.vec_of(n, Gen::byte)),
+        }
+        decode_all(g, &stream);
     });
 }
 

@@ -325,9 +325,23 @@ fn mutation_broken_codec_pair_is_rejected() {
     use rheo::fabric::OpClass;
     let topo = Topology::disaggregated(&DisaggregatedConfig::default());
     let gens = MutGen::new(&topo);
+    // The near-memory accelerator decompresses but cannot compress.
+    let nma = topo.expect_device("compute0.mem");
     check("verify-mut-broken-codec-pair", 32, |gen: &mut Gen| {
-        let mut g = gens.compile(gen, &topo, None);
-        // Fabric edges whose endpoints can legally host the codec pair.
+        // A limit above the CPU breaker adds a local edge to the NIC or
+        // SSD fabric edge.
+        let plan = gens.plan(gen, None);
+        let limit = PhysNode::Limit {
+            input: Box::new(plan.root),
+            n: 1_000,
+        };
+        let mut g = PipelineGraph::compile(
+            &PhysicalPlan::new(limit, "verify-mutations"),
+            None,
+            Some(&topo),
+            DEFAULT_QUEUE_CAPACITY,
+        );
+        // Fabric edges whose endpoints can legally host the codec.
         let eligible: Vec<usize> = g
             .edges
             .iter()
@@ -340,36 +354,56 @@ fn mutation_broken_codec_pair_is_rejected() {
             })
             .map(|e| e.id)
             .collect();
-        if eligible.is_empty() {
-            return; // all-local placement this round; nothing to mutate
-        }
-        let victim = *gen.pick(&eligible);
+        let local: Vec<usize> = g
+            .edges
+            .iter()
+            .filter(|e| matches!(e.kind, EdgeKind::Local))
+            .map(|e| e.id)
+            .collect();
         let encoding = *gen.pick(&[
             EdgeEncoding::Columnar,
             EdgeEncoding::Lz,
             EdgeEncoding::ColumnarLz,
         ]);
+        let mut victim = *gen.pick(&eligible);
         g.set_edge_encoding(victim, encoding, 0.5);
-        g.verify(Some(&topo))
-            .expect("paired codec stages verify clean");
-        // Break the pair one of three ways; verify must name the edge.
-        match gen.usize_in(0, 2) {
-            0 => g.edges[victim].decompress = None,
-            1 => {
-                let c = g.edges[victim].compress.as_mut().expect("compress stage");
-                c.ratio = 0.25; // no longer equal to the decompress ratio
+        g.verify(Some(&topo)).expect("a codec edge verifies clean");
+        // Break the codec one of three ways; verify must name the edge.
+        let pairing = match gen.usize_in(0, 2) {
+            0 => {
+                // A codec on a local edge: nothing crosses the fabric.
+                g.set_edge_encoding(victim, EdgeEncoding::Plain, 1.0);
+                victim = *gen.pick(&local);
+                g.set_edge_encoding(victim, encoding, 0.5);
+                true
             }
-            _ => g.edges[victim].encoding = EdgeEncoding::Plain,
-        }
-        let errs = g
-            .verify(Some(&topo))
-            .expect_err("broken codec pair must fail");
+            1 => {
+                let ratio = *gen.pick(&[0.0, -0.5, f64::NAN, f64::INFINITY]);
+                g.set_edge_encoding(victim, encoding, ratio);
+                true
+            }
+            _ => {
+                // Move the producer tip, and with it the encode, onto a
+                // device without the Compress class.
+                let from = g.edges[victim].from;
+                if let Some(op) = g.pipelines[from].ops.last_mut() {
+                    op.device = Some(nma);
+                }
+                g.edges[victim].from_device = Some(nma);
+                false
+            }
+        };
+        let errs = g.verify(Some(&topo)).expect_err("broken codec must fail");
+        let named = has(&errs, |e| match e {
+            VerifyError::CodecPairingBroken { edge, .. } => pairing && *edge == victim,
+            VerifyError::IllegalCodecPlacement { edge, class, .. } => {
+                !pairing && *edge == victim && *class == OpClass::Compress
+            }
+            _ => false,
+        });
         assert!(
-            has(
-                &errs,
-                |e| matches!(e, VerifyError::CodecPairingBroken { edge, .. } if *edge == victim)
-            ),
-            "expected CodecPairingBroken for edge {victim}, got {errs:?}"
+            named,
+            "expected a codec error for edge {victim}, got {errs:?}"
         );
     });
 }
